@@ -14,6 +14,7 @@ import numpy as np
 import scipy.ndimage
 
 from .errors import DomainError
+from .matched_filter import normalized_features
 from .scene_io import EnhancementField, RadianceCube
 from .segmentation import disk, radius_to_pixels, robust_sigma
 from .signature import BandAbsorption
@@ -49,12 +50,6 @@ def continuum_bands(absorption: BandAbsorption) -> np.ndarray:
     if not np.any(keep):
         return absorption.band_indices.copy()
     return absorption.band_indices[keep]
-
-
-def _unit_mean(spectra: np.ndarray) -> np.ndarray:
-    means = spectra.mean(axis=-1, keepdims=True)
-    safe = np.where(means != 0.0, means, 1.0)
-    return spectra / safe
 
 
 def spectral_angle(spectra: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -105,9 +100,9 @@ def match_background(
     if not np.any(candidates):
         raise DomainError("no candidate background pixels outside the plume buffer")
 
-    reference = _unit_mean(spectra[:, plume_mask & valid].mean(axis=1))
+    reference = normalized_features(spectra[:, plume_mask & valid].mean(axis=1))
     cand_lines, cand_samples = np.nonzero(candidates)
-    cand_spectra = _unit_mean(spectra[:, cand_lines, cand_samples].T)
+    cand_spectra = normalized_features(spectra[:, cand_lines, cand_samples].T)
     angles = spectral_angle(cand_spectra, reference)
 
     order = np.lexsort((cand_samples, cand_lines, angles))

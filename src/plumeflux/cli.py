@@ -14,15 +14,22 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .config import default_config_yaml, load_config
 from .errors import ConfigError, PlumefluxError
-from .pipeline import quantify_only, run_pipeline, run_multi, write_report
+from .matched_filter import retrieve
+from .pipeline import (
+    _load_table,
+    quantify_only,
+    run_multi,
+    run_pipeline,
+    write_layers,
+    write_plumes,
+    write_report,
+)
 from .quantification import WindConfig
 from .scene_io import ingest_level2, read_cube, write_cube, write_raster
-from .segmentation import plumes_to_geojson, segment_field
-from .signature import band_absorption, load_bundled_table, read_absorption_table
+from .segmentation import segment_field
+from .signature import band_absorption
 from .simulator import simulate_scene
 
 
@@ -90,15 +97,10 @@ def cmd_retrieve(args) -> int:
         raise ConfigError("retrieve requires input.cube (level-1 radiance)")
     out = _out_dir(cfg, args)
     cube = read_cube(cfg.input.cube)
-    table = load_bundled_table() if cfg.absorption_table == "builtin" else read_absorption_table(cfg.absorption_table)
-    from .matched_filter import retrieve as mf_retrieve
-
     mf = cfg.mf[0]
-    absorption = band_absorption(table, cube.descriptor, mf.window)
-    field, _ = mf_retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)
-    write_raster(field.delta_x, out / "enhancement", field.gsd, field.origin, field.nodata_mask)
-    if field.sigma_noise is not None:
-        write_raster(field.sigma_noise, out / "sigma_noise", field.gsd, field.origin, field.nodata_mask)
+    absorption = band_absorption(_load_table(cfg), cube.descriptor, mf.window)
+    field, _ = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)
+    write_layers(out, field)
     print(f"wrote enhancement (provenance: {field.provenance}) to {out}")
     return 0
 
@@ -111,13 +113,7 @@ def cmd_segment(args) -> int:
         raise ConfigError("segment requires input.enhancement or --enhancement")
     field = ingest_level2(enh, None, cfg.input.gsd)
     plumes, tau, _mask = segment_field(field, cfg.segmentation)
-    labels = np.zeros(field.shape)
-    for p in plumes:
-        labels[p.mask] = p.label_id
-    write_raster(labels, out / "plume_mask", field.gsd, field.origin, field.nodata_mask)
-    (out / "plumes.geojson").write_text(
-        json.dumps(plumes_to_geojson(plumes), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_plumes(out, field, plumes)
     write_report(
         {
             "threshold_ppmm": tau,
@@ -177,9 +173,7 @@ def cmd_ingest_l2(args) -> int:
     field = ingest_level2(args.enhancement, args.sigma, args.gsd)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    write_raster(field.delta_x, out / "enhancement", field.gsd, field.origin, field.nodata_mask)
-    if field.sigma_total is not None:
-        write_raster(field.sigma_total, out / "sigma_total", field.gsd, field.origin, field.nodata_mask)
+    write_layers(out, field)
     valid = int((~field.nodata_mask).sum())
     write_report(
         {

@@ -1,36 +1,27 @@
-"""Hot per-pixel kernels with a numba fast path and a pure-numpy fallback.
+"""Hot per-pixel kernels, written in numpy.
 
 The matched filter, its noise propagation, and the k-means steps are the
 only loops that touch every pixel of a scene, so they are the only code
-here. Everything is written against plain float64 C-contiguous arrays.
-
-Backend selection: numba is used when importable unless the environment
-variable ``PLUMEFLUX_NO_NUMBA`` is set to a truthy value, in which case the
-numpy implementations are used. Both backends are exposed (``NUMPY_KERNELS``
-and ``NUMBA_KERNELS``) so tests and ``benchmarks/bench_kernels.py`` can
-compare them directly.
+here. Everything is written against plain float64 (pixels, bands) arrays.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, NamedTuple, Optional
-
 import numpy as np
 
 
-def _numpy_mf_scores(X, mu, q, denom):
+def mf_scores(X, mu, q, denom):
     """Matched-filter score (x - mu)q / denom for each row of X."""
     return (X - mu) @ q / denom
 
 
-def _numpy_noise_variance(X, a, c, q, denom):
+def noise_variance(X, a, c, q, denom):
     """Per-pixel variance q' diag(a*max(x,0)+c) q / denom**2 for rows of X."""
     q2 = q * q
     return (np.maximum(X, 0.0) @ (a * q2) + c @ q2) / (denom * denom)
 
 
-def _numpy_assign_labels(X, centers):
+def assign_labels(X, centers):
     """Index of the nearest center (squared Euclidean) for each row of X."""
     n = X.shape[0]
     labels = np.empty(n, dtype=np.int64)
@@ -47,7 +38,7 @@ def _numpy_assign_labels(X, centers):
     return labels
 
 
-def _numpy_cluster_sums(X, labels, k):
+def cluster_sums(X, labels, k):
     """Per-label feature sums and member counts."""
     p = X.shape[1]
     sums = np.empty((k, p))
@@ -57,140 +48,13 @@ def _numpy_cluster_sums(X, labels, k):
     return sums, counts
 
 
-def _numpy_min_sqdist_update(X, center, d2):
+def min_sqdist_update(X, center, d2):
     """In-place d2 = min(d2, ||x - center||^2) per row; used by k-means++."""
     diff = X - center
     np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return d2
 
 
-class KernelSet(NamedTuple):
-    name: str
-    mf_scores: Callable
-    noise_variance: Callable
-    assign_labels: Callable
-    cluster_sums: Callable
-    min_sqdist_update: Callable
-
-
-NUMPY_KERNELS = KernelSet(
-    "numpy",
-    _numpy_mf_scores,
-    _numpy_noise_variance,
-    _numpy_assign_labels,
-    _numpy_cluster_sums,
-    _numpy_min_sqdist_update,
-)
-
-NUMBA_KERNELS: Optional[KernelSet] = None
-
-_DISABLED = os.environ.get("PLUMEFLUX_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via PLUMEFLUX_NO_NUMBA
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _numba_mf_scores(X, mu, q, denom):
-        n, p = X.shape
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(p):
-                acc += (X[i, j] - mu[j]) * q[j]
-            out[i] = acc / denom
-        return out
-
-    @njit(cache=True)
-    def _numba_noise_variance(X, a, c, q, denom):
-        n, p = X.shape
-        out = np.empty(n)
-        d2 = denom * denom
-        for i in range(n):
-            acc = 0.0
-            for j in range(p):
-                x = X[i, j]
-                if x < 0.0:
-                    x = 0.0
-                acc += q[j] * q[j] * (a[j] * x + c[j])
-            out[i] = acc / d2
-        return out
-
-    @njit(cache=True)
-    def _numba_assign_labels(X, centers):
-        n, p = X.shape
-        k = centers.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            best = 0
-            best_d = np.inf
-            for m in range(k):
-                d = 0.0
-                for j in range(p):
-                    diff = X[i, j] - centers[m, j]
-                    d += diff * diff
-                if d < best_d:
-                    best_d = d
-                    best = m
-            labels[i] = best
-        return labels
-
-    @njit(cache=True)
-    def _numba_cluster_sums(X, labels, k):
-        n, p = X.shape
-        sums = np.zeros((k, p))
-        counts = np.zeros(k, dtype=np.int64)
-        for i in range(n):
-            m = labels[i]
-            counts[m] += 1
-            for j in range(p):
-                sums[m, j] += X[i, j]
-        return sums, counts
-
-    @njit(cache=True)
-    def _numba_min_sqdist_update(X, center, d2):
-        n, p = X.shape
-        for i in range(n):
-            d = 0.0
-            for j in range(p):
-                diff = X[i, j] - center[j]
-                d += diff * diff
-            if d < d2[i]:
-                d2[i] = d
-        return d2
-
-    NUMBA_KERNELS = KernelSet(
-        "numba",
-        _numba_mf_scores,
-        _numba_noise_variance,
-        _numba_assign_labels,
-        _numba_cluster_sums,
-        _numba_min_sqdist_update,
-    )
-
-if NUMBA_KERNELS is not None and not _DISABLED:
-    ACTIVE: KernelSet = NUMBA_KERNELS
-else:
-    ACTIVE = NUMPY_KERNELS
-
-
 def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return ACTIVE.name
-
-
-mf_scores = ACTIVE.mf_scores
-noise_variance = ACTIVE.noise_variance
-assign_labels = ACTIVE.assign_labels
-cluster_sums = ACTIVE.cluster_sums
-min_sqdist_update = ACTIVE.min_sqdist_update
+    """Name of the kernel backend, recorded in reports and benchmark results."""
+    return "numpy"

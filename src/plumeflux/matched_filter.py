@@ -9,7 +9,7 @@ its own mean, so outputs stay in ppm*m under every partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -117,25 +117,26 @@ def estimate_stats(
     return mu, cov
 
 
-def _cholesky(cov: np.ndarray) -> np.ndarray:
+def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Whitened target q = cov^-1 t and the filter normalization t'q."""
+    if not np.any(t != 0.0):
+        raise DomainError("degenerate target spectrum")
     try:
-        return np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "covariance not positive definite after regularization (bug signal)"
         ) from exc
-
-
-def mf_score(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, t: np.ndarray) -> float:
-    """Single-spectrum matched-filter score (x-mu)' cov^-1 t / (t' cov^-1 t)."""
-    t = np.asarray(t, dtype=np.float64)
-    if not np.any(t != 0.0):
-        raise DomainError("degenerate target spectrum")
-    chol = _cholesky(np.asarray(cov, dtype=np.float64))
     q = scipy.linalg.cho_solve((chol, True), t)
     denom = float(t @ q)
     if denom <= 0.0:
         raise DomainError("degenerate target spectrum")
+    return q, denom
+
+
+def mf_score(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, t: np.ndarray) -> float:
+    """Single-spectrum matched-filter score (x-mu)' cov^-1 t / (t' cov^-1 t)."""
+    q, denom = _whiten(np.asarray(cov, dtype=np.float64), np.asarray(t, dtype=np.float64))
     return float((np.asarray(x, dtype=np.float64) - mu) @ q / denom)
 
 
@@ -187,11 +188,12 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
 
 
 def normalized_features(X: np.ndarray) -> np.ndarray:
-    """Spectra scaled to unit mean so clusters track surface type, not brightness.
+    """Spectra along the last axis scaled to unit mean.
 
-    Rows whose mean is zero are kept as-is.
+    Clusters then track surface type, not brightness. Spectra whose mean is
+    zero are kept as-is.
     """
-    means = X.mean(axis=1, keepdims=True)
+    means = X.mean(axis=-1, keepdims=True)
     safe = np.where(means != 0.0, means, 1.0)
     return X / safe
 
@@ -208,45 +210,63 @@ def cluster_pixels(
     band_idx = window_band_indices(cube.descriptor, window)
     if band_idx.size == 0:
         raise DataError(f"no bands inside window {window}")
-    X, valid = _window_matrix(cube, band_idx)
+    valid = ~cube.nodata_mask
+    X = _window_slab(cube, band_idx)[:, valid.ravel()].T
     if X.shape[0] < k:
         raise DomainError(f"cannot form {k} clusters from {X.shape[0]} valid pixels")
     labels = kmeans(normalized_features(X), k, seed)
-    label_map = np.full(cube.nodata_mask.shape, -1, dtype=np.int64)
+    label_map = np.full(valid.shape, -1, dtype=np.int64)
     label_map[valid] = labels
     return label_map
 
 
 # ---------------------------------------------------------------------------
-# partitions and stats assembly
+# window slab, partitions and per-segment filters
+#
+# Every stage reads pixels through the (bands, pixels) slab and addresses
+# them by flat pixel index. ``Y[:, rows].T`` is the (pixels, bands) matrix
+# the kernels and ``estimate_stats`` take: the gather allocates it
+# column-major, so its transpose is C-contiguous without a further copy.
 
 
-def _window_matrix(cube: RadianceCube, band_indices: np.ndarray):
-    valid = ~cube.nodata_mask
-    X = np.ascontiguousarray(cube.data[band_indices][:, valid].T)
-    return X, valid
+def _window_slab(cube: RadianceCube, band_indices: np.ndarray) -> np.ndarray:
+    """Window bands as a (bands, lines*samples) view of the cube, never a copy.
+
+    ``SensorDescriptor`` keeps band centres strictly increasing, so the
+    bands of a wavelength window form one contiguous run. Nodata pixels stay
+    in the view; they belong to no segment, so nothing reads them.
+    """
+    if np.any(np.diff(band_indices) != 1):
+        raise DataError("window bands must be one contiguous run of increasing indices")
+    b0 = int(band_indices[0])
+    _, lines, samples = cube.data.shape
+    return cube.data[b0 : b0 + band_indices.size].reshape(band_indices.size, lines * samples)
+
+
+def _segment_rows(seg_flat: np.ndarray, n_seg: int) -> list[np.ndarray]:
+    """Ascending flat pixel indices of each segment 0..n_seg-1 (-1 is skipped)."""
+    order = np.argsort(seg_flat, kind="stable")
+    bounds = np.searchsorted(seg_flat[order], np.arange(n_seg + 1))
+    return [order[bounds[s] : bounds[s + 1]] for s in range(n_seg)]
 
 
 def _build_partition(
-    cube: RadianceCube, config: MfConfig, band_indices: np.ndarray
+    cube: RadianceCube, config: MfConfig, Y: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[list[str]]]:
-    """Segment map plus, per segment, the row indices used to estimate stats.
+    """Segment map plus, per segment, the flat pixel indices used to estimate stats.
 
     Estimation rows can be a superset of the segment's own rows (column
     pooling); the segment map always drives which filter a pixel gets.
     """
     valid = ~cube.nodata_mask
-    n_valid = int(valid.sum())
-    p = band_indices.size
-    rows_of_valid = np.arange(n_valid)
+    p = Y.shape[0]
 
     if config.variant == "cmf":
         seg_map = np.where(valid, 0, -1).astype(np.int64)
-        return seg_map, [rows_of_valid], [[]]
+        return seg_map, _segment_rows(seg_map.ravel(), 1), [[]]
 
     if config.variant == "ctmf":
-        X, _ = _window_matrix(cube, band_indices)
-        feats = normalized_features(X)
+        feats = normalized_features(Y[:, valid.ravel()].T)
         labels = kmeans(feats, config.cluster_count, config.seed)
         flags: list[str] = []
         # merge clusters that cannot support a p-band covariance into the
@@ -263,22 +283,18 @@ def _build_partition(
             dest = uniq[int(np.argmin(d))]
             labels[labels == small] = dest
             flags.append(f"cluster {small} pooled into {dest} (fewer than {p + 1} pixels)")
-        uniq = np.unique(labels)
-        remap = {int(u): i for i, u in enumerate(uniq)}
-        compact = np.array([remap[int(v)] for v in labels], dtype=np.int64)
+        uniq, compact = np.unique(labels, return_inverse=True)
         seg_map = np.full(valid.shape, -1, dtype=np.int64)
         seg_map[valid] = compact
-        groups = [rows_of_valid[compact == s] for s in range(uniq.size)]
         seg_flags: list[list[str]] = [[] for _ in range(uniq.size)]
         if flags:
             seg_flags[0] = flags
-        return seg_map, groups, seg_flags
+        return seg_map, _segment_rows(seg_map.ravel(), uniq.size), seg_flags
 
     # cwcmf: one segment per detector sample column, pooled when short
-    lines, samples = valid.shape
-    col_of_valid = np.tile(np.arange(samples), (lines, 1))[valid]
-    seg_map = np.where(valid, np.tile(np.arange(samples), (lines, 1)), -1).astype(np.int64)
-    col_rows = [rows_of_valid[col_of_valid == j] for j in range(samples)]
+    samples = valid.shape[1]
+    seg_map = np.where(valid, np.arange(samples), -1).astype(np.int64)
+    col_rows = _segment_rows(seg_map.ravel(), samples)
     groups = []
     seg_flags = []
     for j in range(samples):
@@ -299,50 +315,23 @@ def _build_partition(
     return seg_map, groups, seg_flags
 
 
-def _assemble_stats(
-    partition_name: str,
-    seg_map: np.ndarray,
-    groups: list[np.ndarray],
-    seg_flags: list[list[str]],
-    X: np.ndarray,
-    band_indices: np.ndarray,
-    k_band: np.ndarray,
-    config: MfConfig,
-) -> BackgroundStats:
-    n_seg = len(groups)
-    p = band_indices.size
-    mu = np.empty((n_seg, p))
-    cov = np.empty((n_seg, p, p))
-    t = np.empty((n_seg, p))
-    q = np.empty((n_seg, p))
-    denom = np.empty(n_seg)
-    counts = np.empty(n_seg, dtype=np.int64)
+def _segment_filter(
+    X_s: np.ndarray, k_band: np.ndarray, band_indices: np.ndarray, config: MfConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """One segment's (mu, cov, t, q, denom) from its (pixels, bands) spectra."""
+    mu, cov = estimate_stats(X_s, config.shrinkage, config.delta_min)
+    t = target_spectrum(k_band, mu, band_indices).t
+    q, denom = _whiten(cov, t)
+    return mu, cov, t, q, denom
+
+
+def _score_segments(
+    Y: np.ndarray, groups: list[np.ndarray], stats: BackgroundStats, out: np.ndarray
+) -> None:
+    """Write each segment's matched-filter scores into ``out`` at its flat indices."""
     for s, rows in enumerate(groups):
-        if rows.size < 2:
-            raise DomainError(f"segment {s} has {rows.size} pixels; need at least 2")
-        mu_s, cov_s = estimate_stats(X[rows], config.shrinkage, config.delta_min)
-        target = target_spectrum(k_band, mu_s, band_indices)
-        if not np.any(target.t != 0.0):
-            raise DomainError("degenerate target spectrum")
-        chol = _cholesky(cov_s)
-        q_s = scipy.linalg.cho_solve((chol, True), target.t)
-        denom_s = float(target.t @ q_s)
-        if denom_s <= 0.0:
-            raise DomainError("degenerate target spectrum")
-        mu[s], cov[s], t[s], q[s], denom[s] = mu_s, cov_s, target.t, q_s, denom_s
-        counts[s] = rows.size
-    return BackgroundStats(
-        partition=partition_name,
-        segment_map=seg_map,
-        band_indices=band_indices,
-        mu=mu,
-        cov=cov,
-        counts=counts,
-        t=t,
-        q=q,
-        denom=denom,
-        flags=seg_flags,
-    )
+        if rows.size:
+            out[rows] = kernels.mf_scores(Y[:, rows].T, stats.mu[s], stats.q[s], stats.denom[s])
 
 
 def compute_stats(
@@ -352,15 +341,30 @@ def compute_stats(
     band_indices = absorption.band_indices
     if band_indices.size < 2:
         raise DataError("matched filter needs at least 2 bands in the window")
-    X, _ = _window_matrix(cube, band_indices)
-    if X.shape[0] < 2:
+    if np.count_nonzero(~cube.nodata_mask) < 2:
         raise DomainError("fewer than 2 valid pixels in the scene")
-    seg_map, groups, seg_flags = _build_partition(cube, config, band_indices)
+    Y = _window_slab(cube, band_indices)
+    seg_map, groups, seg_flags = _build_partition(cube, config, Y)
+    filters = []
+    for s, rows in enumerate(groups):
+        if rows.size < 2:
+            raise DomainError(f"segment {s} has {rows.size} pixels; need at least 2")
+        filters.append(_segment_filter(Y[:, rows].T, absorption.k_band, band_indices, config))
+    mu, cov, t, q, denom = (np.array(v) for v in zip(*filters))
     name = {"cmf": "scene", "ctmf": f"cluster(K={config.cluster_count})", "cwcmf": "column"}[
         config.variant
     ]
-    return _assemble_stats(
-        name, seg_map, groups, seg_flags, X, band_indices, absorption.k_band, config
+    return BackgroundStats(
+        partition=name,
+        segment_map=seg_map,
+        band_indices=band_indices,
+        mu=mu,
+        cov=cov,
+        counts=np.array([rows.size for rows in groups], dtype=np.int64),
+        t=t,
+        q=q,
+        denom=denom,
+        flags=seg_flags,
     )
 
 
@@ -373,22 +377,18 @@ def apply_mf(
     """Per-pixel enhancement (x-mu)' cov^-1 t / (t' cov^-1 t) in ppm*m."""
     if stats is None:
         stats = compute_stats(cube, absorption, config)
-    X, valid = _window_matrix(cube, stats.band_indices)
-    seg_of_valid = stats.segment_map[valid]
-    scores = np.zeros(X.shape[0])
-    for s in range(stats.n_segments):
-        rows = np.flatnonzero(seg_of_valid == s)
-        if rows.size == 0:
-            continue
-        scores[rows] = kernels.mf_scores(
-            np.ascontiguousarray(X[rows]), stats.mu[s], stats.q[s], stats.denom[s]
-        )
-    delta = np.zeros(valid.shape)
-    delta[valid] = scores
+    seg_flat = stats.segment_map.ravel()
+    delta = np.zeros(seg_flat.size)
+    _score_segments(
+        _window_slab(cube, stats.band_indices),
+        _segment_rows(seg_flat, stats.n_segments),
+        stats,
+        delta,
+    )
     flags = stats.all_flags()
     provenance = config.label() + (" | " + "; ".join(flags) if flags else "")
     return EnhancementField(
-        delta_x=delta,
+        delta_x=delta.reshape(stats.segment_map.shape),
         gsd=cube.gsd,
         origin=cube.origin,
         nodata_mask=cube.nodata_mask,
@@ -414,9 +414,9 @@ def decontaminate(
 
     if config.contamination_iterations == 0:
         return stats
-    X, valid = _window_matrix(cube, stats.band_indices)
-    seg_of_valid = stats.segment_map[valid]
-    delta = field.delta_x[valid]
+    Y = _window_slab(cube, stats.band_indices)
+    groups = _segment_rows(stats.segment_map.ravel(), stats.n_segments)
+    delta = np.array(field.delta_x, dtype=np.float64).ravel()
     current = stats
     for _ in range(config.contamination_iterations):
         mu = current.mu.copy()
@@ -426,8 +426,7 @@ def decontaminate(
         denom = current.denom.copy()
         counts = current.counts.copy()
         flags = [list(f) for f in current.flags]
-        for s in range(current.n_segments):
-            rows = np.flatnonzero(seg_of_valid == s)
+        for s, rows in enumerate(groups):
             if rows.size == 0:
                 continue
             tau = robust_threshold(delta[rows], n_sigma)
@@ -436,37 +435,15 @@ def decontaminate(
                 if "decontamination skipped (segment emptied)" not in flags[s]:
                     flags[s].append("decontamination skipped (segment emptied)")
                 continue
-            mu_s, cov_s = estimate_stats(X[keep], config.shrinkage, config.delta_min)
-            target = target_spectrum(absorption.k_band, mu_s, current.band_indices)
-            if not np.any(target.t != 0.0):
-                raise DomainError("degenerate target spectrum")
-            chol = _cholesky(cov_s)
-            q_s = scipy.linalg.cho_solve((chol, True), target.t)
-            denom_s = float(target.t @ q_s)
-            if denom_s <= 0.0:
-                raise DomainError("degenerate target spectrum")
-            mu[s], cov[s], t[s], q[s], denom[s] = mu_s, cov_s, target.t, q_s, denom_s
+            mu[s], cov[s], t[s], q[s], denom[s] = _segment_filter(
+                Y[:, keep].T, absorption.k_band, current.band_indices, config
+            )
             counts[s] = keep.size
-        current = BackgroundStats(
-            partition=current.partition,
-            segment_map=current.segment_map,
-            band_indices=current.band_indices,
-            mu=mu,
-            cov=cov,
-            counts=counts,
-            t=t,
-            q=q,
-            denom=denom,
-            flags=flags,
+        current = replace(
+            current, mu=mu, cov=cov, counts=counts, t=t, q=q, denom=denom, flags=flags
         )
         # refresh scores so a further iteration thresholds the updated field
-        for s in range(current.n_segments):
-            rows = np.flatnonzero(seg_of_valid == s)
-            if rows.size == 0:
-                continue
-            delta[rows] = kernels.mf_scores(
-                np.ascontiguousarray(X[rows]), current.mu[s], current.q[s], current.denom[s]
-            )
+        _score_segments(Y, groups, current, delta)
     return current
 
 
@@ -480,32 +457,26 @@ def propagate_noise(
     fallback var = 1 / (t'S^-1 t), constant per segment.
     """
     descriptor = cube.descriptor
-    X, valid = _window_matrix(cube, stats.band_indices)
-    seg_of_valid = stats.segment_map[valid]
-    var = np.zeros(X.shape[0])
+    Y = _window_slab(cube, stats.band_indices)
+    seg_flat = stats.segment_map.ravel()
+    groups = _segment_rows(seg_flat, stats.n_segments)
+    var = np.zeros(seg_flat.size)
     flags: list[str] = []
     if descriptor.has_noise_model():
         a = np.ascontiguousarray(descriptor.noise_a[stats.band_indices])
         c = np.ascontiguousarray(descriptor.noise_c[stats.band_indices])
-        for s in range(stats.n_segments):
-            rows = np.flatnonzero(seg_of_valid == s)
-            if rows.size == 0:
-                continue
-            var[rows] = kernels.noise_variance(
-                np.ascontiguousarray(X[rows]), a, c, stats.q[s], stats.denom[s]
-            )
+        for s, rows in enumerate(groups):
+            if rows.size:
+                var[rows] = kernels.noise_variance(
+                    Y[:, rows].T, a, c, stats.q[s], stats.denom[s]
+                )
     else:
         flags.append("noise coefficients unavailable: a-posteriori matched-filter precision used")
-        for s in range(stats.n_segments):
-            rows = np.flatnonzero(seg_of_valid == s)
-            if rows.size == 0:
-                continue
+        for s, rows in enumerate(groups):
             var[rows] = 1.0 / stats.denom[s]
     if np.any(var < 0):
         raise NumericalError("negative propagated noise variance (bug signal)")
-    sigma = np.zeros(valid.shape)
-    sigma[valid] = np.sqrt(var)
-    return sigma, flags
+    return np.sqrt(var).reshape(stats.segment_map.shape), flags
 
 
 def retrieve(

@@ -38,7 +38,12 @@ from .segmentation import (
     robust_threshold,
     segment_field,
 )
-from .signature import band_absorption, load_bundled_table, read_absorption_table
+from .signature import (
+    AbsorptionTable,
+    band_absorption,
+    load_bundled_table,
+    read_absorption_table,
+)
 
 CLUTTER_INDEPENDENCE_NOTE = (
     "clutter treated as spatially uncorrelated when aggregating to sigma(IME)"
@@ -50,7 +55,7 @@ def _f32grid(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return None if a is None else a.astype(np.float32).astype(np.float64)
 
 
-def _load_table(cfg: RunConfig):
+def _load_table(cfg: RunConfig) -> AbsorptionTable:
     if cfg.absorption_table == "builtin":
         return load_bundled_table()
     return read_absorption_table(cfg.absorption_table)
@@ -88,17 +93,17 @@ class StageResult:
     records: list[PlumeRecord]
 
 
-def _write_outputs(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_layers(out_dir: Path, field: EnhancementField) -> None:
+    """Write the enhancement raster and whichever sigma layers the field carries."""
     write_raster(field.delta_x, out_dir / "enhancement", field.gsd, field.origin, field.nodata_mask)
-    if field.sigma_noise is not None:
-        write_raster(
-            field.sigma_noise, out_dir / "sigma_noise", field.gsd, field.origin, field.nodata_mask
-        )
-    if field.sigma_total is not None:
-        write_raster(
-            field.sigma_total, out_dir / "sigma_total", field.gsd, field.origin, field.nodata_mask
-        )
+    for name in ("sigma_noise", "sigma_total"):
+        layer = getattr(field, name)
+        if layer is not None:
+            write_raster(layer, out_dir / name, field.gsd, field.origin, field.nodata_mask)
+
+
+def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]) -> None:
+    """Write the plume label raster and the plume polygons as GeoJSON."""
     labels = np.zeros(field.shape)
     for p in plumes:
         labels[p.mask] = p.label_id
@@ -216,7 +221,9 @@ def run_stage(
     timings["quantification_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _write_outputs(out_dir, field, plumes)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_layers(out_dir, field)
+    write_plumes(out_dir, field, plumes)
     timings["outputs_s"] = time.perf_counter() - t0
 
     report = {
@@ -235,16 +242,23 @@ def run_stage(
     return StageResult(report=report, field=field, plumes=plumes, records=records)
 
 
-def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
-    """Single-configuration end-to-end run; writes rasters and report.json."""
+def _run_inputs(
+    cfg: RunConfig, output_dir: Optional[Path]
+) -> tuple[Path, Optional[RadianceCube], Optional[AbsorptionTable]]:
+    """Output directory, level-1 cube (None for level-2 input) and absorption table."""
     out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
     if out_dir is None:
         raise ConfigError("output_dir is required (config key or --output)")
-    out_dir = Path(out_dir)
-    cube = read_cube(cfg.input.cube) if cfg.input.mode() == "level1" and cfg.input.cube else None
+    cube = read_cube(cfg.input.cube) if cfg.input.cube else None
     if cube is None and cfg.input.enhancement is None:
         raise ConfigError("input: set one of 'cube' or 'enhancement'")
     table = _load_table(cfg) if cube is not None else None
+    return Path(out_dir), cube, table
+
+
+def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
+    """Single-configuration end-to-end run; writes rasters and report.json."""
+    out_dir, cube, table = _run_inputs(cfg, output_dir)
     stage = run_stage(cfg, cfg.mf[0], out_dir, cube, table)
     report = dict(stage.report)
     report["config"] = config_echo(cfg)
@@ -303,14 +317,7 @@ def run_multi(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     """Run every configured matched filter and report flux spreads per plume."""
     if len(cfg.mf) < 2:
         raise ConfigError("multi-configuration runs need at least 2 entries under 'mf'")
-    out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
-    if out_dir is None:
-        raise ConfigError("output_dir is required (config key or --output)")
-    out_dir = Path(out_dir)
-    cube = read_cube(cfg.input.cube) if cfg.input.cube else None
-    if cube is None and cfg.input.enhancement is None:
-        raise ConfigError("input: set one of 'cube' or 'enhancement'")
-    table = _load_table(cfg) if cube is not None else None
+    out_dir, cube, table = _run_inputs(cfg, output_dir)
 
     results: list[StageResult] = []
     sub_reports = []

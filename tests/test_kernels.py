@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from plumeflux import kernels
-from plumeflux.kernels import NUMBA_KERNELS, NUMPY_KERNELS
-
-BACKENDS = [NUMPY_KERNELS] + ([NUMBA_KERNELS] if NUMBA_KERNELS is not None else [])
 
 
 @pytest.fixture
@@ -21,75 +18,38 @@ def workload(rng):
     return X, mu, q, denom, a, c, centers, labels, k
 
 
-@pytest.mark.parametrize("ks", BACKENDS, ids=lambda ks: ks.name)
 class TestKernelContracts:
-    def test_mf_scores_matches_matrix_algebra(self, ks, workload):
+    def test_mf_scores_matches_matrix_algebra(self, workload):
         X, mu, q, denom, *_ = workload
-        np.testing.assert_allclose(ks.mf_scores(X, mu, q, denom), (X - mu) @ q / denom, rtol=1e-13)
+        np.testing.assert_allclose(
+            kernels.mf_scores(X, mu, q, denom), (X - mu) @ q / denom, rtol=1e-13
+        )
 
-    def test_noise_variance_matches_quadratic_form(self, ks, workload):
+    def test_noise_variance_matches_quadratic_form(self, workload):
         X, mu, q, denom, a, c, *_ = workload
         expected = (np.maximum(X, 0) * a + c) @ (q * q) / denom**2
-        np.testing.assert_allclose(ks.noise_variance(X, a, c, q, denom), expected, rtol=1e-13)
+        np.testing.assert_allclose(kernels.noise_variance(X, a, c, q, denom), expected, rtol=1e-13)
 
-    def test_assign_labels_matches_brute_force(self, ks, workload):
+    def test_assign_labels_matches_brute_force(self, workload):
         X, _, _, _, _, _, centers, _, _ = workload
         d = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(ks.assign_labels(X, centers), np.argmin(d, axis=1))
+        np.testing.assert_array_equal(kernels.assign_labels(X, centers), np.argmin(d, axis=1))
 
-    def test_cluster_sums_matches_bincount(self, ks, workload):
+    def test_cluster_sums_matches_bincount(self, workload):
         X, *_, labels, k = workload
-        sums, counts = ks.cluster_sums(X, labels, k)
+        sums, counts = kernels.cluster_sums(X, labels, k)
         np.testing.assert_array_equal(counts, np.bincount(labels, minlength=k))
         for m in range(k):
             np.testing.assert_allclose(sums[m], X[labels == m].sum(axis=0), rtol=1e-13)
 
-    def test_min_sqdist_update(self, ks, workload):
+    def test_min_sqdist_update(self, workload):
         X, _, _, _, _, _, centers, _, _ = workload
         d2 = np.full(X.shape[0], 11.0)
-        ks.min_sqdist_update(X, centers[0], d2)
+        kernels.min_sqdist_update(X, centers[0], d2)
         expected = np.minimum(11.0, ((X - centers[0]) ** 2).sum(axis=1))
         np.testing.assert_allclose(d2, expected, rtol=1e-13)
 
 
-@pytest.mark.skipif(NUMBA_KERNELS is None, reason="numba unavailable")
-class TestBackendEquivalence:
-    def test_numba_and_numpy_agree(self, workload):
-        X, mu, q, denom, a, c, centers, labels, k = workload
-        np.testing.assert_allclose(
-            NUMBA_KERNELS.mf_scores(X, mu, q, denom),
-            NUMPY_KERNELS.mf_scores(X, mu, q, denom),
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            NUMBA_KERNELS.noise_variance(X, a, c, q, denom),
-            NUMPY_KERNELS.noise_variance(X, a, c, q, denom),
-            rtol=1e-12,
-        )
-        np.testing.assert_array_equal(
-            NUMBA_KERNELS.assign_labels(X, centers), NUMPY_KERNELS.assign_labels(X, centers)
-        )
-
-
 class TestBackendSelection:
     def test_active_backend_name(self):
-        assert kernels.backend_name() in ("numpy", "numba")
-
-    def test_env_flag_selects_numpy(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        code = "import plumeflux.kernels as k; print(k.backend_name())"
-        # the child must import the same plumeflux as this process, whether
-        # it was found through PYTHONPATH or an installed copy
-        pkg_root = os.path.dirname(os.path.dirname(kernels.__file__))
-        env_numpy = dict(os.environ, PLUMEFLUX_NO_NUMBA="1")
-        env_numpy["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env_numpy
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
+        assert kernels.backend_name() == "numpy"

@@ -5,6 +5,7 @@ from plumeflux import kernels
 from plumeflux.errors import DomainError
 from plumeflux.matched_filter import (
     MfConfig,
+    _window_slab,
     apply_mf,
     cluster_pixels,
     compute_stats,
@@ -248,6 +249,23 @@ class TestApplyMf:
         field = apply_mf(cube2, absorption, MfConfig(variant="cmf", contamination_iterations=0))
         assert np.all(field.delta_x[mask] == 0.0)
         assert np.array_equal(field.nodata_mask, mask)
+
+        # every stage reads the window through a view of the cube that keeps
+        # nodata pixels; NaN there must change no output against finite junk
+        descriptor = make_descriptor(n_bands=4, noise_a=1e-3, noise_c=1e-4)
+        junk, nan = cube.data.copy(), cube.data.copy()
+        junk[:, mask] = 1e6
+        nan[:, mask] = np.nan
+        junk_cube = make_cube(junk, descriptor=descriptor, nodata_mask=mask)
+        nan_cube = make_cube(nan, descriptor=descriptor, nodata_mask=mask)
+        assert np.shares_memory(_window_slab(nan_cube, absorption.band_indices), nan_cube.data)
+        for variant in ("cmf", "ctmf", "cwcmf"):
+            config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=1)
+            f_junk, _ = retrieve(junk_cube, absorption, config)
+            f_nan, _ = retrieve(nan_cube, absorption, config)
+            np.testing.assert_array_equal(f_nan.delta_x, f_junk.delta_x)
+            np.testing.assert_array_equal(f_nan.sigma_noise, f_junk.sigma_noise)
+            assert np.all(f_nan.delta_x[mask] == 0.0) and np.all(f_nan.sigma_noise[mask] == 0.0)
 
 
 class TestVariantDegeneracies:
