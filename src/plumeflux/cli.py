@@ -20,13 +20,14 @@ from .matched_filter import retrieve
 from .pipeline import (
     _load_table,
     quantify_only,
+    resolve_output_dir,
     run_multi,
     run_pipeline,
     write_layers,
     write_plumes,
     write_report,
 )
-from .quantification import WindConfig
+from .quantification import SIGMA_METHODS, WindConfig
 from .scene_io import ingest_level2, read_cube, write_cube, write_raster
 from .segmentation import segment_field
 from .signature import band_absorption
@@ -46,15 +47,12 @@ def _load(args) -> "RunConfig":
 def _apply_mf_override(cfg, variant: Optional[str]):
     if variant is None:
         return cfg
-    mf = tuple(dataclasses.replace(m, variant=variant.lower()) for m in cfg.mf)
+    mf = tuple(dataclasses.replace(m, variant=variant) for m in cfg.mf)
     return dataclasses.replace(cfg, mf=mf)
 
 
 def _out_dir(cfg, args) -> Path:
-    out = args.output if args.output is not None else cfg.output_dir
-    if out is None:
-        raise ConfigError("output_dir is required (config key or --output)")
-    out = Path(out)
+    out = resolve_output_dir(cfg, args.output)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -223,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-ime-kg", type=float, default=None, dest="sigma_ime_kg")
     p.add_argument("--area-m2", type=float, required=True, dest="area_m2")
     p.add_argument("--u10", type=float, default=None)
-    p.add_argument("--sigma-u10", type=float, default=1.0, dest="sigma_u10")
-    p.add_argument("--beta0", type=float, default=0.6)
-    p.add_argument("--beta1", type=float, default=1.1)
+    p.add_argument("--sigma-u10", type=float, default=WindConfig.sigma_u10, dest="sigma_u10")
+    p.add_argument("--beta0", type=float, default=WindConfig.beta0)
+    p.add_argument("--beta1", type=float, default=WindConfig.beta1)
     p.add_argument(
         "--sigma-method",
-        choices=("analytic", "forward_difference"),
-        default="analytic",
+        choices=SIGMA_METHODS,
+        default=WindConfig.sigma_method,
         dest="sigma_method",
     )
     p.set_defaults(func=cmd_quantify)

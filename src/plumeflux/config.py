@@ -1,18 +1,22 @@
 """Run configuration: one structured YAML file per reproducible run.
 
-Every tunable has an explicit default; ``plumeflux config --dump-defaults``
-prints the complete document so runs can be audited against it. Relative
+The frozen dataclasses are the schema: each section's keys, defaults and
+types are the fields of its dataclass, and parsing, the report echo and
+``plumeflux config --dump-defaults`` are all derived from them. Relative
 paths resolve against the config file's directory.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import yaml
 
+from .background import DEFAULT_BUFFER_M, DEFAULT_MIN_SAMPLE
 from .errors import ConfigError
 from .matched_filter import MfConfig
 from .quantification import GasConstants, WindConfig
@@ -23,8 +27,8 @@ from .simulator import SimParams, SyntheticPlumeSpec
 @dataclass(frozen=True)
 class BackgroundParams:
     n_select: Optional[int] = None  # None: max(500, 5 * plume pixels)
-    buffer_m: float = 90.0
-    min_sample: int = 100
+    buffer_m: float = DEFAULT_BUFFER_M
+    min_sample: int = DEFAULT_MIN_SAMPLE
 
 
 @dataclass(frozen=True)
@@ -40,30 +44,26 @@ class InputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; the field order is the section order of the dumped defaults."""
+
     input: InputConfig
+    absorption_table: str = "builtin"
+    output_dir: Optional[Path] = None
+    seed: int = 0
     mf: tuple[MfConfig, ...] = (MfConfig(),)
     segmentation: SegmentationParams = SegmentationParams()
     background: BackgroundParams = BackgroundParams()
     wind: Optional[WindConfig] = None
     constants: GasConstants = GasConstants()
-    absorption_table: str = "builtin"
-    output_dir: Optional[Path] = None
-    seed: int = 0
     simulate: Optional[SimParams] = None
 
 
-_SECTIONS = (
-    "input",
-    "mf",
-    "segmentation",
-    "background",
-    "wind",
-    "constants",
-    "absorption_table",
-    "output_dir",
-    "seed",
-    "simulate",
-)
+# Example values for the keys that have no default, written by --dump-defaults.
+# The plume centre defaults to the scene centre: (48, 48) for the default scene.
+_DUMP_EXAMPLES = {
+    "wind": {"u10": 3.0},
+    "plume": {"center": (48, 48), "peak_delta_x": 900.0},
+}
 
 
 def _check_keys(mapping: dict, allowed, section: str) -> None:
@@ -72,85 +72,52 @@ def _check_keys(mapping: dict, allowed, section: str) -> None:
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
-def _mf_from(mapping: dict, seed: int) -> MfConfig:
-    allowed = (
-        "variant",
-        "cluster_count",
-        "shrinkage",
-        "contamination_iterations",
-        "window",
-        "delta_min",
-    )
-    _check_keys(mapping, allowed, "mf")
-    window = mapping.get("window", (2100.0, 2450.0))
-    return MfConfig(
-        variant=str(mapping.get("variant", "cmf")).lower(),
-        cluster_count=int(mapping.get("cluster_count", 8)),
-        shrinkage=float(mapping.get("shrinkage", 0.05)),
-        contamination_iterations=int(mapping.get("contamination_iterations", 1)),
-        window=(float(window[0]), float(window[1])),
-        seed=seed,
-        delta_min=None if mapping.get("delta_min") is None else float(mapping["delta_min"]),
-    )
+def _coerce(value: Any, hint: Any, key: str, base: Path) -> Any:
+    """Convert a YAML value to a field's resolved type hint."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:  # Optional[X]: an empty value means unset
+        return None if value is None or value == "" else _coerce(value, args[0], key, base)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_coerce(v, args[0], key, base) for v in value)
+        if len(value) != len(args):
+            raise ConfigError(f"{key}: expected {len(args)} values, got {len(value)}")
+        return tuple(_coerce(v, a, key, base) for v, a in zip(value, args))
+    if hint is Path:
+        path = Path(str(value))
+        return path if path.is_absolute() else base / path
+    return hint(value)
 
 
-def _simulate_from(mapping: dict, seed: int) -> SimParams:
-    allowed = (
-        "lines",
-        "samples",
-        "band_start_nm",
-        "band_stop_nm",
-        "n_bands",
-        "fwhm_nm",
-        "gsd_m",
-        "noise_a",
-        "noise_c",
-        "endmember_levels",
-        "endmember_tilts",
-        "mixing_smoothness_px",
-        "column_gain_amplitude",
-        "plume",
-    )
-    _check_keys(mapping, allowed, "simulate")
-    plume = None
-    if mapping.get("plume") is not None:
-        p = mapping["plume"]
-        _check_keys(
-            p,
-            (
-                "center",
-                "peak_delta_x",
-                "sigma_along_m",
-                "sigma_across_m",
-                "orientation_rad",
-                "truth_mask_fraction",
-            ),
-            "simulate.plume",
-        )
-        plume = SyntheticPlumeSpec(
-            center=tuple(p.get("center", (mapping.get("lines", 96) / 2, mapping.get("samples", 96) / 2))),
-            peak_delta_x=float(p.get("peak_delta_x", 0.0)),
-            sigma_along_m=float(p.get("sigma_along_m", 60.0)),
-            sigma_across_m=float(p.get("sigma_across_m", 60.0)),
-            orientation_rad=float(p.get("orientation_rad", 0.0)),
-            truth_mask_fraction=float(p.get("truth_mask_fraction", 0.01)),
-        )
-    return SimParams(
-        lines=int(mapping.get("lines", 96)),
-        samples=int(mapping.get("samples", 96)),
-        band_start_nm=float(mapping.get("band_start_nm", 2100.0)),
-        band_stop_nm=float(mapping.get("band_stop_nm", 2450.0)),
-        n_bands=int(mapping.get("n_bands", 36)),
-        fwhm_nm=float(mapping.get("fwhm_nm", 12.0)),
-        gsd_m=float(mapping.get("gsd_m", 30.0)),
-        noise_a=None if mapping.get("noise_a") is None else float(mapping["noise_a"]),
-        noise_c=None if mapping.get("noise_c") is None else float(mapping["noise_c"]),
-        endmember_levels=tuple(float(v) for v in mapping.get("endmember_levels", (10.0,))),
-        endmember_tilts=tuple(float(v) for v in mapping.get("endmember_tilts", (0.0,))),
-        mixing_smoothness_px=int(mapping.get("mixing_smoothness_px", 16)),
-        column_gain_amplitude=float(mapping.get("column_gain_amplitude", 0.0)),
-        plume=plume,
-        seed=seed,
+def _section(cls, mapping: Optional[dict], name: str, base: Path, **given):
+    """Build ``cls`` from one config section.
+
+    The section's keys are the dataclass fields not in ``given`` (values the
+    caller supplies, such as the run seed). Each value is coerced by the
+    field's type hint; an omitted key takes the field default.
+    """
+    mapping = mapping or {}
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_keys(mapping, [f.name for f in fields], name)
+    hints = typing.get_type_hints(cls)
+    for f in fields:
+        if f.name in mapping:
+            given[f.name] = _coerce(mapping[f.name], hints[f.name], f"{name}.{f.name}", base)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{name}: '{f.name}' is required")
+    return cls(**given)
+
+
+def _simulate(mapping: dict, seed: int, base: Path) -> SimParams:
+    """The simulate section; the plume centre defaults to the scene centre."""
+    scene = {k: v for k, v in mapping.items() if k != "plume"}
+    sim = _section(SimParams, scene, "simulate", base, seed=seed)
+    plume = mapping.get("plume")
+    if plume is None:
+        return sim
+    centre = {"center": (sim.lines / 2, sim.samples / 2)}
+    return dataclasses.replace(
+        sim, plume=_section(SyntheticPlumeSpec, {**centre, **plume}, "simulate.plume", base)
     )
 
 
@@ -176,23 +143,11 @@ def load_config(
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    _check_keys(doc, _SECTIONS, "config")
+    _check_keys(doc, [f.name for f in dataclasses.fields(RunConfig)], "config")
     base = path.parent
+    seed = int(doc.get("seed", RunConfig.seed)) if seed_override is None else int(seed_override)
 
-    def respath(value) -> Path:
-        p = Path(str(value))
-        return p if p.is_absolute() else base / p
-
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    inp = doc.get("input") or {}
-    _check_keys(inp, ("cube", "enhancement", "sigma", "gsd"), "input")
-    input_cfg = InputConfig(
-        cube=respath(inp["cube"]) if inp.get("cube") else None,
-        enhancement=respath(inp["enhancement"]) if inp.get("enhancement") else None,
-        sigma=respath(inp["sigma"]) if inp.get("sigma") else None,
-        gsd=None if inp.get("gsd") is None else float(inp["gsd"]),
-    )
+    input_cfg = _section(InputConfig, doc.get("input"), "input", base)
     if (input_cfg.cube is not None) and (input_cfg.enhancement is not None):
         raise ConfigError("input: set exactly one of 'cube' or 'enhancement', not both")
 
@@ -201,72 +156,24 @@ def load_config(
         mf_doc = [mf_doc]
     if not isinstance(mf_doc, list) or not mf_doc:
         raise ConfigError("mf: expected a mapping or a non-empty list of mappings")
-    mf = tuple(_mf_from(m or {}, seed) for m in mf_doc)
 
-    seg_doc = doc.get("segmentation") or {}
-    _check_keys(
-        seg_doc,
-        ("n_sigma", "close_radius_m", "open_radius_m", "min_area_m2", "connectivity"),
-        "segmentation",
-    )
-    segmentation = SegmentationParams(
-        n_sigma=float(seg_doc.get("n_sigma", 3.0)),
-        close_radius_m=float(seg_doc.get("close_radius_m", 60.0)),
-        open_radius_m=float(seg_doc.get("open_radius_m", 30.0)),
-        min_area_m2=float(seg_doc.get("min_area_m2", 10_000.0)),
-        connectivity=int(seg_doc.get("connectivity", 8)),
-    )
-
-    bg_doc = doc.get("background") or {}
-    _check_keys(bg_doc, ("n_select", "buffer_m", "min_sample"), "background")
-    background = BackgroundParams(
-        n_select=None if bg_doc.get("n_select") is None else int(bg_doc["n_select"]),
-        buffer_m=float(bg_doc.get("buffer_m", 90.0)),
-        min_sample=int(bg_doc.get("min_sample", 100)),
-    )
-
-    wind = None
-    if doc.get("wind") is not None:
-        w = doc["wind"]
-        _check_keys(w, ("u10", "sigma_u10", "beta0", "beta1", "sigma_method"), "wind")
-        if "u10" not in w:
-            raise ConfigError("wind: 'u10' is required")
-        wind = WindConfig(
-            u10=float(w["u10"]),
-            sigma_u10=float(w.get("sigma_u10", 1.0)),
-            beta0=float(w.get("beta0", 0.6)),
-            beta1=float(w.get("beta1", 1.1)),
-            sigma_method=str(w.get("sigma_method", "analytic")),
-        )
-
-    con_doc = doc.get("constants") or {}
-    _check_keys(con_doc, ("molar_mass", "temperature", "pressure", "gas_constant"), "constants")
-    constants = GasConstants(
-        molar_mass=float(con_doc.get("molar_mass", 0.016043)),
-        temperature=float(con_doc.get("temperature", 273.15)),
-        pressure=float(con_doc.get("pressure", 101_325.0)),
-        gas_constant=float(con_doc.get("gas_constant", 8.314462618)),
-    )
-
-    table = str(doc.get("absorption_table", "builtin"))
+    table = str(doc.get("absorption_table", RunConfig.absorption_table))
     if table != "builtin":
-        table = str(respath(table))
+        table = str(_coerce(table, Path, "absorption_table", base))
 
-    simulate = None
-    if doc.get("simulate") is not None:
-        simulate = _simulate_from(doc["simulate"], seed)
-
+    wind = doc.get("wind")
+    simulate = doc.get("simulate")
     cfg = RunConfig(
         input=input_cfg,
-        mf=mf,
-        segmentation=segmentation,
-        background=background,
-        wind=wind,
-        constants=constants,
         absorption_table=table,
-        output_dir=respath(doc["output_dir"]) if doc.get("output_dir") else None,
+        output_dir=_coerce(doc.get("output_dir"), Optional[Path], "output_dir", base),
         seed=seed,
-        simulate=simulate,
+        mf=tuple(_section(MfConfig, m, "mf", base, seed=seed) for m in mf_doc),
+        segmentation=_section(SegmentationParams, doc.get("segmentation"), "segmentation", base),
+        background=_section(BackgroundParams, doc.get("background"), "background", base),
+        wind=None if wind is None else _section(WindConfig, wind, "wind", base),
+        constants=_section(GasConstants, doc.get("constants"), "constants", base),
+        simulate=None if simulate is None else _simulate(simulate, seed, base),
     )
     if validate_inputs:
         validate_files(cfg)
@@ -290,128 +197,43 @@ def validate_files(cfg: RunConfig) -> None:
         check("absorption_table", Path(cfg.absorption_table), False)
 
 
+def _plain(obj) -> dict:
+    """``dataclasses.asdict`` with tuples as lists and paths as strings."""
+
+    def value(v):
+        if isinstance(v, tuple):
+            return list(v)
+        return str(v) if isinstance(v, Path) else v
+
+    return dataclasses.asdict(obj, dict_factory=lambda items: {k: value(v) for k, v in items})
+
+
 def config_echo(cfg: RunConfig) -> dict[str, Any]:
-    """Plain-dict echo of the effective configuration for the run report."""
+    """Plain-dict echo of the effective configuration for the run report.
 
-    def opt(v):
-        return None if v is None else (str(v) if isinstance(v, Path) else v)
-
-    return {
-        "input": {
-            "mode": cfg.input.mode() if (cfg.input.cube or cfg.input.enhancement) else None,
-            "cube": opt(cfg.input.cube),
-            "enhancement": opt(cfg.input.enhancement),
-            "sigma": opt(cfg.input.sigma),
-            "gsd": cfg.input.gsd,
-        },
-        "absorption_table": cfg.absorption_table,
-        "seed": cfg.seed,
-        "mf": [
-            {
-                "variant": m.variant,
-                "cluster_count": m.cluster_count,
-                "shrinkage": m.shrinkage,
-                "contamination_iterations": m.contamination_iterations,
-                "window": list(m.window),
-                "delta_min": m.delta_min,
-                "seed": m.seed,
-            }
-            for m in cfg.mf
-        ],
-        "segmentation": {
-            "n_sigma": cfg.segmentation.n_sigma,
-            "close_radius_m": cfg.segmentation.close_radius_m,
-            "open_radius_m": cfg.segmentation.open_radius_m,
-            "min_area_m2": cfg.segmentation.min_area_m2,
-            "connectivity": cfg.segmentation.connectivity,
-        },
-        "background": {
-            "n_select": cfg.background.n_select,
-            "buffer_m": cfg.background.buffer_m,
-            "min_sample": cfg.background.min_sample,
-        },
-        "wind": None
-        if cfg.wind is None
-        else {
-            "u10": cfg.wind.u10,
-            "sigma_u10": cfg.wind.sigma_u10,
-            "beta0": cfg.wind.beta0,
-            "beta1": cfg.wind.beta1,
-            "sigma_method": cfg.wind.sigma_method,
-        },
-        "constants": {
-            "molar_mass": cfg.constants.molar_mass,
-            "temperature": cfg.constants.temperature,
-            "pressure": cfg.constants.pressure,
-            "gas_constant": cfg.constants.gas_constant,
-        },
-    }
+    The output directory and the simulate recipe do not shape the
+    retrieval, so the echo leaves them out.
+    """
+    echo = _plain(cfg)
+    del echo["output_dir"], echo["simulate"]
+    echo["input"]["mode"] = cfg.input.mode() if (cfg.input.cube or cfg.input.enhancement) else None
+    return echo
 
 
 def default_config_yaml() -> str:
-    """Full default configuration with every tunable written out."""
-    doc = {
-        "input": {"cube": None, "enhancement": None, "sigma": None, "gsd": None},
-        "absorption_table": "builtin",
-        "output_dir": None,
-        "seed": 0,
-        "mf": [
-            {
-                "variant": "cmf",
-                "cluster_count": 8,
-                "shrinkage": 0.05,
-                "contamination_iterations": 1,
-                "window": [2100.0, 2450.0],
-                "delta_min": None,
-            }
-        ],
-        "segmentation": {
-            "n_sigma": 3.0,
-            "close_radius_m": 60.0,
-            "open_radius_m": 30.0,
-            "min_area_m2": 10_000.0,
-            "connectivity": 8,
-        },
-        "background": {"n_select": None, "buffer_m": 90.0, "min_sample": 100},
-        "wind": {
-            "u10": 3.0,
-            "sigma_u10": 1.0,
-            "beta0": 0.6,
-            "beta1": 1.1,
-            "sigma_method": "analytic",
-        },
-        "constants": {
-            "molar_mass": 0.016043,
-            "temperature": 273.15,
-            "pressure": 101_325.0,
-            "gas_constant": 8.314462618,
-        },
-        "simulate": {
-            "lines": 96,
-            "samples": 96,
-            "band_start_nm": 2100.0,
-            "band_stop_nm": 2450.0,
-            "n_bands": 36,
-            "fwhm_nm": 12.0,
-            "gsd_m": 30.0,
-            "noise_a": None,
-            "noise_c": None,
-            "endmember_levels": [10.0],
-            "endmember_tilts": [0.0],
-            "mixing_smoothness_px": 16,
-            "column_gain_amplitude": 0.0,
-            "plume": {
-                "center": [48, 48],
-                "peak_delta_x": 900.0,
-                "sigma_along_m": 60.0,
-                "sigma_across_m": 60.0,
-                "orientation_rad": 0.0,
-                "truth_mask_fraction": 0.01,
-            },
-        },
-    }
+    """Full default configuration with every key written out."""
+    cfg = RunConfig(
+        input=InputConfig(),
+        wind=WindConfig(**_DUMP_EXAMPLES["wind"]),
+        simulate=SimParams(plume=SyntheticPlumeSpec(**_DUMP_EXAMPLES["plume"])),
+    )
+    doc = _plain(cfg)
+    for section in (*doc["mf"], doc["simulate"]):
+        del section["seed"]  # not a key: every section takes the top-level seed
     header = (
-        "# plumeflux run configuration -- all defaults shown explicitly\n"
+        "# plumeflux run configuration -- every default shown explicitly, except:\n"
+        "# wind.u10 and simulate.plume.peak_delta_x have no default (the values\n"
+        "# shown are examples); simulate.plume.center defaults to the scene centre.\n"
         "# 'input' must set exactly one of: cube (level-1 radiance) or\n"
         "# enhancement (level-2 product, optional sigma raster).\n"
     )

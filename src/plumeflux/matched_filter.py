@@ -18,6 +18,7 @@ import scipy.linalg
 from . import kernels
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .scene_io import EnhancementField, RadianceCube
+from .segmentation import SegmentationParams, robust_threshold
 from .signature import BandAbsorption, target_spectrum
 
 VARIANTS = ("cmf", "ctmf", "cwcmf")
@@ -36,6 +37,7 @@ class MfConfig:
     delta_min: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", self.variant.lower())
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown matched-filter variant {self.variant!r}")
         if self.cluster_count < 1:
@@ -63,7 +65,10 @@ class BackgroundStats:
     """Per-segment background statistics plus the derived filter vectors.
 
     ``segment_map`` assigns every pixel to the segment used to retrieve it
-    (-1 for nodata); ``mu``/``cov`` are indexed by segment. ``q`` is the
+    (-1 for nodata); ``mu``/``cov`` are indexed by segment. ``estimation_rows``
+    holds each segment's flat pixel indices that its statistics are estimated
+    from: its own pixels, or a superset when short columns are pooled;
+    ``counts`` is how many of them the current statistics used. ``q`` is the
     whitened target cov^-1 t and ``denom`` the filter normalization t'q,
     factored once per segment and reused across all its pixels.
     """
@@ -74,6 +79,7 @@ class BackgroundStats:
     mu: np.ndarray
     cov: np.ndarray
     counts: np.ndarray
+    estimation_rows: list[np.ndarray]
     t: np.ndarray
     q: np.ndarray
     denom: np.ndarray
@@ -91,7 +97,7 @@ class BackgroundStats:
 
 
 def estimate_stats(
-    X: np.ndarray, gamma: float = 0.05, delta_min: Optional[float] = None
+    X: np.ndarray, gamma: float = MfConfig.shrinkage, delta_min: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and shrinkage-regularized ML covariance of pixel spectra (rows).
 
@@ -202,7 +208,7 @@ def cluster_pixels(
     cube: RadianceCube,
     k: int,
     seed: int,
-    window: tuple[float, float] = (2100.0, 2450.0),
+    window: tuple[float, float] = MfConfig.window,
 ) -> np.ndarray:
     """K-means label map over valid pixels (-1 at nodata)."""
     from .signature import window_band_indices
@@ -361,6 +367,7 @@ def compute_stats(
         mu=mu,
         cov=cov,
         counts=np.array([rows.size for rows in groups], dtype=np.int64),
+        estimation_rows=groups,
         t=t,
         q=q,
         denom=denom,
@@ -402,23 +409,24 @@ def decontaminate(
     config: MfConfig,
     field: EnhancementField,
     stats: BackgroundStats,
-    n_sigma: float = 3.0,
+    n_sigma: float = SegmentationParams.n_sigma,
 ) -> BackgroundStats:
     """Re-estimate statistics excluding pixels above the segmentation threshold.
 
-    Runs ``config.contamination_iterations`` rounds; a segment whose
-    exclusion would leave fewer than 2 pixels keeps its previous statistics
-    and is flagged in the provenance.
+    Runs ``config.contamination_iterations`` rounds, each over the segment's
+    estimation rows; a segment whose exclusion would leave fewer than 2
+    pixels keeps its previous statistics and is flagged in the provenance.
     """
-    from .segmentation import robust_threshold
-
     if config.contamination_iterations == 0:
         return stats
     Y = _window_slab(cube, stats.band_indices)
-    groups = _segment_rows(stats.segment_map.ravel(), stats.n_segments)
     delta = np.array(field.delta_x, dtype=np.float64).ravel()
     current = stats
-    for _ in range(config.contamination_iterations):
+    for it in range(config.contamination_iterations):
+        if it:
+            # re-score so this round thresholds the field of the last round's stats
+            groups = _segment_rows(stats.segment_map.ravel(), stats.n_segments)
+            _score_segments(Y, groups, current, delta)
         mu = current.mu.copy()
         cov = current.cov.copy()
         t = current.t.copy()
@@ -426,7 +434,7 @@ def decontaminate(
         denom = current.denom.copy()
         counts = current.counts.copy()
         flags = [list(f) for f in current.flags]
-        for s, rows in enumerate(groups):
+        for s, rows in enumerate(current.estimation_rows):
             if rows.size == 0:
                 continue
             tau = robust_threshold(delta[rows], n_sigma)
@@ -442,8 +450,6 @@ def decontaminate(
         current = replace(
             current, mu=mu, cov=cov, counts=counts, t=t, q=q, denom=denom, flags=flags
         )
-        # refresh scores so a further iteration thresholds the updated field
-        _score_segments(Y, groups, current, delta)
     return current
 
 
@@ -483,7 +489,7 @@ def retrieve(
     cube: RadianceCube,
     absorption: BandAbsorption,
     config: MfConfig,
-    n_sigma: float = 3.0,
+    n_sigma: float = SegmentationParams.n_sigma,
 ) -> tuple[EnhancementField, BackgroundStats]:
     """Full retrieval: stats, filter, decontamination rounds, noise layer."""
     stats = compute_stats(cube, absorption, config)

@@ -117,11 +117,6 @@ def write_report(report: dict, path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _ingest_field(cfg: RunConfig) -> EnhancementField:
-    field = ingest_level2(cfg.input.enhancement, cfg.input.sigma, cfg.input.gsd)
-    return field
-
-
 def run_stage(
     cfg: RunConfig,
     mf: MfConfig,
@@ -148,7 +143,7 @@ def run_stage(
         input_mode = "level1"
     else:
         absorption = None
-        field = _ingest_field(cfg)
+        field = ingest_level2(cfg.input.enhancement, cfg.input.sigma, cfg.input.gsd)
         input_mode = "level2"
         if field.sigma_total is not None:
             flags.append("external uncertainty raster used verbatim as sigma_total")
@@ -242,18 +237,24 @@ def run_stage(
     return StageResult(report=report, field=field, plumes=plumes, records=records)
 
 
+def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
+    """The output directory: the command-line override, else the config key."""
+    out = override if override is not None else cfg.output_dir
+    if out is None:
+        raise ConfigError("output_dir is required (config key or --output)")
+    return Path(out)
+
+
 def _run_inputs(
     cfg: RunConfig, output_dir: Optional[Path]
 ) -> tuple[Path, Optional[RadianceCube], Optional[AbsorptionTable]]:
     """Output directory, level-1 cube (None for level-2 input) and absorption table."""
-    out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
-    if out_dir is None:
-        raise ConfigError("output_dir is required (config key or --output)")
+    out_dir = resolve_output_dir(cfg, output_dir)
     cube = read_cube(cfg.input.cube) if cfg.input.cube else None
     if cube is None and cfg.input.enhancement is None:
         raise ConfigError("input: set one of 'cube' or 'enhancement'")
     table = _load_table(cfg) if cube is not None else None
-    return Path(out_dir), cube, table
+    return out_dir, cube, table
 
 
 def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:

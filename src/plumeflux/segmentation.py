@@ -241,7 +241,7 @@ def connected_components(
     mask: np.ndarray,
     gsd: float,
     origin: tuple[float, float] = (0.0, 0.0),
-    connectivity: int = 8,
+    connectivity: int = SegmentationParams.connectivity,
     min_pixels: int = 1,
 ) -> list[PlumeMask]:
     """Label a binary mask and emit plumes sorted by area, largest first."""
@@ -251,15 +251,12 @@ def connected_components(
     if n_found == 0:
         return []
     counts = np.bincount(labels.ravel())[1:]
-    first_seen = {}
-    flat = labels.ravel()
-    for pos in np.flatnonzero(flat):
-        lab = flat[pos]
-        if lab not in first_seen:
-            first_seen[lab] = pos
+    # raster position of each label's first pixel; labels 1..n_found all occur
+    pos = np.flatnonzero(labels)
+    first_seen = pos[np.unique(labels.ravel()[pos], return_index=True)[1]]
     order = sorted(
         (lab for lab in range(1, n_found + 1) if counts[lab - 1] >= max(1, min_pixels)),
-        key=lambda lab: (-counts[lab - 1], first_seen[lab]),
+        key=lambda lab: (-counts[lab - 1], first_seen[lab - 1]),
     )
     plumes = []
     for rank, lab in enumerate(order, start=1):

@@ -26,8 +26,8 @@ class SyntheticPlumeSpec:
 
     center: tuple[float, float]  # (line, sample)
     peak_delta_x: float
-    sigma_along_m: float
-    sigma_across_m: float
+    sigma_along_m: float = 60.0
+    sigma_across_m: float = 60.0
     orientation_rad: float = 0.0
     truth_mask_fraction: float = 0.01
 

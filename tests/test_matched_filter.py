@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,39 @@ class TestDecontaminate:
         stats1 = decontaminate(cube, absorption, config, field0, stats0)
         assert np.trace(stats1.cov[0]) <= np.trace(stats0.cov[0])
         assert stats1.counts[0] < stats0.counts[0]
+
+
+    def test_pooled_column_keeps_pooling(self, rng):
+        # column 3 keeps 20 valid pixels, fewer than p+1 = 37: it is pooled
+        # with its neighbours, and decontamination must refit over that pool
+        cube = random_cube(rng, n_bands=36, lines=200, samples=8)
+        nodata = np.zeros((200, 8), dtype=bool)
+        nodata[20:, 3] = True
+        cube = dataclasses.replace(cube, nodata_mask=nodata)
+        absorption = make_absorption(36, rng=rng)
+        config = MfConfig(variant="cwcmf", contamination_iterations=1)
+        stats = compute_stats(cube, absorption, config)
+        assert any("pooled" in f for f in stats.flags[3])
+        field = apply_mf(cube, absorption, config, stats=stats)
+        out = decontaminate(cube, absorption, config, field, stats)
+        assert out.counts[3] >= 37
+
+    def test_one_scoring_pass_per_round(self, rng, monkeypatch):
+        # retrieve scores the scene once, once between rounds, and once at the end
+        cube = random_cube(rng, n_bands=4)
+        absorption = make_absorption(4, rng=rng)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return mf_scores(*args)
+
+        mf_scores = kernels.mf_scores
+        monkeypatch.setattr(kernels, "mf_scores", counting)
+        for rounds in (1, 2):
+            calls.clear()
+            retrieve(cube, absorption, MfConfig(variant="cmf", contamination_iterations=rounds))
+            assert len(calls) == rounds + 1
 
 
 class TestPropagateNoise:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -68,6 +69,57 @@ class TestConfig:
         assert doc["wind"]["beta0"] == 0.6 and doc["wind"]["beta1"] == 1.1
         assert doc["constants"]["molar_mass"] == 0.016043
         assert doc["absorption_table"] == "builtin"
+
+    def test_dump_defaults_are_what_omitted_keys_get(self, tmp_path):
+        # drop one key at a time from the dump: the loaded value must equal the
+        # dumped one, or the key must be one the header names as an example
+        text = default_config_yaml()
+        dump = yaml.safe_load(text)
+        header = "".join(line for line in text.splitlines(True) if line.startswith("#"))
+        examples = {("wind", "u10"), ("simulate", "plume", "peak_delta_x")}
+
+        def leaves(node, key=()):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield from leaves(v, key + (k,))
+            elif key == ("mf",):
+                yield from leaves(node[0], key + (0,))
+            else:
+                yield key, node
+
+        def lookup(obj, key):
+            for part in key:
+                obj = obj[part] if isinstance(part, int) else getattr(obj, part)
+            return list(obj) if isinstance(obj, tuple) else obj
+
+        keys = list(leaves(dump))
+        assert len(keys) == 49
+        for key, dumped in keys:
+            doc = copy.deepcopy(dump)
+            parent = doc
+            for part in key[:-1]:
+                parent = parent[part]
+            del parent[key[-1]]
+            path = tmp_path / "run.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            if key in examples:
+                with pytest.raises(ConfigError, match=f"'{key[-1]}' is required"):
+                    load_config(path)
+            else:
+                assert lookup(load_config(path), key) == dumped, key
+        assert all(".".join(key) in header for key in examples)
+
+    def test_plume_without_peak_rejected(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"simulate": {"plume": {"center": [10, 10]}}}))
+        with pytest.raises(ConfigError, match="simulate.plume: 'peak_delta_x' is required"):
+            load_config(path)
+
+    def test_three_value_window_rejected(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"mf": {"window": [2100, 2300, 2450]}}))
+        with pytest.raises(ConfigError, match="mf.window: expected 2 values, got 3"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -410,7 +462,7 @@ class TestCli:
                     "--output",
                     str(tmp_path / "out"),
                     "--mf",
-                    "cwcmf",
+                    "CWCMF",
                 ]
             )
             == 0
