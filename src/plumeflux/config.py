@@ -72,12 +72,21 @@ def _check_keys(mapping: dict, allowed, section: str) -> None:
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
+def _mapping(value: Any, name: str) -> dict:
+    """A config section's mapping; an empty section means all defaults."""
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a mapping, got {value!r}")
+    return value or {}
+
+
 def _coerce(value: Any, hint: Any, key: str, base: Path) -> Any:
     """Convert a YAML value to a field's resolved type hint."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is Union:  # Optional[X]: an empty value means unset
         return None if value is None or value == "" else _coerce(value, args[0], key, base)
     if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
         if args[-1] is Ellipsis:
             return tuple(_coerce(v, args[0], key, base) for v in value)
         if len(value) != len(args):
@@ -86,7 +95,10 @@ def _coerce(value: Any, hint: Any, key: str, base: Path) -> Any:
     if hint is Path:
         path = Path(str(value))
         return path if path.is_absolute() else base / path
-    return hint(value)
+    try:
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected {hint.__name__}, got {value!r}") from exc
 
 
 def _section(cls, mapping: Optional[dict], name: str, base: Path, **given):
@@ -96,7 +108,7 @@ def _section(cls, mapping: Optional[dict], name: str, base: Path, **given):
     caller supplies, such as the run seed). Each value is coerced by the
     field's type hint; an omitted key takes the field default.
     """
-    mapping = mapping or {}
+    mapping = _mapping(mapping, name)
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
     _check_keys(mapping, [f.name for f in fields], name)
     hints = typing.get_type_hints(cls)
@@ -110,15 +122,14 @@ def _section(cls, mapping: Optional[dict], name: str, base: Path, **given):
 
 def _simulate(mapping: dict, seed: int, base: Path) -> SimParams:
     """The simulate section; the plume centre defaults to the scene centre."""
+    mapping = _mapping(mapping, "simulate")
     scene = {k: v for k, v in mapping.items() if k != "plume"}
     sim = _section(SimParams, scene, "simulate", base, seed=seed)
     plume = mapping.get("plume")
     if plume is None:
         return sim
-    centre = {"center": (sim.lines / 2, sim.samples / 2)}
-    return dataclasses.replace(
-        sim, plume=_section(SyntheticPlumeSpec, {**centre, **plume}, "simulate.plume", base)
-    )
+    plume = {"center": (sim.lines / 2, sim.samples / 2), **_mapping(plume, "simulate.plume")}
+    return dataclasses.replace(sim, plume=_section(SyntheticPlumeSpec, plume, "simulate.plume", base))
 
 
 def load_config(
@@ -139,13 +150,11 @@ def load_config(
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a mapping")
+    doc = _mapping(doc, f"config {path}")
     _check_keys(doc, [f.name for f in dataclasses.fields(RunConfig)], "config")
     base = path.parent
-    seed = int(doc.get("seed", RunConfig.seed)) if seed_override is None else int(seed_override)
+    seed = doc.get("seed", RunConfig.seed) if seed_override is None else seed_override
+    seed = _coerce(seed, int, "seed", base)
 
     input_cfg = _section(InputConfig, doc.get("input"), "input", base)
     if (input_cfg.cube is not None) and (input_cfg.enhancement is not None):

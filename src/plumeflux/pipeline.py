@@ -88,7 +88,6 @@ class StageResult:
     """Everything one matched-filter configuration produced."""
 
     report: dict
-    field: EnhancementField
     plumes: list[PlumeMask]
     records: list[PlumeRecord]
 
@@ -106,7 +105,7 @@ def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]
     """Write the plume label raster and the plume polygons as GeoJSON."""
     labels = np.zeros(field.shape)
     for p in plumes:
-        labels[p.mask] = p.label_id
+        labels[p.window][p.mask] = p.label_id
     write_raster(labels, out_dir / "plume_mask", field.gsd, field.origin, field.nodata_mask)
     (out_dir / "plumes.geojson").write_text(
         json.dumps(plumes_to_geojson(plumes), indent=2, sort_keys=True), encoding="utf-8"
@@ -234,7 +233,7 @@ def run_stage(
         "assumption_flags": sorted(set(flags)),
         "timings_s": timings,
     }
-    return StageResult(report=report, field=field, plumes=plumes, records=records)
+    return StageResult(report=report, plumes=plumes, records=records)
 
 
 def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
@@ -267,12 +266,17 @@ def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     return report
 
 
-def _mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    inter = int(np.count_nonzero(a & b))
-    if inter == 0:
+def _mask_iou(a: PlumeMask, b: PlumeMask) -> float:
+    """Pixel IoU of two plumes on one scene grid, counted where their windows overlap."""
+    (ra, ca), (rb, cb) = a.window, b.window
+    r0, r1 = max(ra.start, rb.start), min(ra.stop, rb.stop)
+    c0, c1 = max(ca.start, cb.start), min(ca.stop, cb.stop)
+    if r0 >= r1 or c0 >= c1:
         return 0.0
-    union = int(np.count_nonzero(a | b))
-    return inter / union
+    part_a = a.mask[r0 - ra.start : r1 - ra.start, c0 - ca.start : c1 - ca.start]
+    part_b = b.mask[r0 - rb.start : r1 - rb.start, c0 - cb.start : c1 - cb.start]
+    inter = int(np.count_nonzero(part_a & part_b))
+    return inter / (a.pixel_count + b.pixel_count - inter) if inter else 0.0
 
 
 def match_plumes_across_runs(
@@ -287,7 +291,7 @@ def match_plumes_across_runs(
     if not runs:
         return [], []
     groups = [
-        {"anchor_label": p.label_id, "members": [(0, p.label_id)], "anchor_mask": p.mask}
+        {"anchor_label": p.label_id, "members": [(0, p.label_id)], "anchor": p}
         for p in runs[0].plumes
     ]
     unmatched = []
@@ -296,7 +300,7 @@ def match_plumes_across_runs(
         pairs = []
         for g_idx, group in enumerate(groups):
             for p in plumes:
-                iou = _mask_iou(group["anchor_mask"], p.mask)
+                iou = _mask_iou(group["anchor"], p)
                 if iou >= iou_threshold:
                     pairs.append((iou, g_idx, p.label_id))
         pairs.sort(key=lambda t: (-t[0], t[1], t[2]))

@@ -213,6 +213,6 @@ def quantify_plume(
     constants: GasConstants = GasConstants(),
 ) -> PlumeRecord:
     """Quantify one segmented plume from the field's enhancement and sigma layers."""
-    ime, sigma_ime = integrate_ime(field, plume.mask, constants)
+    ime, sigma_ime = integrate_ime(field.crop(plume.window), plume.mask, constants)
     extra = ("plume touches the scene edge",) if plume.touches_edge else ()
     return quantify(ime, sigma_ime, plume.area_m2, wind, plume=plume, extra_assumptions=extra)

@@ -200,6 +200,14 @@ class EnhancementField:
     def replace(self, **kwargs) -> "EnhancementField":
         return dataclasses.replace(self, **kwargs)
 
+    def crop(self, window: tuple[slice, slice]) -> "EnhancementField":
+        """The field inside (line, sample) ``window``; the origin moves by whole pixels."""
+        rows, cols = window
+        names = ("delta_x", "nodata_mask", "sigma_noise", "sigma_clutter", "sigma_total")
+        maps = {n: getattr(self, n)[window] for n in names if np.ndim(getattr(self, n)) == 2}
+        origin = (self.origin[0] + cols.start * self.gsd, self.origin[1] - rows.start * self.gsd)
+        return self.replace(origin=origin, **maps)
+
 
 def effective_gsd(area_m2: float, pixel_count: int) -> float:
     """Back out the ground sampling distance from a georeferenced pixel area."""

@@ -42,20 +42,21 @@ class SegmentationParams:
 
 @dataclass(frozen=True)
 class PlumeMask:
-    """One segmented plume: mask, exact area, and its boundary polygon.
+    """One segmented plume: pixels, exact area, and its boundary polygon.
 
+    ``mask`` is the plume cropped to ``window``, its (line, sample) bounding
+    box in the scene, so a layer's plume pixels are ``layer[window][mask]``.
     ``polygon`` is the outer pixel-boundary ring (counterclockwise in the
     easting/northing frame); ``holes`` are interior rings (clockwise).
     """
 
     label_id: int
+    window: tuple[slice, slice]
     mask: np.ndarray
     pixel_count: int
     area_m2: float
     polygon: np.ndarray
     holes: tuple[np.ndarray, ...]
-    gsd: float
-    origin: tuple[float, float]
     touches_edge: bool
 
     def shoelace_area_m2(self) -> float:
@@ -146,7 +147,6 @@ def morphology(mask: np.ndarray, params: SegmentationParams, gsd: float) -> np.n
 
 def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
     """Closed vertex rings (grid units) of a binary mask's pixel boundary."""
-    lines, samples = mask.shape
     padded = np.pad(mask, 1, mode="constant", constant_values=False)
     inside = padded[1:-1, 1:-1]
     edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -215,9 +215,12 @@ def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
 
 
 def trace_polygon(
-    mask: np.ndarray, gsd: float, origin: tuple[float, float]
+    mask: np.ndarray, gsd: float, origin: tuple[float, float], start: tuple[int, int] = (0, 0)
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Outer ring and holes of a mask, as (easting, northing) vertices in meters."""
+    """Outer ring and holes of a mask, as (easting, northing) vertices in meters.
+
+    ``start``, the scene (line, sample) of ``mask[0, 0]``, shifts the integer vertices.
+    """
     rings = _boundary_rings(mask)
     if not rings:
         raise DomainError("cannot trace the boundary of an empty mask")
@@ -225,8 +228,8 @@ def trace_polygon(
     signed = []
     for ring in rings:
         pts = np.empty((ring.shape[0], 2))
-        pts[:, 0] = origin[0] + ring[:, 0] * gsd
-        pts[:, 1] = origin[1] - ring[:, 1] * gsd
+        pts[:, 0] = origin[0] + (ring[:, 0] + start[1]) * gsd
+        pts[:, 1] = origin[1] - (ring[:, 1] + start[0]) * gsd
         metric.append(pts)
         signed.append(_ring_area(pts))
     total_px = sum(signed) / (gsd * gsd)
@@ -247,33 +250,31 @@ def connected_components(
     """Label a binary mask and emit plumes sorted by area, largest first."""
     mask = np.asarray(mask, dtype=bool)
     structure = _STRUCTURE_8 if connectivity == 8 else _STRUCTURE_4
-    labels, n_found = scipy.ndimage.label(mask, structure=structure)
-    if n_found == 0:
-        return []
-    counts = np.bincount(labels.ravel())[1:]
-    # raster position of each label's first pixel; labels 1..n_found all occur
-    pos = np.flatnonzero(labels)
-    first_seen = pos[np.unique(labels.ravel()[pos], return_index=True)[1]]
-    order = sorted(
-        (lab for lab in range(1, n_found + 1) if counts[lab - 1] >= max(1, min_pixels)),
-        key=lambda lab: (-counts[lab - 1], first_seen[lab - 1]),
-    )
+    labels, _ = scipy.ndimage.label(mask, structure=structure)
+    counts = np.bincount(labels.ravel())
+    found = []
+    for lab, window in enumerate(scipy.ndimage.find_objects(labels), start=1):
+        if counts[lab] >= max(1, min_pixels):
+            crop = labels[window] == lab
+            # ties go to the first pixel in raster order, which is in the window's top row
+            first = (window[0].start, window[1].start + int(np.argmax(crop[0])))
+            found.append((int(counts[lab]), first, window, crop))
+    found.sort(key=lambda c: (-c[0], c[1]))
+    lines, samples = mask.shape
     plumes = []
-    for rank, lab in enumerate(order, start=1):
-        comp = labels == lab
-        count = int(counts[lab - 1])
-        outer, holes = trace_polygon(comp, gsd, origin)
-        touches = bool(comp[0, :].any() or comp[-1, :].any() or comp[:, 0].any() or comp[:, -1].any())
+    for rank, (count, _, (rows, cols), crop) in enumerate(found, start=1):
+        outer, holes = trace_polygon(crop, gsd, origin, start=(rows.start, cols.start))
+        # the window is the component's tight bounding box
+        touches = rows.start == 0 or cols.start == 0 or rows.stop == lines or cols.stop == samples
         plumes.append(
             PlumeMask(
                 label_id=rank,
-                mask=comp,
+                window=(rows, cols),
+                mask=crop,
                 pixel_count=count,
                 area_m2=count * gsd * gsd,
                 polygon=outer,
                 holes=holes,
-                gsd=gsd,
-                origin=(float(origin[0]), float(origin[1])),
                 touches_edge=touches,
             )
         )
@@ -306,7 +307,7 @@ def segment_field(
     )
     final = np.zeros_like(cleaned)
     for plume in plumes:
-        final |= plume.mask
+        final[plume.window] |= plume.mask
     return plumes, tau, final
 
 
@@ -332,7 +333,7 @@ def overlap_condition(
     if e_lo >= e_hi or n_lo >= n_hi:
         raise DomainError("disjoint footprints")
 
-    def crop(f):
+    def window(f):
         lines, samples = f.shape
         e0, n0 = f.origin
         col_centers = e0 + (np.arange(samples) + 0.5) * f.gsd
@@ -341,27 +342,9 @@ def overlap_condition(
         rows = np.flatnonzero((row_centers >= n_lo) & (row_centers <= n_hi))
         if cols.size == 0 or rows.size == 0:
             raise DomainError("disjoint footprints")
-        j0, j1 = int(cols[0]), int(cols[-1]) + 1
-        i0, i1 = int(rows[0]), int(rows[-1]) + 1
+        return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
-        def cut(layer):
-            return None if layer is None else layer[i0:i1, j0:j1]
-
-        clutter = f.sigma_clutter
-        if clutter is not None and np.ndim(clutter) == 2:
-            clutter = clutter[i0:i1, j0:j1]
-        return EnhancementField(
-            delta_x=f.delta_x[i0:i1, j0:j1],
-            gsd=f.gsd,
-            origin=(e0 + j0 * f.gsd, n0 - i0 * f.gsd),
-            sigma_noise=cut(f.sigma_noise),
-            sigma_clutter=clutter,
-            sigma_total=cut(f.sigma_total),
-            nodata_mask=f.nodata_mask[i0:i1, j0:j1],
-            provenance=f.provenance,
-        )
-
-    return crop(field_a), crop(field_b)
+    return field_a.crop(window(field_a)), field_b.crop(window(field_b))
 
 
 def plumes_to_geojson(plumes: Sequence[PlumeMask]) -> dict:

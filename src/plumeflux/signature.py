@@ -54,12 +54,6 @@ class BandAbsorption:
         object.__setattr__(self, "k_band", np.asarray(self.k_band, dtype=np.float64))
         object.__setattr__(self, "band_indices", np.asarray(self.band_indices, dtype=np.int64))
 
-    def full_band_k(self, n_bands: int) -> np.ndarray:
-        """k per instrument band, zero outside the retrieval window."""
-        k = np.zeros(n_bands)
-        k[self.band_indices] = self.k_band
-        return k
-
 
 @dataclass(frozen=True)
 class TargetSpectrum:

@@ -10,8 +10,15 @@ import plumeflux as pf
 from plumeflux.cli import main
 from plumeflux.config import default_config_yaml, load_config
 from plumeflux.errors import ConfigError
-from plumeflux.pipeline import run_multi, run_pipeline
+from plumeflux.pipeline import (
+    StageResult,
+    _mask_iou,
+    match_plumes_across_runs,
+    run_multi,
+    run_pipeline,
+)
 from plumeflux.scene_io import read_raster, write_cube, write_raster
+from plumeflux.segmentation import connected_components
 
 
 def write_scene(tmp_path, seed=5, noise=True, gains=0.0, peak=900.0):
@@ -120,6 +127,23 @@ class TestConfig:
         path.write_text(yaml.safe_dump({"mf": {"window": [2100, 2300, 2450]}}))
         with pytest.raises(ConfigError, match="mf.window: expected 2 values, got 3"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("segmentation: {n_sigma: abc}", "segmentation.n_sigma"),
+            ("mf: [{window: 2100}]", "mf.window"),
+            ("wind: {u10: [1, 2]}", "wind.u10"),
+            ("simulate: {plume: 5}", "simulate.plume"),
+            ("segmentation: [1]", "segmentation"),
+            ("seed: abc", "seed"),
+        ],
+    )
+    def test_wrong_value_type_is_a_config_error(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert f"error: {key}: expected" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -353,6 +377,50 @@ class TestMulti:
             assert abs(q_cmf / q_true - 1.0) > err_cw
             assert report["spreads"][0]["flux_std_t_per_h"] > 0.0
         assert cmf_run["threshold_ppmm"] > 2.0 * cw_run["threshold_ppmm"]
+
+    def test_plume_matching_on_crops_equals_full_scene_masks(self):
+        shape = (30, 40)
+
+        def run(*boxes):
+            m = np.zeros(shape, dtype=bool)
+            for box in boxes:
+                m[box] = True
+            return StageResult(report={}, plumes=connected_components(m, 30.0), records=[])
+
+        def full(p):
+            out = np.zeros(shape, dtype=bool)
+            out[p.window] = p.mask
+            return out
+
+        runs = [
+            # a block, an L, a block, a small block
+            run(np.s_[2:7, 2:8], np.s_[12:24, 2:5], np.s_[21:24, 5:14], np.s_[14:20, 24:30],
+                np.s_[2:4, 32:36]),
+            # identical, window nested in the L's, partially overlapping window, disjoint window
+            run(np.s_[2:7, 2:8], np.s_[15:24, 2:10], np.s_[15:21, 26:32], np.s_[27:29, 34:38]),
+            # a window that overlaps the L's without sharing a pixel, and an identical block
+            run(np.s_[12:18, 7:12], np.s_[14:20, 24:30]),
+        ]
+        expected = {p.label_id: [(0, p.label_id)] for p in runs[0].plumes}
+        for run_idx in (1, 2):
+            for a in runs[0].plumes:
+                for b in runs[run_idx].plumes:
+                    fa, fb = full(a), full(b)
+                    iou = np.count_nonzero(fa & fb) / np.count_nonzero(fa | fb)
+                    assert _mask_iou(a, b) == _mask_iou(b, a) == iou
+                    if iou >= 0.3:
+                        expected[a.label_id].append((run_idx, b.label_id))
+        groups, unmatched = match_plumes_across_runs(runs)
+        assert {g["anchor_label"]: g["members"] for g in groups} == expected
+        assert sorted(len(members) for members in expected.values()) == [1, 2, 2, 3]
+        matched = {m for g in groups for m in g["members"]}
+        assert unmatched == [
+            {"config_index": r, "label_id": p.label_id}
+            for r in (1, 2)
+            for p in runs[r].plumes
+            if (r, p.label_id) not in matched
+        ]
+        assert len(unmatched) == 2
 
     def test_multi_requires_two_configs(self, tmp_path):
         write_scene(tmp_path, seed=5)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from plumeflux.errors import DomainError
 from plumeflux.scene_io import EnhancementField
@@ -162,6 +165,52 @@ class TestConnectedComponents:
         m2 = np.zeros((5, 5), dtype=bool)
         m2[2, 2] = True
         assert not connected_components(m2, 30.0)[0].touches_edge
+        # only the bottom or only the right edge, then one pixel short of it
+        for box, touches in [
+            (np.s_[4, 1:3], True),
+            (np.s_[1:3, 4], True),
+            (np.s_[3, 1:3], False),
+            (np.s_[1:3, 3], False),
+        ]:
+            m3 = np.zeros((5, 5), dtype=bool)
+            m3[box] = True
+            assert connected_components(m3, 30.0)[0].touches_edge is touches, box
+
+    def test_crops_paint_back_to_the_ranked_labelling(self, rng):
+        for trial in range(10):
+            m = rng.random((18, 23)) > 0.55
+            for connectivity in (4, 8):
+                structure = np.ones((3, 3)) if connectivity == 8 else None
+                labels, n = scipy.ndimage.label(m, structure=structure)
+                counts = np.bincount(labels.ravel())
+                first = {lab: np.flatnonzero(labels == lab)[0] for lab in range(1, n + 1)}
+                order = sorted(range(1, n + 1), key=lambda lab: (-counts[lab], first[lab]))
+                expected = np.zeros_like(labels)
+                for rank, lab in enumerate(order, start=1):
+                    expected[labels == lab] = rank
+                painted = np.zeros_like(labels)
+                for p in connected_components(m, 30.0, connectivity=connectivity):
+                    rows, cols = p.window
+                    assert p.mask.shape == (rows.stop - rows.start, cols.stop - cols.start)
+                    # the window is the tight bounding box
+                    assert p.mask[0].any() and p.mask[-1].any()
+                    assert p.mask[:, 0].any() and p.mask[:, -1].any()
+                    painted[p.window][p.mask] = p.label_id
+                np.testing.assert_array_equal(painted, expected)
+
+    def test_peak_memory_does_not_grow_with_component_count(self):
+        # seeded speckle: 411 components on a 500 x 500 scene; a full-scene
+        # mask per component would hold about 400 x mask.nbytes
+        rng = np.random.default_rng(0)
+        mask = scipy.ndimage.uniform_filter(rng.random((500, 500)), 9) > 0.58
+        tracemalloc.start()
+        try:
+            plumes = connected_components(mask, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plumes) >= 300
+        assert peak < 32 * mask.nbytes
 
 
 class TestSegmentField:
