@@ -96,9 +96,13 @@ def _coerce(value: Any, hint: Any, key: str, base: Path) -> Any:
         path = Path(str(value))
         return path if path.is_absolute() else base / path
     try:
-        return hint(value)
-    except (TypeError, ValueError) as exc:
+        out = hint(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: expected {hint.__name__}, got {value!r}") from exc
+    # int() truncates floats and takes booleans; an int key takes neither silently
+    if hint is int and (isinstance(value, bool) or (isinstance(value, float) and out != value)):
+        raise ConfigError(f"{key}: expected int, got {value!r}")
+    return out
 
 
 def _section(cls, mapping: Optional[dict], name: str, base: Path, **given):

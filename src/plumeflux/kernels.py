@@ -2,7 +2,9 @@
 
 The matched filter, its noise propagation, and the k-means steps are the
 only loops that touch every pixel of a scene, so they are the only code
-here. Everything is written against plain float64 (pixels, bands) arrays.
+here. The matched-filter kernels sweep the (bands, pixels) window slab band
+by band with per-segment tables indexed by each pixel's segment (-1: nodata,
+which scores 0); the k-means kernels take float64 (pixels, bands) arrays.
 """
 
 from __future__ import annotations
@@ -10,15 +12,38 @@ from __future__ import annotations
 import numpy as np
 
 
-def mf_scores(X, mu, q, denom):
-    """Matched-filter score (x - mu)q / denom for each row of X."""
-    return (X - mu) @ q / denom
+def _padded(table, fill=0.0):
+    """Per-segment table with an entry for segment -1 appended."""
+    return np.concatenate([table, np.full((1,) + table.shape[1:], fill)])
 
 
-def noise_variance(X, a, c, q, denom):
-    """Per-pixel variance q' diag(a*max(x,0)+c) q / denom**2 for rows of X."""
-    q2 = q * q
-    return (np.maximum(X, 0.0) @ (a * q2) + c @ q2) / (denom * denom)
+def mf_scores(Y, seg, mu, q, denom):
+    """Score sum_b (y_b - mu[s, b]) q[s, b] / denom[s] of each pixel y of segment s.
+
+    The score stays centred, so it keeps its precision when |y| >> |y - mu|.
+    """
+    mu, q = _padded(mu), _padded(q)
+    out, term, weight = np.zeros(Y.shape[1]), np.empty(Y.shape[1]), np.empty(Y.shape[1])
+    for b, y in enumerate(Y):
+        np.subtract(y, np.take(mu[:, b], seg, out=term, mode="wrap"), out=term)
+        out += np.multiply(term, np.take(q[:, b], seg, out=weight, mode="wrap"), out=term)
+    out /= _padded(denom, 1.0)[seg]
+    out[seg < 0] = 0.0
+    return out
+
+
+def noise_variance(Y, seg, a, c, q, denom):
+    """Per-pixel variance q' diag(a*max(y,0)+c) q / denom**2, with q and denom of its segment."""
+    aq2 = _padded(a * q * q)
+    out, term, weight = np.zeros(Y.shape[1]), np.empty(Y.shape[1]), np.empty(Y.shape[1])
+    for b, y in enumerate(Y):
+        out += np.multiply(
+            np.maximum(y, 0.0, out=term), np.take(aq2[:, b], seg, out=weight, mode="wrap"), out=term
+        )
+    out += _padded(q * q @ c)[seg]
+    out /= _padded(denom * denom, 1.0)[seg]
+    out[seg < 0] = 0.0
+    return out
 
 
 def assign_labels(X, centers):

@@ -10,6 +10,7 @@ its own mean, so outputs stay in ppm*m under every partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -68,6 +69,7 @@ class BackgroundStats:
     (-1 for nodata); ``mu``/``cov`` are indexed by segment. ``estimation_rows``
     holds each segment's flat pixel indices that its statistics are estimated
     from: its own pixels, or a superset when short columns are pooled;
+    ``moments`` are their (n, mean, M2), which decontamination downdates;
     ``counts`` is how many of them the current statistics used. ``q`` is the
     whitened target cov^-1 t and ``denom`` the filter normalization t'q,
     factored once per segment and reused across all its pixels.
@@ -80,6 +82,7 @@ class BackgroundStats:
     cov: np.ndarray
     counts: np.ndarray
     estimation_rows: list[np.ndarray]
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray]
     t: np.ndarray
     q: np.ndarray
     denom: np.ndarray
@@ -109,18 +112,21 @@ def estimate_stats(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DomainError("estimate_stats expects a (pixels, bands) matrix")
-    n, p = X.shape
+    n = X.shape[0]
     if n < 2:
         raise DomainError(f"need at least 2 pixels to estimate statistics, got {n}")
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    cov_ml = Xc.T @ Xc / n
-    trace_p = float(np.trace(cov_ml)) / p
+    count, mu, m2 = _segment_moments(X.T, np.zeros(n, dtype=np.int64), 1)
+    return mu[0], _shrink(count, m2, gamma, delta_min)[0]
+
+
+def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[float]) -> np.ndarray:
+    """Shrinkage-regularized covariance of each segment from its count and M2."""
+    cov = m2 / n[:, None, None]
+    trace_p = np.trace(cov, axis1=1, axis2=2) / cov.shape[-1]
     floor = 1e-8 * (trace_p + 1.0) if delta_min is None else float(delta_min)
-    delta = max(gamma * trace_p, floor)
-    cov = (1.0 - gamma) * cov_ml
-    cov[np.diag_indices(p)] += delta
-    return mu, cov
+    cov *= 1.0 - gamma
+    cov += np.maximum(gamma * trace_p, floor)[:, None, None] * np.eye(cov.shape[-1])
+    return cov
 
 
 def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
@@ -227,12 +233,13 @@ def cluster_pixels(
 
 
 # ---------------------------------------------------------------------------
-# window slab, partitions and per-segment filters
+# window slab, partitions and the per-segment moments engine
 #
-# Every stage reads pixels through the (bands, pixels) slab and addresses
-# them by flat pixel index. ``Y[:, rows].T`` is the (pixels, bands) matrix
-# the kernels and ``estimate_stats`` take: the gather allocates it
-# column-major, so its transpose is C-contiguous without a further copy.
+# Every stage reads the (bands, pixels) slab; the segment map gives each pixel
+# its segment (-1 for nodata). A segment's statistics come from its moments
+# (n, mean, M2 = sum (x - mean)(x - mean)'), arrays with a leading segment axis.
+
+_CHUNK_BYTES = 16 * 2**20  # window spectra per chunk of the moments pass
 
 
 def _window_slab(cube: RadianceCube, band_indices: np.ndarray) -> np.ndarray:
@@ -249,27 +256,69 @@ def _window_slab(cube: RadianceCube, band_indices: np.ndarray) -> np.ndarray:
     return cube.data[b0 : b0 + band_indices.size].reshape(band_indices.size, lines * samples)
 
 
-def _segment_rows(seg_flat: np.ndarray, n_seg: int) -> list[np.ndarray]:
-    """Ascending flat pixel indices of each segment 0..n_seg-1 (-1 is skipped)."""
-    order = np.argsort(seg_flat, kind="stable")
-    bounds = np.searchsorted(seg_flat[order], np.arange(n_seg + 1))
-    return [order[bounds[s] : bounds[s + 1]] for s in range(n_seg)]
+def _merge(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
+    """Merge moments b into a in place (Chan, Golub & LeVeque 1983); sign=-1 removes them."""
+    (na, ma, m2a), (nb, mb, m2b) = a, b
+    nb = sign * nb
+    d = mb - ma
+    coef = na * nb
+    na += nb
+    n = np.maximum(na, 1.0)  # 0 only where both are empty
+    ma += d * (nb / n)[:, None]
+    m2a += sign * m2b
+    m2a += np.einsum("ki,kj->kij", d * (coef / n)[:, None], d)
+    return a
+
+
+def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int) -> tuple:
+    """Moments of each segment 0..n_seg-1 over the pixels (columns) of ``Y``; -1 is skipped.
+
+    Memory stays bounded by one chunk: one stable argsort groups its pixels by
+    segment, and each block is centred on its own mean and merged into the totals.
+    """
+    p, n_pix = Y.shape
+    total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, p, p)))
+    # equal chunks, each at most about _CHUNK_BYTES
+    n_chunks = max(1, -(-n_pix * p * 8 // _CHUNK_BYTES))
+    step = max(1, -(-n_pix // n_chunks))
+    for start in range(0, n_pix, step):
+        s = seg[start : start + step]
+        order = np.argsort(s, kind="stable")
+        ids, first, counts = np.unique(s[order], return_index=True, return_counts=True)
+        block = np.take(Y[:, start : start + step], order, axis=1)
+        for i, lo, c in zip(ids.tolist(), first.tolist(), counts.tolist()):
+            if i >= 0:
+                B = block[:, lo : lo + c]
+                mean = np.add.reduce(B, axis=1) / c
+                B -= mean[:, None]
+                block_moments = (np.array([c], dtype=np.float64), mean[None], (B @ B.T)[None])
+                _merge(tuple(x[i : i + 1] for x in total), block_moments)
+    return total
+
+
+def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig) -> tuple:
+    """Each segment's (mu, cov, t, q, denom) from its moments: shrinkage, target, whitening."""
+    n, mu, m2 = moments
+    cov = _shrink(n, m2, config.shrinkage, config.delta_min)
+    t = np.array([target_spectrum(absorption.k_band, m, absorption.band_indices).t for m in mu])
+    q, denom = (np.array(v) for v in zip(*(_whiten(c, ts) for c, ts in zip(cov, t))))
+    return mu.copy(), cov, t, q, denom
 
 
 def _build_partition(
     cube: RadianceCube, config: MfConfig, Y: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[list[str]]]:
-    """Segment map plus, per segment, the flat pixel indices used to estimate stats.
+) -> tuple[np.ndarray, list[range], list[list[str]]]:
+    """Segment map plus, per segment, the segments whose pixels estimate its stats.
 
-    Estimation rows can be a superset of the segment's own rows (column
-    pooling); the segment map always drives which filter a pixel gets.
+    A segment is estimated from itself, or from a run of neighbouring
+    columns when a short column is pooled; the segment map always drives
+    which filter a pixel gets.
     """
     valid = ~cube.nodata_mask
     p = Y.shape[0]
 
     if config.variant == "cmf":
-        seg_map = np.where(valid, 0, -1).astype(np.int64)
-        return seg_map, _segment_rows(seg_map.ravel(), 1), [[]]
+        return np.where(valid, 0, -1).astype(np.int64), [range(1)], [[]]
 
     if config.variant == "ctmf":
         feats = normalized_features(Y[:, valid.ravel()].T)
@@ -292,52 +341,25 @@ def _build_partition(
         uniq, compact = np.unique(labels, return_inverse=True)
         seg_map = np.full(valid.shape, -1, dtype=np.int64)
         seg_map[valid] = compact
-        seg_flags: list[list[str]] = [[] for _ in range(uniq.size)]
-        if flags:
-            seg_flags[0] = flags
-        return seg_map, _segment_rows(seg_map.ravel(), uniq.size), seg_flags
+        seg_flags = [flags] + [[] for _ in range(uniq.size - 1)]
+        return seg_map, [range(s, s + 1) for s in range(uniq.size)], seg_flags
 
     # cwcmf: one segment per detector sample column, pooled when short
     samples = valid.shape[1]
     seg_map = np.where(valid, np.arange(samples), -1).astype(np.int64)
-    col_rows = _segment_rows(seg_map.ravel(), samples)
-    groups = []
+    col_counts = np.count_nonzero(valid, axis=0)
+    members = []
     seg_flags = []
     for j in range(samples):
-        rows = col_rows[j]
-        flags_j: list[str] = []
-        width = 0
-        while rows.size < p + 1:
+        lo, hi, width = j, j, 0
+        while col_counts[lo : hi + 1].sum() < p + 1:
             width += 1
             lo, hi = max(0, j - width), min(samples - 1, j + width)
-            rows = np.concatenate(col_rows[lo : hi + 1])
             if lo == 0 and hi == samples - 1:
                 break
-        if width:
-            rows = np.sort(rows)
-            flags_j.append(f"pooled columns within +/-{width} of column {j}")
-        groups.append(rows)
-        seg_flags.append(flags_j)
-    return seg_map, groups, seg_flags
-
-
-def _segment_filter(
-    X_s: np.ndarray, k_band: np.ndarray, band_indices: np.ndarray, config: MfConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """One segment's (mu, cov, t, q, denom) from its (pixels, bands) spectra."""
-    mu, cov = estimate_stats(X_s, config.shrinkage, config.delta_min)
-    t = target_spectrum(k_band, mu, band_indices).t
-    q, denom = _whiten(cov, t)
-    return mu, cov, t, q, denom
-
-
-def _score_segments(
-    Y: np.ndarray, groups: list[np.ndarray], stats: BackgroundStats, out: np.ndarray
-) -> None:
-    """Write each segment's matched-filter scores into ``out`` at its flat indices."""
-    for s, rows in enumerate(groups):
-        if rows.size:
-            out[rows] = kernels.mf_scores(Y[:, rows].T, stats.mu[s], stats.q[s], stats.denom[s])
+        members.append(range(lo, hi + 1))
+        seg_flags.append([f"pooled columns within +/-{width} of column {j}"] if width else [])
+    return seg_map, members, seg_flags
 
 
 def compute_stats(
@@ -350,13 +372,22 @@ def compute_stats(
     if np.count_nonzero(~cube.nodata_mask) < 2:
         raise DomainError("fewer than 2 valid pixels in the scene")
     Y = _window_slab(cube, band_indices)
-    seg_map, groups, seg_flags = _build_partition(cube, config, Y)
-    filters = []
-    for s, rows in enumerate(groups):
-        if rows.size < 2:
-            raise DomainError(f"segment {s} has {rows.size} pixels; need at least 2")
-        filters.append(_segment_filter(Y[:, rows].T, absorption.k_band, band_indices, config))
-    mu, cov, t, q, denom = (np.array(v) for v in zip(*filters))
+    seg_map, members, seg_flags = _build_partition(cube, config, Y)
+    seg_flat = seg_map.ravel()
+    # ascending flat pixel indices of each segment (nodata sorts first and is dropped)
+    order = np.argsort(seg_flat, kind="stable")
+    rows = np.split(order, np.searchsorted(seg_flat[order], np.arange(len(members) + 1)))[1:-1]
+    moments = _segment_moments(Y, seg_flat, len(members))
+    # a pooled segment merges its members' moments; it never gathers the pool again
+    pooled = [(s, reduce(_merge, [tuple(x[i : i + 1].copy() for x in moments) for i in m]))
+              for s, m in enumerate(members) if len(m) > 1]
+    for s, merged in pooled:
+        for x, v in zip(moments, merged):
+            x[s] = v[0]
+    for s, n in enumerate(moments[0]):
+        if n < 2:
+            raise DomainError(f"segment {s} has {int(n)} pixels; need at least 2")
+    mu, cov, t, q, denom = _filters(moments, absorption, config)
     name = {"cmf": "scene", "ctmf": f"cluster(K={config.cluster_count})", "cwcmf": "column"}[
         config.variant
     ]
@@ -366,8 +397,9 @@ def compute_stats(
         band_indices=band_indices,
         mu=mu,
         cov=cov,
-        counts=np.array([rows.size for rows in groups], dtype=np.int64),
-        estimation_rows=groups,
+        counts=moments[0].astype(np.int64),
+        estimation_rows=[np.sort(np.concatenate([rows[i] for i in m])) for m in members],
+        moments=moments,
         t=t,
         q=q,
         denom=denom,
@@ -384,14 +416,8 @@ def apply_mf(
     """Per-pixel enhancement (x-mu)' cov^-1 t / (t' cov^-1 t) in ppm*m."""
     if stats is None:
         stats = compute_stats(cube, absorption, config)
-    seg_flat = stats.segment_map.ravel()
-    delta = np.zeros(seg_flat.size)
-    _score_segments(
-        _window_slab(cube, stats.band_indices),
-        _segment_rows(seg_flat, stats.n_segments),
-        stats,
-        delta,
-    )
+    Y = _window_slab(cube, stats.band_indices)
+    delta = kernels.mf_scores(Y, stats.segment_map.ravel(), stats.mu, stats.q, stats.denom)
     flags = stats.all_flags()
     provenance = config.label() + (" | " + "; ".join(flags) if flags else "")
     return EnhancementField(
@@ -414,42 +440,39 @@ def decontaminate(
     """Re-estimate statistics excluding pixels above the segmentation threshold.
 
     Runs ``config.contamination_iterations`` rounds, each over the segment's
-    estimation rows; a segment whose exclusion would leave fewer than 2
-    pixels keeps its previous statistics and is flagged in the provenance.
+    estimation rows and starting again from their full moments; a segment
+    whose exclusion would leave fewer than 2 pixels keeps its previous
+    statistics and is flagged in the provenance.
     """
     if config.contamination_iterations == 0:
         return stats
     Y = _window_slab(cube, stats.band_indices)
+    seg_flat = stats.segment_map.ravel()
     delta = np.array(field.delta_x, dtype=np.float64).ravel()
+    skip_flag = "decontamination skipped (segment emptied)"
     current = stats
     for it in range(config.contamination_iterations):
         if it:
             # re-score so this round thresholds the field of the last round's stats
-            groups = _segment_rows(stats.segment_map.ravel(), stats.n_segments)
-            _score_segments(Y, groups, current, delta)
-        mu = current.mu.copy()
-        cov = current.cov.copy()
-        t = current.t.copy()
-        q = current.q.copy()
-        denom = current.denom.copy()
-        counts = current.counts.copy()
-        flags = [list(f) for f in current.flags]
-        for s, rows in enumerate(current.estimation_rows):
-            if rows.size == 0:
-                continue
-            tau = robust_threshold(delta[rows], n_sigma)
-            keep = rows[delta[rows] <= tau]
-            if keep.size < 2:
-                if "decontamination skipped (segment emptied)" not in flags[s]:
-                    flags[s].append("decontamination skipped (segment emptied)")
-                continue
-            mu[s], cov[s], t[s], q[s], denom[s] = _segment_filter(
-                Y[:, keep].T, absorption.k_band, current.band_indices, config
-            )
-            counts[s] = keep.size
-        current = replace(
-            current, mu=mu, cov=cov, counts=counts, t=t, q=q, denom=denom, flags=flags
-        )
+            delta = kernels.mf_scores(Y, seg_flat, current.mu, current.q, current.denom)
+        kept = [delta[r] <= robust_threshold(delta[r], n_sigma) for r in stats.estimation_rows]
+        n_kept = np.array([np.count_nonzero(k) for k in kept])
+        skipped = n_kept < 2
+        # downdate the full moments by the excluded rows; tau is at least the
+        # median, so they are never more than half of a segment's rows
+        fit = np.flatnonzero(~skipped)
+        excluded = [stats.estimation_rows[s][~kept[s]] for s in fit]
+        labels = np.repeat(fit, [r.size for r in excluded])
+        rows = np.concatenate([np.zeros(0, dtype=np.int64), *excluded])
+        part = _segment_moments(Y[:, rows], labels, len(kept))
+        moments = _merge(tuple(x.copy() for x in stats.moments), part, sign=-1.0)
+        refit = (*_filters(moments, absorption, config), moments[0].astype(np.int64))
+        new = dict(zip(("mu", "cov", "t", "q", "denom", "counts"), refit))
+        for name, x in new.items():
+            x[skipped] = getattr(current, name)[skipped]
+        flags = [f + [skip_flag] if sk and skip_flag not in f else list(f)
+                 for sk, f in zip(skipped, current.flags)]
+        current = replace(current, flags=flags, **new)
     return current
 
 
@@ -463,23 +486,15 @@ def propagate_noise(
     fallback var = 1 / (t'S^-1 t), constant per segment.
     """
     descriptor = cube.descriptor
-    Y = _window_slab(cube, stats.band_indices)
     seg_flat = stats.segment_map.ravel()
-    groups = _segment_rows(seg_flat, stats.n_segments)
-    var = np.zeros(seg_flat.size)
     flags: list[str] = []
     if descriptor.has_noise_model():
-        a = np.ascontiguousarray(descriptor.noise_a[stats.band_indices])
-        c = np.ascontiguousarray(descriptor.noise_c[stats.band_indices])
-        for s, rows in enumerate(groups):
-            if rows.size:
-                var[rows] = kernels.noise_variance(
-                    Y[:, rows].T, a, c, stats.q[s], stats.denom[s]
-                )
+        a, c = descriptor.noise_a[stats.band_indices], descriptor.noise_c[stats.band_indices]
+        Y = _window_slab(cube, stats.band_indices)
+        var = kernels.noise_variance(Y, seg_flat, a, c, stats.q, stats.denom)
     else:
         flags.append("noise coefficients unavailable: a-posteriori matched-filter precision used")
-        for s, rows in enumerate(groups):
-            var[rows] = 1.0 / stats.denom[s]
+        var = np.where(seg_flat >= 0, 1.0 / stats.denom[seg_flat], 0.0)
     if np.any(var < 0):
         raise NumericalError("negative propagated noise variance (bug signal)")
     return np.sqrt(var).reshape(stats.segment_map.shape), flags

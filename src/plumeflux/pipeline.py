@@ -130,7 +130,7 @@ def run_stage(
 
     if cube is not None:
         absorption = band_absorption(table, cube.descriptor, mf.window)
-        field64, _stats = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)
+        field64 = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)[0]
         field = EnhancementField(
             delta_x=_f32grid(field64.delta_x),
             gsd=field64.gsd,
@@ -297,12 +297,16 @@ def match_plumes_across_runs(
     unmatched = []
     for run_idx in range(1, len(runs)):
         plumes = runs[run_idx].plumes
+        # (start, stop) per window axis; plumes whose windows are disjoint have IoU 0
+        a, b = (np.array([[(w.start, w.stop) for w in p.window] for p in ps]).reshape(-1, 2, 2)
+                for ps in ([g["anchor"] for g in groups], plumes))
+        lo = np.maximum(a[:, None, :, 0], b[None, :, :, 0])
+        overlap = np.all(lo < np.minimum(a[:, None, :, 1], b[None, :, :, 1]), axis=-1)
         pairs = []
-        for g_idx, group in enumerate(groups):
-            for p in plumes:
-                iou = _mask_iou(group["anchor"], p)
-                if iou >= iou_threshold:
-                    pairs.append((iou, g_idx, p.label_id))
+        for g_idx, j in zip(*np.nonzero(overlap | (iou_threshold <= 0))):
+            iou = _mask_iou(groups[g_idx]["anchor"], plumes[j]) if overlap[g_idx, j] else 0.0
+            if iou >= iou_threshold:
+                pairs.append((iou, int(g_idx), plumes[j].label_id))
         pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
         taken_groups: set[int] = set()
         taken_plumes: set[int] = set()

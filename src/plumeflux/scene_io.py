@@ -85,7 +85,12 @@ class SensorDescriptor:
 
 @dataclass(frozen=True)
 class RadianceCube:
-    """Calibrated at-sensor radiance, stored band-major: data[band, line, sample]."""
+    """Calibrated at-sensor radiance, stored band-major: data[band, line, sample].
+
+    ``data`` is copied unless it is a float64 array that is read-only and owns
+    its memory (what ``read_cube`` builds): such an array is taken over as is,
+    so its owner must not make it writeable again.
+    """
 
     descriptor: SensorDescriptor
     data: np.ndarray
@@ -109,10 +114,11 @@ class RadianceCube:
             mask = np.asarray(self.nodata_mask, dtype=bool)
             if mask.shape != (lines, samples):
                 raise DataError("nodata_mask shape must be (lines, samples)")
-        if not np.all(np.isfinite(data[:, ~mask])):
+        if not np.all(np.isfinite(data).all(axis=0) | mask):
             raise DataError("cube contains non-finite radiance outside nodata_mask")
-        data = data.copy()
-        data.flags.writeable = False
+        if data.flags.writeable or not data.flags.owndata:
+            data = data.copy()
+            data.flags.writeable = False
         mask = mask.copy()
         mask.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -317,9 +323,8 @@ def read_cube(path: Union[str, Path]) -> RadianceCube:
     flat = _read_payload(bin_path, bands * lines * samples)
     data = flat.reshape(bands, lines, samples).astype(np.float64)
     nodata = np.all(data == NODATA, axis=0)
-    if np.any(nodata):
-        data = data.copy()
-        data[:, nodata] = 0.0
+    data[:, nodata] = 0.0
+    data.flags.writeable = False  # read-only and owned: the cube keeps it without a copy
     origin = (
         float(entries.get("origin_e_m", 0.0)),
         float(entries.get("origin_n_m", 0.0)),

@@ -177,8 +177,11 @@ def test_criterion_08_noise_propagation_identities():
         assert var == pytest.approx(1.0 / denom, rel=1e-12)
     from plumeflux import kernels
 
-    q = np.array([0.25, 1.0])
-    var = kernels.noise_variance(np.array([[5.0, 5.0]]), np.zeros(2), np.ones(2), q, 1.25)
+    q = np.array([[0.25, 1.0]])
+    var = kernels.noise_variance(
+        np.array([[5.0], [5.0]]), np.zeros(1, dtype=np.int64), np.zeros(2), np.ones(2),
+        q, np.array([1.25]),
+    )
     assert var[0] == pytest.approx(0.68, rel=1e-12)
     passed(8, "Cn == Sigma collapses to a-posteriori precision; diagonal hand case = 0.68")
 

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from plumeflux import kernels
+from plumeflux import kernels, matched_filter
 from plumeflux.errors import DomainError
 from plumeflux.matched_filter import (
     MfConfig,
+    _merge,
+    _segment_moments,
     _window_slab,
     apply_mf,
     cluster_pixels,
@@ -19,6 +21,7 @@ from plumeflux.matched_filter import (
     propagate_noise,
     retrieve,
 )
+from plumeflux.segmentation import robust_threshold
 from plumeflux.signature import BandAbsorption, band_absorption, load_bundled_table
 
 from conftest import make_cube, make_descriptor, random_spd
@@ -386,9 +389,10 @@ class TestDecontaminate:
 class TestPropagateNoise:
     def test_hand_diagonal_case(self):
         # cov diag(4,1), t=(1,1): q=(0.25,1), denom=1.25, Cn=I -> var 0.68
-        q = np.array([0.25, 1.0])
+        q = np.array([[0.25, 1.0]])
         var = kernels.noise_variance(
-            np.array([[5.0, 5.0]]), np.zeros(2), np.ones(2), q, 1.25
+            np.array([[5.0], [5.0]]), np.zeros(1, dtype=np.int64), np.zeros(2), np.ones(2),
+            q, np.array([1.25]),
         )
         assert var[0] == pytest.approx(0.68, rel=1e-12)
 
@@ -408,7 +412,8 @@ class TestPropagateNoise:
         denom = float(t @ t)
         sigma0 = 3.7
         var = kernels.noise_variance(
-            np.array([[1.0, 1.0]]), np.zeros(2), np.full(2, sigma0**2), q, denom
+            np.array([[1.0], [1.0]]), np.zeros(1, dtype=np.int64), np.zeros(2),
+            np.full(2, sigma0**2), q[None, :], np.array([denom]),
         )
         assert np.sqrt(var[0]) == pytest.approx(sigma0, rel=1e-12)
 
@@ -505,3 +510,136 @@ class TestColumnwiseAdaptation:
         # and the plain scene-wide model sees one inflated covariance instead
         scene = compute_stats(cube, absorption, MfConfig(variant="cmf"))
         assert np.trace(scene.cov[0]) > np.trace(stats.cov.mean(axis=0))
+
+
+def reference_retrieve(cube, absorption, config, n_sigma=3.0):
+    """Retrieval by gathering each segment's rows and calling ``estimate_stats``.
+
+    Takes the partition (segment map and estimation rows) from
+    ``compute_stats`` and redoes everything after it one segment at a time:
+    statistics, scores, decontamination refits over the kept rows, noise.
+    """
+    stats = compute_stats(cube, absorption, config)
+    Y = cube.data.reshape(cube.shape[0], -1)[absorption.band_indices]
+    seg = stats.segment_map.ravel()
+
+    def fit(rows):
+        mu, cov = estimate_stats(Y[:, rows].T, config.shrinkage, config.delta_min)
+        t = -absorption.k_band * mu
+        q = np.linalg.solve(cov, t)
+        return mu, cov, q, t @ q
+
+    def score(fits):
+        delta = np.zeros(seg.size)
+        for s, (mu, _, q, denom) in enumerate(fits):
+            delta[seg == s] = (Y[:, seg == s].T - mu) @ q / denom
+        return delta
+
+    fits = [fit(rows) for rows in stats.estimation_rows]
+    delta = score(fits)
+    for _ in range(config.contamination_iterations):
+        kept = [rows[delta[rows] <= robust_threshold(delta[rows], n_sigma)]
+                for rows in stats.estimation_rows]
+        fits = [fit(k) if k.size >= 2 else f for k, f in zip(kept, fits)]
+        delta = score(fits)
+    a = cube.descriptor.noise_a[absorption.band_indices]
+    c = cube.descriptor.noise_c[absorption.band_indices]
+    var = np.zeros(seg.size)
+    for s, (_, _, q, denom) in enumerate(fits):
+        var[seg == s] = (np.maximum(Y[:, seg == s].T, 0) * a + c) @ (q * q) / denom**2
+    mu, cov = (np.array([f[i] for f in fits]) for i in (0, 1))
+    shape = stats.segment_map.shape
+    return mu, cov, delta.reshape(shape), np.sqrt(var).reshape(shape)
+
+
+def engine_cube(rng, nodata):
+    """8-band 40x9 cube with a noise model; with nodata, a block and a short column 6."""
+    cube = random_cube(rng, n_bands=8, lines=40, samples=9)
+    mask = np.zeros((40, 9), dtype=bool)
+    if nodata:
+        mask[2:6, 1:4] = True
+        mask[5:, 6] = True  # 5 valid pixels < p + 1: pooled with its neighbours
+    desc = make_descriptor(n_bands=8, noise_a=1e-3, noise_c=1e-4)
+    return make_cube(cube.data, descriptor=desc, nodata_mask=mask)
+
+
+def close(actual, expected, rtol):
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+
+class TestMomentsEngine:
+    @pytest.mark.parametrize("iterations", [0, 1, 2])
+    @pytest.mark.parametrize("nodata", [False, True])
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf", "cwcmf"])
+    def test_matches_per_segment_gather(self, variant, nodata, iterations):
+        rng = np.random.default_rng(70 + iterations)
+        cube = engine_cube(rng, nodata)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=iterations)
+        field, stats = retrieve(cube, absorption, config)
+        if variant == "cwcmf" and nodata:
+            assert any("pooled" in f for f in stats.flags[6])
+        mu, cov, delta_x, sigma_noise = reference_retrieve(cube, absorption, config)
+        close(stats.mu, mu, 1e-10)
+        close(stats.cov, cov, 1e-10)
+        close(field.delta_x, delta_x, 1e-10)
+        close(field.sigma_noise, sigma_noise, 1e-10)
+
+    def test_downdate_of_most_rows_matches_refit(self, rng):
+        # a negative n_sigma puts tau below the median: the downdate removes
+        # most of each segment's rows and must still match a refit of the rest
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant="cwcmf", contamination_iterations=1)
+        stats = compute_stats(cube, absorption, config)
+        field = apply_mf(cube, absorption, config, stats=stats)
+        out = decontaminate(cube, absorption, config, field, stats, n_sigma=-1.0)
+        assert np.all(2 * out.counts < stats.counts)
+        ref = reference_retrieve(cube, absorption, config, n_sigma=-1.0)
+        close(out.mu, ref[0], 1e-10)
+        close(out.cov, ref[1], 1e-10)
+        # tau below every value empties each segment: all keep their statistics
+        # from the round before, not those of the full moments
+        before = decontaminate(cube, absorption, config, field, stats)
+        out = decontaminate(cube, absorption, config, field, before, n_sigma=-1e9)
+        assert all("decontamination skipped (segment emptied)" in f for f in out.flags)
+        assert np.any(before.counts < stats.counts)
+        for name in ("mu", "cov", "t", "q", "denom", "counts"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(before, name))
+
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf", "cwcmf"])
+    def test_chunk_boundaries_do_not_matter(self, variant, monkeypatch):
+        rng = np.random.default_rng(71)
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=2)
+        field, stats = retrieve(cube, absorption, config)
+        # 5 pixels per chunk: every segment straddles chunks
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 5 * 8 * 8)
+        field_c, stats_c = retrieve(cube, absorption, config)
+        close(stats_c.mu, stats.mu, 1e-12)
+        close(stats_c.cov, stats.cov, 1e-12)
+        close(field_c.delta_x, field.delta_x, 1e-12)
+        close(field_c.sigma_noise, field.sigma_noise, 1e-12)
+
+    def test_large_offset_small_spread(self, rng, monkeypatch):
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 97 * 8 * 6)
+        X = 1e4 + 1e-2 * rng.standard_normal((2000, 6)) @ random_spd(rng, 6)
+        seg = np.zeros(X.shape[0], dtype=np.int64)
+
+        def two_pass(rows):
+            Xc = rows - rows.mean(axis=0)
+            return Xc.T @ Xc / rows.shape[0]
+
+        _, cov = estimate_stats(X, gamma=0.0, delta_min=0.0)
+        np.testing.assert_allclose(cov, two_pass(X), rtol=1e-8)
+        # downdate by 5 % of the rows, against a two-pass estimate of the rest
+        out = rng.permutation(X.shape[0])[:100]
+        keep = np.setdiff1d(np.arange(X.shape[0]), out)
+        full = _segment_moments(X.T, seg, 1)
+        part = _segment_moments(X[out].T, seg[:100], 1)
+        n, mean, m2 = _merge(full, part, sign=-1.0)
+        assert n[0] == keep.size
+        np.testing.assert_allclose(mean[0], X[keep].mean(axis=0), rtol=1e-14)
+        np.testing.assert_allclose(m2[0] / n[0], two_pass(X[keep]), rtol=1e-8)

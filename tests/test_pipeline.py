@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import plumeflux as pf
+from plumeflux import pipeline
 from plumeflux.cli import main
 from plumeflux.config import default_config_yaml, load_config
 from plumeflux.errors import ConfigError
@@ -137,6 +138,10 @@ class TestConfig:
             ("simulate: {plume: 5}", "simulate.plume"),
             ("segmentation: [1]", "segmentation"),
             ("seed: abc", "seed"),
+            ("segmentation: {connectivity: 8.9}", "segmentation.connectivity"),
+            ("segmentation: {connectivity: true}", "segmentation.connectivity"),
+            ("mf: [{cluster_count: .inf}]", "mf.cluster_count"),
+            ("seed: 1.5", "seed"),
         ],
     )
     def test_wrong_value_type_is_a_config_error(self, tmp_path, capsys, text, key):
@@ -144,6 +149,13 @@ class TestConfig:
         path.write_text(text + "\n")
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
         assert f"error: {key}: expected" in capsys.readouterr().err
+
+    def test_integral_float_loads_as_int(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        for value in ("8", "8.0"):
+            path.write_text(f"segmentation: {{connectivity: {value}}}\n")
+            connectivity = load_config(path).segmentation.connectivity
+            assert connectivity == 8 and type(connectivity) is int
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -421,6 +433,41 @@ class TestMulti:
             if (r, p.label_id) not in matched
         ]
         assert len(unmatched) == 2
+
+    def test_disjoint_windows_skip_the_mask_comparison(self, monkeypatch):
+        def run(*boxes):
+            m = np.zeros((40, 60), dtype=bool)
+            for box in boxes:
+                m[box] = True
+            return StageResult(report={}, plumes=connected_components(m, 30.0), records=[])
+
+        runs = [
+            run(np.s_[2:6, 2:6], np.s_[2:6, 20:26], np.s_[30:36, 40:50]),
+            run(np.s_[3:7, 3:7], np.s_[20:24, 50:58]),
+        ]
+        calls = []
+        real = pipeline._mask_iou
+        monkeypatch.setattr(pipeline, "_mask_iou", lambda a, b: calls.append(1) or real(a, b))
+        def label(run, top_left):
+            (p,) = [p for p in run.plumes if (p.window[0].start, p.window[1].start) == top_left]
+            return p.label_id
+
+        a0, a1, a2 = (label(runs[0], corner) for corner in ((2, 2), (2, 20), (30, 40)))
+        b0, b1 = (label(runs[1], corner) for corner in ((3, 3), (20, 50)))
+        groups, unmatched = match_plumes_across_runs(runs)
+        # one window pair of six intersects
+        assert len(calls) == 1
+        members = {g["anchor_label"]: g["members"] for g in groups}
+        assert members == {a0: [(0, a0), (1, b0)], a1: [(0, a1)], a2: [(0, a2)]}
+        assert unmatched == [{"config_index": 1, "label_id": b1}]
+        # with no threshold, disjoint pairs still match, at IoU 0
+        calls.clear()
+        groups, unmatched = match_plumes_across_runs(runs, iou_threshold=0.0)
+        assert len(calls) == 1
+        members = {g["anchor_label"]: g["members"] for g in groups}
+        assert members[a0] == [(0, a0), (1, b0)]
+        assert sorted(len(m) for m in members.values()) == [1, 2, 2]
+        assert unmatched == []
 
     def test_multi_requires_two_configs(self, tmp_path):
         write_scene(tmp_path, seed=5)

@@ -104,6 +104,42 @@ class TestCubeRoundTrip:
         data[0, 0, 0] = np.nan
         with pytest.raises(DataError, match="finite"):
             make_cube(data, n_bands=2)
+        # one bad band under a valid pixel is enough, also in a read-only array
+        data = np.ones((3, 2, 2))
+        data[2, 1, 0] = np.inf
+        data.flags.writeable = False
+        mask = np.zeros((2, 2), dtype=bool)
+        mask[0, 0] = True
+        with pytest.raises(DataError, match="finite"):
+            make_cube(data, n_bands=3, nodata_mask=mask)
+
+    def test_read_cube_makes_no_scene_sized_copies(self, tmp_path, rng):
+        import tracemalloc
+
+        data = f32(rng.random((12, 160, 200)) + 1.0)
+        mask = np.zeros((160, 200), dtype=bool)
+        mask[10:20, 30:50] = True
+        write_cube(make_cube(data, n_bands=12, nodata_mask=mask), tmp_path / "scene")
+        tracemalloc.start()
+        try:
+            cube = read_cube(tmp_path / "scene")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * cube.data.nbytes
+        assert np.array_equal(cube.nodata_mask, mask)
+        assert not cube.data.flags.writeable
+
+    def test_caller_array_is_copied_unless_read_only_and_owned(self):
+        data = np.ones((2, 3, 3))
+        cube = make_cube(data, n_bands=2)
+        assert not np.shares_memory(cube.data, data) and data.flags.writeable
+        view = np.ones((2, 3, 6))[:, :, :3]
+        view.flags.writeable = False
+        assert not np.shares_memory(make_cube(view, n_bands=2).data, view)
+        frozen = np.ones((2, 3, 3))
+        frozen.flags.writeable = False
+        assert make_cube(frozen, n_bands=2).data is frozen
 
     def test_nan_under_nodata_allowed(self):
         data = np.ones((2, 2, 2))
