@@ -20,6 +20,7 @@ from .background import DEFAULT_BUFFER_M, DEFAULT_MIN_SAMPLE
 from .errors import ConfigError
 from .matched_filter import MfConfig
 from .quantification import GasConstants, WindConfig
+from .scene_io import dataset_paths
 from .segmentation import SegmentationParams
 from .simulator import SimParams, SyntheticPlumeSpec
 
@@ -199,7 +200,7 @@ def validate_files(cfg: RunConfig) -> None:
     def check(key: str, p: Optional[Path], header_pair: bool) -> None:
         if p is None:
             return
-        probe = p.with_suffix(".hdr") if header_pair and p.suffix not in (".hdr", ".bin") else p
+        probe = dataset_paths(p)[0] if header_pair else p
         if not probe.exists():
             raise ConfigError(f"config key '{key}' references a missing file: {probe}")
 

@@ -131,13 +131,8 @@ def run_stage(
     if cube is not None:
         absorption = band_absorption(table, cube.descriptor, mf.window)
         field64 = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)[0]
-        field = EnhancementField(
-            delta_x=_f32grid(field64.delta_x),
-            gsd=field64.gsd,
-            origin=field64.origin,
-            sigma_noise=_f32grid(field64.sigma_noise),
-            nodata_mask=field64.nodata_mask,
-            provenance=field64.provenance,
+        field = field64.replace(
+            delta_x=_f32grid(field64.delta_x), sigma_noise=_f32grid(field64.sigma_noise)
         )
         input_mode = "level1"
     else:

@@ -2,14 +2,21 @@
 
 The canonical on-disk format is a UTF-8 text header (``key = value`` lines,
 list values comma-separated) next to a raw band-sequential little-endian
-float32 payload with the same basename and a ``.bin`` extension. The nodata
-sentinel in payloads is -9999.0; in-memory arrays never carry the sentinel,
-only the boolean ``nodata_mask``.
+float32 payload: ``name`` is stored as ``name.hdr`` + ``name.bin``. A
+single-band raster is a one-band cube. A pixel is nodata when every band
+holds the sentinel -9999.0; in memory it is zeroed and flagged in the boolean
+``nodata_mask``, so arrays never carry the sentinel.
+
+The containers hold their arrays read-only. An array of the right dtype
+that is already read-only and owns its memory is taken over as is, so its
+owner must not make it writeable again; anything else, a view included, is
+copied.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -20,17 +27,23 @@ from .errors import ConfigError, DataError, DomainError
 
 NODATA = -9999.0
 
-_REQUIRED_CUBE_KEYS = (
-    "samples",
-    "lines",
-    "bands",
-    "data_type",
-    "interleave",
-    "byte_order",
-    "wavelengths_nm",
-    "fwhm_nm",
-    "gsd_m",
-)
+
+def _frozen(array, dtype, shape: Optional[tuple] = None, name: str = "") -> np.ndarray:
+    """``array`` as a read-only ``dtype`` array that a container may keep.
+
+    A read-only array of that dtype that owns its memory is taken over as is;
+    anything else is copied. With ``shape`` given, ``None`` stands for zeros
+    and any other shape is a ``DataError`` naming the layer.
+    """
+    if array is None:
+        array = np.zeros(shape, dtype)
+    owned = isinstance(array, np.ndarray) and array.flags.owndata
+    if not owned or array.dtype != dtype or array.flags.writeable:
+        array = np.array(array, dtype=dtype)
+        array.flags.writeable = False
+    if shape is not None and array.shape != shape:
+        raise DataError(f"{name} shape must be {shape}, got {array.shape}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -50,30 +63,26 @@ class SensorDescriptor:
     noise_c: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        centers = np.asarray(self.band_centers, dtype=np.float64)
-        fwhm = np.asarray(self.band_fwhm, dtype=np.float64)
-        object.__setattr__(self, "band_centers", centers)
-        object.__setattr__(self, "band_fwhm", fwhm)
+        centers = _frozen(self.band_centers, np.float64)
         if centers.ndim != 1 or centers.size < 2:
             raise DataError("band_centers must be a 1-D list of at least 2 bands")
         if np.any(np.diff(centers) <= 0):
             raise DataError("band_centers must be strictly increasing")
-        if fwhm.shape != centers.shape:
-            raise DataError("band_fwhm length must match band_centers")
+        fwhm = _frozen(self.band_fwhm, np.float64, centers.shape, "band_fwhm")
         if np.any(fwhm <= 0):
             raise DataError("band_fwhm must be positive")
         if not self.gsd > 0:
             raise DataError("gsd must be positive")
+        object.__setattr__(self, "band_centers", centers)
+        object.__setattr__(self, "band_fwhm", fwhm)
         for name in ("noise_a", "noise_c"):
             coeffs = getattr(self, name)
             if coeffs is None:
                 continue
-            coeffs = np.asarray(coeffs, dtype=np.float64)
-            object.__setattr__(self, name, coeffs)
-            if coeffs.shape != centers.shape:
-                raise DataError(f"{name} must have one value per band")
+            coeffs = _frozen(coeffs, np.float64, centers.shape, name)
             if np.any(coeffs < 0):
                 raise DataError(f"{name} must be non-negative")
+            object.__setattr__(self, name, coeffs)
 
     @property
     def n_bands(self) -> int:
@@ -87,9 +96,8 @@ class SensorDescriptor:
 class RadianceCube:
     """Calibrated at-sensor radiance, stored band-major: data[band, line, sample].
 
-    ``data`` is copied unless it is a float64 array that is read-only and owns
-    its memory (what ``read_cube`` builds): such an array is taken over as is,
-    so its owner must not make it writeable again.
+    ``data`` and ``nodata_mask`` are held read-only under the module's copy
+    rule: ``read_cube`` hands over arrays nobody else references.
     """
 
     descriptor: SensorDescriptor
@@ -98,7 +106,7 @@ class RadianceCube:
     nodata_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _frozen(self.data, np.float64)
         if data.ndim != 3:
             raise DataError("cube data must be 3-D (bands, lines, samples)")
         bands, lines, samples = data.shape
@@ -108,19 +116,9 @@ class RadianceCube:
             )
         if bands < 2 or lines < 1 or samples < 1:
             raise DataError("cube must have at least 2 bands and 1x1 pixels")
-        if self.nodata_mask is None:
-            mask = np.zeros((lines, samples), dtype=bool)
-        else:
-            mask = np.asarray(self.nodata_mask, dtype=bool)
-            if mask.shape != (lines, samples):
-                raise DataError("nodata_mask shape must be (lines, samples)")
+        mask = _frozen(self.nodata_mask, bool, (lines, samples), "nodata_mask")
         if not np.all(np.isfinite(data).all(axis=0) | mask):
             raise DataError("cube contains non-finite radiance outside nodata_mask")
-        if data.flags.writeable or not data.flags.owndata:
-            data = data.copy()
-            data.flags.writeable = False
-        mask = mask.copy()
-        mask.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nodata_mask", mask)
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
@@ -139,7 +137,10 @@ class EnhancementField:
     """Per-pixel gas enhancement (ppm*m) with optional uncertainty layers.
 
     ``sigma_clutter`` is a scalar for scene-level clutter or a full map;
-    ``sigma_total`` combines noise and clutter in quadrature.
+    ``sigma_total`` combines noise and clutter in quadrature. Every value
+    outside ``nodata_mask`` is finite, and the sigma layers are non-negative.
+    Map layers are held read-only under the module's copy rule, so
+    ``replace`` shares the layers it does not change.
     """
 
     delta_x: np.ndarray
@@ -152,52 +153,29 @@ class EnhancementField:
     provenance: str = ""
 
     def __post_init__(self):
-        delta = np.asarray(self.delta_x, dtype=np.float64)
+        delta = _frozen(self.delta_x, np.float64)
         if delta.ndim != 2:
             raise DataError("delta_x must be 2-D")
         if not self.gsd > 0:
             raise DataError("gsd must be positive")
-        if self.nodata_mask is None:
-            mask = np.zeros(delta.shape, dtype=bool)
-        else:
-            mask = np.asarray(self.nodata_mask, dtype=bool)
-            if mask.shape != delta.shape:
-                raise DataError("nodata_mask shape must match delta_x")
-        delta = delta.copy()
-        delta.flags.writeable = False
-        mask = mask.copy()
-        mask.flags.writeable = False
+        mask = _frozen(self.nodata_mask, bool, delta.shape, "nodata_mask")
+        if not np.all(np.isfinite(delta) | mask):
+            raise DataError("delta_x contains non-finite values outside nodata_mask")
         object.__setattr__(self, "delta_x", delta)
         object.__setattr__(self, "nodata_mask", mask)
         object.__setattr__(self, "gsd", float(self.gsd))
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
-        for name in ("sigma_noise", "sigma_total"):
+        for name in ("sigma_noise", "sigma_clutter", "sigma_total"):
             layer = getattr(self, name)
             if layer is None:
                 continue
-            layer = np.asarray(layer, dtype=np.float64)
-            if layer.shape != delta.shape:
-                raise DataError(f"{name} shape must match delta_x")
-            if np.any(layer[~mask] < 0):
-                raise DataError(f"{name} must be non-negative")
-            layer = layer.copy()
-            layer.flags.writeable = False
-            object.__setattr__(self, name, layer)
-        clutter = self.sigma_clutter
-        if clutter is not None:
-            if np.ndim(clutter) == 0:
-                clutter = float(clutter)
-                if clutter < 0:
-                    raise DataError("sigma_clutter must be non-negative")
+            if name == "sigma_clutter" and np.ndim(layer) == 0:
+                layer = float(layer)
             else:
-                clutter = np.asarray(clutter, dtype=np.float64)
-                if clutter.shape != delta.shape:
-                    raise DataError("sigma_clutter map shape must match delta_x")
-                if np.any(clutter[~mask] < 0):
-                    raise DataError("sigma_clutter must be non-negative")
-                clutter = clutter.copy()
-                clutter.flags.writeable = False
-            object.__setattr__(self, "sigma_clutter", clutter)
+                layer = _frozen(layer, np.float64, delta.shape, name)
+            if not np.all((np.isfinite(layer) & (layer >= 0)) | mask):
+                raise DataError(f"{name} must be finite and non-negative outside nodata_mask")
+            object.__setattr__(self, name, layer)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -225,19 +203,51 @@ def effective_gsd(area_m2: float, pixel_count: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# header parsing
+# the BSQ codec: one reader and one writer for cubes and rasters
 
 
-def _paths(path: Union[str, Path]) -> tuple[Path, Path]:
+def _number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _numbers(text: str) -> np.ndarray:
+    return np.array([_number(v) for v in text.split(",") if v.strip() != ""])
+
+
+# the numeric header keys and how each is converted; any other key stays text
+_HEADER_NUMBERS = {
+    **dict.fromkeys(("samples", "lines", "bands"), int),
+    **dict.fromkeys(("gsd_m", "origin_e_m", "origin_n_m"), _number),
+    **dict.fromkeys(("wavelengths_nm", "fwhm_nm", "noise_a", "noise_c"), _numbers),
+}
+_FORMAT = {"data_type": "float32", "interleave": "bsq", "byte_order": "lsb"}
+
+
+def dataset_paths(path: Union[str, Path]) -> tuple[Path, Path]:
+    """Header and payload paths of a dataset: ``name`` -> ``name.hdr``, ``name.bin``.
+
+    A path that already ends in ``.hdr`` or ``.bin`` names the same pair; any
+    other suffix is part of the name (``scene.v1`` -> ``scene.v1.hdr``).
+    """
     path = Path(path)
-    if path.suffix in (".hdr", ".bin"):
-        base = path.with_suffix("")
-    else:
-        base = path
-    return base.with_suffix(".hdr"), base.with_suffix(".bin")
+    base = path.with_suffix("") if path.suffix in (".hdr", ".bin") else path
+    return Path(f"{base}.hdr"), Path(f"{base}.bin")
 
 
-def _parse_header(hdr_path: Path) -> dict:
+def _read_bsq(
+    path: Union[str, Path], required: tuple[str, ...], bands: Optional[int] = None
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Header entries, float64 (bands, lines, samples) data and nodata mask of a dataset.
+
+    Numeric header values come back converted (``_HEADER_NUMBERS``). A pixel
+    is nodata when every band holds the sentinel; it is zeroed in the data.
+    With ``bands`` given, any other band count is rejected before the payload
+    is read.
+    """
+    hdr_path, bin_path = dataset_paths(path)
     if not hdr_path.exists():
         raise ConfigError(f"header file not found: {hdr_path}")
     entries = {}
@@ -249,127 +259,110 @@ def _parse_header(hdr_path: Path) -> dict:
             raise DataError(f"malformed header line in {hdr_path}: {raw!r}")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
-    return entries
-
-def _header_list(entries: dict, key: str) -> np.ndarray:
-    return np.array([float(v) for v in entries[key].split(",") if v.strip() != ""])
-
-
-def _require(entries: dict, keys, hdr_path: Path) -> None:
-    missing = [k for k in keys if k not in entries]
+    missing = [k for k in ("samples", "lines", "bands", *_FORMAT, *required) if k not in entries]
     if missing:
         raise ConfigError(f"header {hdr_path} missing required key(s): {', '.join(missing)}")
+    for key, expected in _FORMAT.items():
+        if entries[key] != expected:
+            raise DataError(f"unsupported {key} {entries[key]!r} in {hdr_path}")
+    for key, convert in _HEADER_NUMBERS.items():
+        if key in entries:
+            try:
+                entries[key] = convert(entries[key])
+            except ValueError:
+                raise DataError(f"invalid {key} value {entries[key]!r} in {hdr_path}") from None
+    shape = (entries["bands"], entries["lines"], entries["samples"])
+    if min(shape) < 1:
+        raise DataError(f"bands, lines and samples must be positive in {hdr_path}, got {shape}")
+    if bands is not None and shape[0] != bands:
+        raise DataError(f"expected {bands} band(s), got {shape[0]} in {hdr_path}")
 
-
-def _check_format(entries: dict, hdr_path: Path) -> None:
-    if entries["data_type"] != "float32":
-        raise DataError(f"unsupported data_type {entries['data_type']!r} in {hdr_path}")
-    if entries["interleave"] != "bsq":
-        raise DataError(f"unsupported interleave {entries['interleave']!r} in {hdr_path}")
-    if entries["byte_order"] != "lsb":
-        raise DataError(f"unsupported byte_order {entries['byte_order']!r} in {hdr_path}")
-
-
-def _read_payload(bin_path: Path, n_values: int) -> np.ndarray:
     if not bin_path.exists():
         raise DataError(f"payload file not found: {bin_path}")
     raw = bin_path.read_bytes()
-    expected = n_values * 4
+    expected = 4 * math.prod(shape)
     if len(raw) != expected:
-        raise DataError(
-            f"payload {bin_path} has {len(raw)} bytes, expected {expected}"
-        )
-    return np.frombuffer(raw, dtype="<f4")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-# ---------------------------------------------------------------------------
-# radiance cubes
-
-
-def read_cube(path: Union[str, Path]) -> RadianceCube:
-    """Read a radiance cube from the canonical header + BSQ payload pair."""
-    hdr_path, bin_path = _paths(path)
-    entries = _parse_header(hdr_path)
-    _require(entries, _REQUIRED_CUBE_KEYS, hdr_path)
-    _check_format(entries, hdr_path)
-
-    samples = int(entries["samples"])
-    lines = int(entries["lines"])
-    bands = int(entries["bands"])
-    wavelengths = _header_list(entries, "wavelengths_nm")
-    fwhm = _header_list(entries, "fwhm_nm")
-    if wavelengths.size != bands:
-        raise DataError(
-            f"header {hdr_path} declares {bands} bands but {wavelengths.size} wavelengths"
-        )
-    if np.any(np.diff(wavelengths) <= 0):
-        raise DataError(f"wavelengths_nm in {hdr_path} are not strictly increasing")
-
-    noise_a = _header_list(entries, "noise_a") if "noise_a" in entries else None
-    noise_c = _header_list(entries, "noise_c") if "noise_c" in entries else None
-    descriptor = SensorDescriptor(
-        sensor_id=entries.get("sensor_id", ""),
-        band_centers=wavelengths,
-        band_fwhm=fwhm,
-        gsd=float(entries["gsd_m"]),
-        noise_a=noise_a,
-        noise_c=noise_c,
-    )
-
-    flat = _read_payload(bin_path, bands * lines * samples)
-    data = flat.reshape(bands, lines, samples).astype(np.float64)
+        raise DataError(f"payload {bin_path} has {len(raw)} bytes, expected {expected}")
+    data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     nodata = np.all(data == NODATA, axis=0)
     data[:, nodata] = 0.0
-    data.flags.writeable = False  # read-only and owned: the cube keeps it without a copy
-    origin = (
-        float(entries.get("origin_e_m", 0.0)),
-        float(entries.get("origin_n_m", 0.0)),
-    )
-    return RadianceCube(descriptor=descriptor, data=data, origin=origin, nodata_mask=nodata)
+    return entries, data, nodata
 
 
-def write_cube(cube: RadianceCube, path: Union[str, Path]) -> None:
-    """Write a cube as canonical header + BSQ little-endian float32 payload."""
-    hdr_path, bin_path = _paths(path)
-    d = cube.descriptor
-    bands, lines, samples = cube.shape
-    lines_out = [
+def _write_bsq(
+    path: Union[str, Path], data: np.ndarray, nodata_mask: Optional[np.ndarray], header: list[str]
+) -> None:
+    """Write (bands, lines, samples) ``data`` as a float32 BSQ dataset.
+
+    Every band holds the sentinel under ``nodata_mask``. ``header`` holds the
+    lines that follow the shared size and format block.
+    """
+    hdr_path, bin_path = dataset_paths(path)
+    bands, lines, samples = data.shape
+    out = data.astype("<f4")
+    if nodata_mask is not None:
+        out[:, np.asarray(nodata_mask, dtype=bool)] = NODATA
+    text = [
         f"samples = {samples}",
         f"lines = {lines}",
         f"bands = {bands}",
-        "data_type = float32",
-        "interleave = bsq",
-        "byte_order = lsb",
-        "wavelengths_nm = " + ", ".join(_fmt(v) for v in d.band_centers),
-        "fwhm_nm = " + ", ".join(_fmt(v) for v in d.band_fwhm),
-        f"gsd_m = {_fmt(d.gsd)}",
-        f"origin_e_m = {_fmt(cube.origin[0])}",
-        f"origin_n_m = {_fmt(cube.origin[1])}",
+        *(f"{key} = {value}" for key, value in _FORMAT.items()),
+        *header,
     ]
-    if d.sensor_id:
-        lines_out.append(f"sensor_id = {d.sensor_id}")
-    if d.noise_a is not None:
-        lines_out.append("noise_a = " + ", ".join(_fmt(v) for v in d.noise_a))
-    if d.noise_c is not None:
-        lines_out.append("noise_c = " + ", ".join(_fmt(v) for v in d.noise_c))
-
-    data = np.asarray(cube.data, dtype="<f4")
-    if np.any(cube.nodata_mask):
-        data = data.copy()
-        data[:, cube.nodata_mask] = NODATA
     try:
-        hdr_path.write_text("\n".join(lines_out) + "\n", encoding="utf-8")
-        bin_path.write_bytes(data.tobytes(order="C"))
+        hdr_path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        bin_path.write_bytes(out.tobytes())
     except OSError as exc:
         raise DataError(f"cannot write {hdr_path} / {bin_path}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# single-band rasters (enhancement, sigma, masks)
+def _entry(key: str, value) -> str:
+    """One header line: numbers in repr form, a sequence comma-separated."""
+    return f"{key} = " + ", ".join(repr(float(v)) for v in np.atleast_1d(value))
+
+
+def _place_entries(gsd: float, origin: tuple[float, float]) -> list[str]:
+    return [_entry("gsd_m", gsd), _entry("origin_e_m", origin[0]), _entry("origin_n_m", origin[1])]
+
+
+def _origin(entries: dict) -> tuple[float, float]:
+    return entries.get("origin_e_m", 0.0), entries.get("origin_n_m", 0.0)
+
+
+def read_cube(path: Union[str, Path]) -> RadianceCube:
+    """Read a radiance cube from the canonical header + BSQ payload pair."""
+    entries, data, nodata = _read_bsq(path, ("wavelengths_nm", "fwhm_nm", "gsd_m"))
+    # read-only and owned: the cube takes both over without a copy
+    data.flags.writeable = False
+    nodata.flags.writeable = False
+    try:
+        descriptor = SensorDescriptor(
+            sensor_id=entries.get("sensor_id", ""),
+            band_centers=entries["wavelengths_nm"],
+            band_fwhm=entries["fwhm_nm"],
+            gsd=entries["gsd_m"],
+            noise_a=entries.get("noise_a"),
+            noise_c=entries.get("noise_c"),
+        )
+        return RadianceCube(descriptor, data, origin=_origin(entries), nodata_mask=nodata)
+    except DataError as exc:
+        raise DataError(f"{dataset_paths(path)[0]}: {exc}") from None
+
+
+def write_cube(cube: RadianceCube, path: Union[str, Path]) -> None:
+    """Write a cube as canonical header + BSQ little-endian float32 payload."""
+    d = cube.descriptor
+    header = [
+        _entry("wavelengths_nm", d.band_centers),
+        _entry("fwhm_nm", d.band_fwhm),
+        *_place_entries(d.gsd, cube.origin),
+    ]
+    if d.sensor_id:
+        header.append(f"sensor_id = {d.sensor_id}")
+    for name in ("noise_a", "noise_c"):
+        if getattr(d, name) is not None:
+            header.append(_entry(name, getattr(d, name)))
+    _write_bsq(path, cube.data, cube.nodata_mask, header)
 
 
 def write_raster(
@@ -380,56 +373,17 @@ def write_raster(
     nodata_mask: Optional[np.ndarray] = None,
 ) -> None:
     """Write a single-band raster in the canonical format (sentinel -9999)."""
-    hdr_path, bin_path = _paths(path)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataError("raster values must be 2-D")
-    lines, samples = values.shape
-    out = values.astype("<f4")
-    if nodata_mask is not None:
-        out = out.copy()
-        out[np.asarray(nodata_mask, dtype=bool)] = NODATA
-    header = [
-        f"samples = {samples}",
-        f"lines = {lines}",
-        "bands = 1",
-        "data_type = float32",
-        "interleave = bsq",
-        "byte_order = lsb",
-        f"gsd_m = {_fmt(gsd)}",
-        f"origin_e_m = {_fmt(origin[0])}",
-        f"origin_n_m = {_fmt(origin[1])}",
-        f"nodata = {_fmt(NODATA)}",
-    ]
-    try:
-        hdr_path.write_text("\n".join(header) + "\n", encoding="utf-8")
-        bin_path.write_bytes(out.tobytes(order="C"))
-    except OSError as exc:
-        raise DataError(f"cannot write {hdr_path} / {bin_path}: {exc}") from exc
+    header = [*_place_entries(gsd, origin), _entry("nodata", NODATA)]
+    _write_bsq(path, values[None], nodata_mask, header)
 
 
 def read_raster(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:
     """Read a single-band raster; returns (values, nodata_mask, gsd, origin)."""
-    hdr_path, bin_path = _paths(path)
-    entries = _parse_header(hdr_path)
-    _require(entries, ("samples", "lines", "bands", "data_type", "interleave", "byte_order", "gsd_m"), hdr_path)
-    _check_format(entries, hdr_path)
-    samples = int(entries["samples"])
-    lines = int(entries["lines"])
-    bands = int(entries["bands"])
-    if bands != 1:
-        raise DataError(f"expected single-band raster, got {bands} bands in {hdr_path}")
-    flat = _read_payload(bin_path, lines * samples)
-    values = flat.reshape(lines, samples).astype(np.float64)
-    nodata = values == NODATA
-    if np.any(nodata):
-        values = values.copy()
-        values[nodata] = 0.0
-    origin = (
-        float(entries.get("origin_e_m", 0.0)),
-        float(entries.get("origin_n_m", 0.0)),
-    )
-    return values, nodata, float(entries["gsd_m"]), origin
+    entries, data, nodata = _read_bsq(path, ("gsd_m",), bands=1)
+    return data[0], nodata, entries["gsd_m"], _origin(entries)
 
 
 def ingest_level2(
@@ -445,7 +399,6 @@ def ingest_level2(
     fabricated.
     """
     values, nodata, file_gsd, origin = read_raster(enh_path)
-    use_gsd = float(gsd) if gsd is not None else file_gsd
     sigma_total = None
     if sigma_path is not None:
         sigma, sigma_nodata, _, _ = read_raster(sigma_path)
@@ -457,7 +410,7 @@ def ingest_level2(
         sigma_total = np.abs(sigma)
     return EnhancementField(
         delta_x=values,
-        gsd=use_gsd,
+        gsd=file_gsd if gsd is None else gsd,
         origin=origin,
         sigma_total=sigma_total,
         nodata_mask=nodata,

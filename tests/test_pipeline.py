@@ -62,6 +62,11 @@ def strip_timings(report):
 
 
 class TestConfig:
+    def test_dotted_input_name_keeps_its_suffix(self, tmp_path):
+        (tmp_path / "scene.v1.hdr").write_text("")  # validation only checks the header exists
+        cfg = load_config(write_config(tmp_path, input={"enhancement": str(tmp_path / "scene.v1")}))
+        assert cfg.input.enhancement == tmp_path / "scene.v1"
+
     def test_dump_defaults_parses_and_lists_all_knobs(self):
         doc = yaml.safe_load(default_config_yaml())
         assert doc["segmentation"] == {
@@ -258,6 +263,16 @@ class TestPipelineLevel1:
 
 
 class TestPipelineLevel2:
+    def test_non_finite_raster_exits_3(self, tmp_path, capsys):
+        values = np.zeros((64, 64))
+        values[10, 20] = np.nan
+        write_raster(values, tmp_path / "enh", 30.0)
+        cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")})
+        rc = main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_all_zero_enhancement_empty_result(self, tmp_path):
         write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
         cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")})

@@ -94,6 +94,34 @@ class TestCubeRoundTrip:
         with pytest.raises(DataError, match="increasing"):
             read_cube(tmp_path / "c")
 
+    @pytest.mark.parametrize("named", [True, False])
+    def test_header_text_is_pinned(self, tmp_path, named):
+        extra = {"noise_a": 1e-4, "noise_c": 2e-4} if named else {"sensor_id": ""}
+        cube = make_cube(np.ones((3, 2, 5)), n_bands=3, origin=(1000.0, 2000.5), **extra)
+        write_cube(cube, tmp_path / "c")
+        text = (tmp_path / "c.hdr").read_text(encoding="utf-8")
+        expected = [
+            "samples = 5",
+            "lines = 2",
+            "bands = 3",
+            "data_type = float32",
+            "interleave = bsq",
+            "byte_order = lsb",
+            "wavelengths_nm = 2100.0, 2275.0, 2450.0",
+            "fwhm_nm = 12.0, 12.0, 12.0",
+            "gsd_m = 30.0",
+            "origin_e_m = 1000.0",
+            "origin_n_m = 2000.5",
+        ]
+        if named:
+            expected += [
+                "sensor_id = test",
+                "noise_a = 0.0001, 0.0001, 0.0001",
+                "noise_c = 0.0002, 0.0002, 0.0002",
+            ]
+        assert text.endswith("\n")
+        assert text.splitlines() == expected
+
     def test_header_echoes_gsd(self, tmp_path):
         cube = make_cube(np.ones((2, 2, 2)), n_bands=2, gsd=30.0)
         write_cube(cube, tmp_path / "c")
@@ -140,6 +168,21 @@ class TestCubeRoundTrip:
         frozen = np.ones((2, 3, 3))
         frozen.flags.writeable = False
         assert make_cube(frozen, n_bands=2).data is frozen
+        # the enhancement field keeps every map layer under the same rule
+        delta, noise = np.ones((4, 4)), np.ones((4, 4))
+        field = EnhancementField(delta_x=delta, gsd=30.0, sigma_noise=noise)
+        assert not np.shares_memory(field.delta_x, delta) and delta.flags.writeable
+        assert not np.shares_memory(field.sigma_noise, noise) and noise.flags.writeable
+        assert not field.delta_x.flags.writeable and not field.nodata_mask.flags.writeable
+        moved = field.replace(sigma_clutter=1.0)
+        assert moved.delta_x is field.delta_x
+        assert moved.sigma_noise is field.sigma_noise
+        assert moved.nodata_mask is field.nodata_mask
+        crop = field.crop((slice(1, 3), slice(0, 2)))
+        for name in ("delta_x", "sigma_noise", "nodata_mask"):
+            layer = getattr(crop, name)
+            assert layer.flags.owndata and not layer.flags.writeable
+            assert not np.shares_memory(layer, getattr(field, name))
 
     def test_nan_under_nodata_allowed(self):
         data = np.ones((2, 2, 2))
@@ -147,6 +190,36 @@ class TestCubeRoundTrip:
         mask = np.zeros((2, 2), dtype=bool)
         mask[0, 0] = True
         make_cube(data, n_bands=2, nodata_mask=mask)
+
+
+class TestHeaderValues:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("samples", "3.5"),
+            ("lines", "-2"),
+            ("gsd_m", "thirty"),
+            ("origin_e_m", "nan"),
+            ("wavelengths_nm", "2100.0, abc, 2450.0"),
+            ("noise_a", "1e-4, 1e-4, inf"),
+        ],
+    )
+    def test_malformed_number_is_data_error_naming_key_and_file(self, tmp_path, key, value):
+        cube = make_cube(np.ones((3, 2, 2)), n_bands=3, noise_a=1e-4, noise_c=1e-4)
+        write_cube(cube, tmp_path / "c")
+        hdr = tmp_path / "c.hdr"
+        lines = hdr.read_text().splitlines()
+        hdr.write_text("\n".join(f"{key} = {value}" if l.startswith(key) else l for l in lines))
+        with pytest.raises(DataError) as err:
+            read_cube(tmp_path / "c")
+        assert key in str(err.value) and str(hdr) in str(err.value)
+
+    def test_malformed_raster_origin_is_data_error(self, tmp_path):
+        write_raster(np.ones((2, 2)), tmp_path / "r", 30.0)
+        hdr = tmp_path / "r.hdr"
+        hdr.write_text(hdr.read_text().replace("origin_n_m = 0.0", "origin_n_m = north"))
+        with pytest.raises(DataError, match="origin_n_m"):
+            read_raster(tmp_path / "r")
 
 
 class TestDescriptorValidation:
@@ -162,6 +235,13 @@ class TestDescriptorValidation:
         with pytest.raises(DataError, match="noise_a"):
             SensorDescriptor("x", [2100.0, 2200.0], [10.0, 10.0], 30.0, noise_a=[1e-4])
 
+    def test_arrays_are_read_only_copies(self):
+        centers = np.array([2100.0, 2200.0])
+        d = SensorDescriptor("x", centers, [10.0, 10.0], 30.0, noise_a=[1e-4, 1e-4])
+        assert not np.shares_memory(d.band_centers, centers) and centers.flags.writeable
+        for name in ("band_centers", "band_fwhm", "noise_a"):
+            assert not getattr(d, name).flags.writeable
+
 
 class TestRaster:
     def test_round_trip(self, tmp_path, rng):
@@ -172,6 +252,41 @@ class TestRaster:
         assert gsd == 30.0 and origin == (10.0, 20.0)
         assert np.array_equal(back_mask, mask)
         assert np.array_equal(back[~mask], values[~mask])
+
+    def test_header_text_is_pinned(self, tmp_path):
+        write_raster(np.ones((2, 3)), tmp_path / "r", 30.0, (10.0, 20.5))
+        text = (tmp_path / "r.hdr").read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert text.splitlines() == [
+            "samples = 3",
+            "lines = 2",
+            "bands = 1",
+            "data_type = float32",
+            "interleave = bsq",
+            "byte_order = lsb",
+            "gsd_m = 30.0",
+            "origin_e_m = 10.0",
+            "origin_n_m = 20.5",
+            "nodata = -9999.0",
+        ]
+
+    def test_dotted_basenames_do_not_collide(self, tmp_path):
+        write_raster(np.full((2, 2), 1.0), tmp_path / "scene.v1", 30.0)
+        write_raster(np.full((2, 2), 2.0), tmp_path / "scene.v2", 30.0)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["scene.v1.bin", "scene.v1.hdr", "scene.v2.bin", "scene.v2.hdr"]
+        assert read_raster(tmp_path / "scene.v1")[0][0, 0] == 1.0
+        assert read_raster(tmp_path / "scene.v2")[0][0, 0] == 2.0
+        # naming the header or the payload still means the same pair
+        assert read_raster(tmp_path / "scene.v1.hdr")[0][0, 0] == 1.0
+        assert read_raster(tmp_path / "scene.v2.bin")[0][0, 0] == 2.0
+
+    def test_multi_band_file_rejected_before_payload_read(self, tmp_path):
+        write_cube(make_cube(np.ones((3, 2, 2)), n_bands=3), tmp_path / "c")
+        (tmp_path / "c.bin").unlink()
+        with pytest.raises(DataError, match="band") as err:
+            read_raster(tmp_path / "c")
+        assert "payload" not in str(err.value)
 
 
 class TestIngestLevel2:
@@ -216,6 +331,30 @@ class TestEnhancementFieldInvariants:
     def test_negative_sigma_rejected(self):
         with pytest.raises(DataError):
             EnhancementField(delta_x=np.ones((3, 3)), gsd=30.0, sigma_noise=-np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["delta_x", "sigma_noise", "sigma_clutter", "sigma_total"])
+    def test_non_finite_outside_nodata_rejected(self, name, bad):
+        layer = np.ones((3, 3))
+        layer[1, 2] = bad
+        layers = {"delta_x": np.ones((3, 3)), name: layer}
+        with pytest.raises(DataError, match="finite"):
+            EnhancementField(gsd=30.0, **layers)
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 2] = True
+        EnhancementField(gsd=30.0, nodata_mask=mask, **layers)
+
+    def test_non_finite_level2_raster_rejected(self, tmp_path):
+        values = np.zeros((64, 64))
+        values[10, 20] = np.nan
+        write_raster(values, tmp_path / "enh", 30.0)
+        write_raster(np.ones((64, 64)), tmp_path / "sig", 30.0)
+        with pytest.raises(DataError, match="finite"):
+            ingest_level2(tmp_path / "enh")
+        write_raster(np.ones((64, 64)), tmp_path / "enh", 30.0)
+        write_raster(values, tmp_path / "sig", 30.0)
+        with pytest.raises(DataError, match="finite"):
+            ingest_level2(tmp_path / "enh", tmp_path / "sig")
 
     def test_quadrature_identity_after_assembly(self, rng):
         from plumeflux.background import total_sigma
