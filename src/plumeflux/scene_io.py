@@ -63,6 +63,12 @@ class SensorDescriptor:
     noise_c: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # the id is one header value: a line break would add header lines, and
+        # the reader strips surrounding whitespace
+        if self.sensor_id != self.sensor_id.strip() or len(self.sensor_id.splitlines()) > 1:
+            raise DataError(
+                f"sensor_id {self.sensor_id!r} must not hold a line break or surrounding whitespace"
+            )
         centers = _frozen(self.band_centers, np.float64)
         if centers.ndim != 1 or centers.size < 2:
             raise DataError("band_centers must be a 1-D list of at least 2 bands")
@@ -245,7 +251,8 @@ def _read_bsq(
     Numeric header values come back converted (``_HEADER_NUMBERS``). A pixel
     is nodata when every band holds the sentinel; it is zeroed in the data.
     With ``bands`` given, any other band count is rejected before the payload
-    is read.
+    is read, and a one-band read comes back 2-D (lines, samples). Both arrays
+    are read-only and own their memory, so a container takes them over as is.
     """
     hdr_path, bin_path = dataset_paths(path)
     if not hdr_path.exists():
@@ -283,9 +290,12 @@ def _read_bsq(
     expected = 4 * math.prod(shape)
     if len(raw) != expected:
         raise DataError(f"payload {bin_path} has {len(raw)} bytes, expected {expected}")
+    if bands == 1:
+        shape = shape[1:]
     data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-    nodata = np.all(data == NODATA, axis=0)
-    data[:, nodata] = 0.0
+    nodata = np.all((data == NODATA).reshape(-1, *shape[-2:]), axis=0)
+    data[..., nodata] = 0.0
+    data.flags.writeable = nodata.flags.writeable = False
     return entries, data, nodata
 
 
@@ -332,9 +342,6 @@ def _origin(entries: dict) -> tuple[float, float]:
 def read_cube(path: Union[str, Path]) -> RadianceCube:
     """Read a radiance cube from the canonical header + BSQ payload pair."""
     entries, data, nodata = _read_bsq(path, ("wavelengths_nm", "fwhm_nm", "gsd_m"))
-    # read-only and owned: the cube takes both over without a copy
-    data.flags.writeable = False
-    nodata.flags.writeable = False
     try:
         descriptor = SensorDescriptor(
             sensor_id=entries.get("sensor_id", ""),
@@ -381,9 +388,12 @@ def write_raster(
 
 
 def read_raster(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:
-    """Read a single-band raster; returns (values, nodata_mask, gsd, origin)."""
-    entries, data, nodata = _read_bsq(path, ("gsd_m",), bands=1)
-    return data[0], nodata, entries["gsd_m"], _origin(entries)
+    """Read a single-band raster; returns (values, nodata_mask, gsd, origin).
+
+    Both arrays are read-only and own their memory.
+    """
+    entries, values, nodata = _read_bsq(path, ("gsd_m",), bands=1)
+    return values, nodata, entries["gsd_m"], _origin(entries)
 
 
 def ingest_level2(
@@ -408,6 +418,8 @@ def ingest_level2(
             )
         nodata = nodata | sigma_nodata
         sigma_total = np.abs(sigma)
+        # frozen in place, so the field takes both over without a copy
+        nodata.flags.writeable = sigma_total.flags.writeable = False
     return EnhancementField(
         delta_x=values,
         gsd=file_gsd if gsd is None else gsd,

@@ -140,77 +140,53 @@ def morphology(mask: np.ndarray, params: SegmentationParams, gsd: float) -> np.n
 # ---------------------------------------------------------------------------
 # exact rectilinear boundary tracing
 
-# outgoing boundary edges per pixel side, directed so the plume interior sits
-# on the left when northing points up; ring orientation then falls out as
-# counterclockwise for outer rings and clockwise for holes.
+# one directed boundary edge per exposed pixel side (up, down, left, right),
+# directed so the plume interior sits on the left when northing points up; ring
+# orientation then falls out as counterclockwise for outer rings and clockwise
+# for holes. Per side: the edge's start and end corner (sx, sy, ex, ey) relative
+# to the pixel's top-left vertex, with x = sample and y = line.
+_SIDE_CORNERS = np.array([[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1], [1, 1, 1, 0]])
 
 
 def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
-    """Closed vertex rings (grid units) of a binary mask's pixel boundary."""
-    padded = np.pad(mask, 1, mode="constant", constant_values=False)
-    inside = padded[1:-1, 1:-1]
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    """Closed vertex rings (grid units) of a binary mask's pixel boundary.
 
-    def add(a, b):
-        edges.setdefault(a, []).append(b)
-
-    ii, jj = np.nonzero(inside)
-    up = ~padded[:-2, 1:-1][inside]
-    down = ~padded[2:, 1:-1][inside]
-    left = ~padded[1:-1, :-2][inside]
-    right = ~padded[1:-1, 2:][inside]
-    for idx in range(ii.size):
-        i, j = int(ii[idx]), int(jj[idx])
-        if up[idx]:
-            add((j + 1, i), (j, i))
-        if down[idx]:
-            add((j, i + 1), (j + 1, i + 1))
-        if left[idx]:
-            add((j, i), (j, i + 1))
-        if right[idx]:
-            add((j + 1, i + 1), (j + 1, i))
-    for key in edges:
-        edges[key].sort()
-
-    def pick(vertex, incoming):
-        options = edges[vertex]
-        if len(options) == 1 or incoming is None:
-            return options.pop(0)
-        # prefer the sharpest clockwise turn (northing-up frame) so pinched
-        # boundaries merge into a single ring instead of crossing
-        dx_in, dy_in = incoming
-        best_i, best_rank = 0, 5
-        for i, (nx, ny) in enumerate(options):
-            dx, dy = nx - vertex[0], ny - vertex[1]
-            cross = dx_in * (-dy) - (-dy_in) * dx  # cross product, northing-up
-            dot = dx_in * dx + dy_in * dy
-            if cross < 0:
-                rank = 0  # right turn
-            elif cross == 0 and dot > 0:
-                rank = 1  # straight
-            elif cross > 0:
-                rank = 2  # left turn
-            else:
-                rank = 3  # reverse
-            if rank < best_rank:
-                best_rank, best_i = rank, i
-        return options.pop(best_i)
-
+    Edges are sorted by (start, end) vertex in (x, y) order; each ring is a
+    cycle of the successor list, started at its first edge in that order.
+    """
+    lines, samples = mask.shape
+    padded = np.zeros((lines + 2, samples + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    neighbours = (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:])
+    side, i, j = np.nonzero([mask & ~n for n in neighbours])
+    # vertex (x, y) has key x * stride + y, which sorts in (x, y) order
+    stride = lines + 1
+    sx, sy, ex, ey = _SIDE_CORNERS.T
+    pixel = j * stride + i
+    start = pixel + (sx * stride + sy)[side]
+    end = pixel + (ex * stride + ey)[side]
+    # a vertex has one way out, or two at a pinch: one left and one right
+    # turn. Take the clockwise one, end + (-dy, dx), so pinched boundaries
+    # merge into a single ring instead of crossing.
+    turn = end + ((sy - ey) * stride + ex - sx)[side]
+    order = np.lexsort((end, start))
+    start, end, turn = start[order], end[order], turn[order]
+    lo = np.searchsorted(start, end)
+    pinch = np.searchsorted(start, end, side="right") - lo == 2
+    nxt = (lo + (pinch & (end[lo] != turn))).tolist()
+    vertices = np.stack(np.divmod(start, stride), axis=1)
+    on_ring = [False] * len(nxt)
     rings = []
-    starts = sorted(edges.keys())
-    for start in starts:
-        while edges.get(start):
-            ring = [start]
-            current = start
-            incoming = None
-            while True:
-                nxt = pick(current, incoming)
-                incoming = (nxt[0] - current[0], nxt[1] - current[1])
-                ring.append(nxt)
-                current = nxt
-                if current == start:
-                    break
-            rings.append(np.array(ring, dtype=np.int64))
+    for head in range(len(nxt)):
+        cycle = []
+        edge = head
+        while not on_ring[edge]:
+            on_ring[edge] = True
+            cycle.append(edge)
+            edge = nxt[edge]
+        if cycle:
+            cycle.append(head)
+            rings.append(vertices[cycle])
     return rings
 
 

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError
-from .scene_io import SensorDescriptor
+from .scene_io import SensorDescriptor, _number
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -34,6 +34,8 @@ class AbsorptionTable:
         ka = np.asarray(self.kappa, dtype=np.float64)
         if wl.ndim != 1 or wl.size < 2 or ka.shape != wl.shape:
             raise DataError("absorption table needs two equal-length columns of >= 2 rows")
+        if not (np.all(np.isfinite(wl)) and np.all(np.isfinite(ka))):
+            raise DataError("absorption table values must be finite")
         if np.any(np.diff(wl) <= 0):
             raise DataError("absorption table wavelengths must be strictly increasing")
         if np.any(ka < 0):
@@ -76,14 +78,18 @@ def read_absorption_table(path: Union[str, Path]) -> AbsorptionTable:
     if not path.exists():
         raise DataError(f"absorption table not found: {path}")
     rows = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
+        where = f"{path} line {number}"
         if len(parts) != 2:
-            raise DataError(f"absorption table line is not two columns: {raw!r}")
-        rows.append((float(parts[0]), float(parts[1])))
+            raise DataError(f"{where}: absorption table line is not two columns: {raw!r}")
+        try:
+            rows.append((_number(parts[0]), _number(parts[1])))
+        except ValueError:
+            raise DataError(f"{where}: values must be finite numbers, got {raw!r}") from None
     if len(rows) < 2:
         raise DataError(f"absorption table {path} has fewer than 2 rows")
     arr = np.array(rows)

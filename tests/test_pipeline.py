@@ -528,6 +528,17 @@ class TestCli:
         assert rc == 2
         assert "input.cube" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["2300.0 abc", "2300.0 nan"])
+    def test_bad_absorption_table_exits_3(self, tmp_path, capsys, bad):
+        write_scene(tmp_path, seed=5)
+        table = tmp_path / "table.txt"
+        table.write_text(f"2000.0 1e-5\n{bad}\n2600.0 1e-5\n")
+        cfg_path = write_config(tmp_path, absorption_table=str(table))
+        rc = main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
     def test_truncated_payload_exits_3(self, tmp_path):
         write_scene(tmp_path, seed=5)
         payload = (tmp_path / "cube.bin").read_bytes()

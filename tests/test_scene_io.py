@@ -235,6 +235,16 @@ class TestDescriptorValidation:
         with pytest.raises(DataError, match="noise_a"):
             SensorDescriptor("x", [2100.0, 2200.0], [10.0, 10.0], 30.0, noise_a=[1e-4])
 
+    @pytest.mark.parametrize("sensor_id", ["tanager\ngsd_m = 5", " X ", "X\r", "a\u2028b", "X\t"])
+    def test_sensor_id_with_line_break_or_padding_rejected(self, sensor_id):
+        with pytest.raises(DataError, match="sensor_id"):
+            SensorDescriptor(sensor_id, [2100.0, 2200.0], [10.0, 10.0], 30.0)
+
+    def test_ordinary_sensor_id_round_trips(self, tmp_path):
+        cube = make_cube(np.ones((3, 2, 2)), n_bands=3, sensor_id="Tanager-1 (Planet) = v2")
+        write_cube(cube, tmp_path / "c")
+        assert read_cube(tmp_path / "c").descriptor.sensor_id == "Tanager-1 (Planet) = v2"
+
     def test_arrays_are_read_only_copies(self):
         centers = np.array([2100.0, 2200.0])
         d = SensorDescriptor("x", centers, [10.0, 10.0], 30.0, noise_a=[1e-4, 1e-4])
@@ -312,6 +322,30 @@ class TestIngestLevel2:
         write_raster(f32(rng.random((10, 9))), tmp_path / "sig", 30.0)
         with pytest.raises(DataError, match="does not match"):
             ingest_level2(tmp_path / "enh", tmp_path / "sig")
+
+    def test_ingest_keeps_the_read_layers_without_copies(self, tmp_path, rng):
+        import tracemalloc
+
+        values = f32(rng.standard_normal((512, 512)) * 100)
+        values[5, 7] = NODATA
+        write_raster(values, tmp_path / "enh", 30.0)
+        write_raster(-f32(rng.random((512, 512)) * 10), tmp_path / "sig", 30.0)
+        tracemalloc.start()
+        try:
+            field = ingest_level2(tmp_path / "enh", tmp_path / "sig")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layers = field.delta_x.nbytes + field.sigma_total.nbytes + field.nodata_mask.nbytes
+        assert peak <= 2.0 * layers
+        assert field.nodata_mask[5, 7] and field.nodata_mask.sum() == 1
+        assert np.all(field.sigma_total >= 0)
+        values_back, nodata, _, _ = read_raster(tmp_path / "enh")
+        for array in (values_back, nodata):
+            assert array.flags.owndata and not array.flags.writeable
+        # what the field holds writes back to the same bytes
+        write_raster(field.delta_x, tmp_path / "again", 30.0, nodata_mask=field.nodata_mask)
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "enh.bin").read_bytes()
 
     def test_sentinel_maps_to_nodata(self, tmp_path):
         values = np.full((4, 4), 7.0)

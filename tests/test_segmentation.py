@@ -8,6 +8,7 @@ from plumeflux.errors import DomainError
 from plumeflux.scene_io import EnhancementField
 from plumeflux.segmentation import (
     SegmentationParams,
+    _boundary_rings,
     area_to_pixels,
     connected_components,
     disk,
@@ -17,6 +18,7 @@ from plumeflux.segmentation import (
     radius_to_pixels,
     robust_threshold,
     segment_field,
+    trace_polygon,
 )
 
 
@@ -211,6 +213,83 @@ class TestConnectedComponents:
             tracemalloc.stop()
         assert len(plumes) >= 300
         assert peak < 32 * mask.nbytes
+
+
+class TestBoundaryRings:
+    """Exact ring vertices in grid units: (x, y) = (sample, line), y pointing down."""
+
+    @staticmethod
+    def rings(rows):
+        return [r.tolist() for r in _boundary_rings(np.array(rows, dtype=bool))]
+
+    def test_square(self):
+        assert self.rings([[1, 1], [1, 1]]) == [
+            [[0, 0], [0, 1], [0, 2], [1, 2], [2, 2], [2, 1], [2, 0], [1, 0], [0, 0]]
+        ]
+
+    def test_l_shape(self):
+        assert self.rings([[1, 0], [1, 0], [1, 1]]) == [
+            [[0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [2, 3], [2, 2], [1, 2], [1, 1], [1, 0],
+             [0, 0]]
+        ]
+
+    def test_one_pixel_hole(self):
+        m = np.ones((3, 3), dtype=bool)
+        m[1, 1] = False
+        outer, hole = _boundary_rings(m)
+        assert outer.tolist() == [
+            [0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [2, 3], [3, 3], [3, 2], [3, 1], [3, 0],
+            [2, 0], [1, 0], [0, 0],
+        ]
+        assert hole.tolist() == [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]
+        # northing-up metric frame: the outer ring counterclockwise, the hole clockwise
+        outer_m, holes_m = trace_polygon(m, 30.0, (0.0, 0.0))
+        assert shoelace(outer_m) > 0 and shoelace(holes_m[0]) < 0
+
+    def test_diagonal_pixels_form_one_ring_through_the_pinch(self):
+        expected = {
+            ((1, 0), (0, 1)): [
+                [0, 0], [0, 1], [1, 1], [1, 2], [2, 2], [2, 1], [1, 1], [1, 0], [0, 0]
+            ],
+            ((0, 1), (1, 0)): [
+                [0, 1], [0, 2], [1, 2], [1, 1], [2, 1], [2, 0], [1, 0], [1, 1], [0, 1]
+            ],
+        }
+        for rows, ring in expected.items():
+            assert self.rings(rows) == [ring]
+            (plume,) = connected_components(np.array(rows, dtype=bool), 1.0, connectivity=8)
+            assert plume.holes == ()
+            assert plume.polygon.tolist() == [[x, -y] for x, y in ring]
+
+    def test_two_holes_touching_diagonally(self):
+        m = np.ones((4, 4), dtype=bool)
+        m[1, 1] = m[2, 2] = False
+        outer, *holes = self.rings(m)
+        assert outer[0] == [0, 0] and len(outer) == 17
+        assert holes == [
+            [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]],
+            [[2, 2], [3, 2], [3, 3], [2, 3], [2, 2]],
+        ]
+        m = np.ones((4, 4), dtype=bool)
+        m[1, 2] = m[2, 1] = False
+        assert self.rings(m)[1:] == [
+            [[1, 2], [2, 2], [2, 3], [1, 3], [1, 2]],
+            [[2, 1], [3, 1], [3, 2], [2, 2], [2, 1]],
+        ]
+
+    def test_rings_are_closed_unit_step_walks_over_every_boundary_edge(self, rng):
+        for trial in range(40):
+            m = rng.random((rng.integers(1, 14), rng.integers(1, 14))) > 0.5
+            rings = _boundary_rings(m)
+            padded = np.pad(m, 1)
+            sides = sum(
+                int((padded[1:-1, 1:-1] & ~np.roll(padded, shift, axis)[1:-1, 1:-1]).sum())
+                for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1))
+            )
+            assert sum(len(r) - 1 for r in rings) == sides
+            for ring in rings:
+                assert ring[0].tolist() == ring[-1].tolist()
+                assert np.all(np.abs(np.diff(ring, axis=0)).sum(axis=1) == 1)
 
 
 class TestSegmentField:

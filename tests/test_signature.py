@@ -40,8 +40,23 @@ class TestTableIO:
     def test_reader_rejects_bad_columns(self, tmp_path):
         path = tmp_path / "tab.txt"
         path.write_text("2000.0 1e-5 7\n")
-        with pytest.raises(DataError, match="two columns"):
+        with pytest.raises(DataError, match="line 1: .*two columns"):
             read_absorption_table(path)
+
+    @pytest.mark.parametrize("bad", ["2100.5 abc", "2100.5 nan", "inf 1e-5", "2100.5 -inf"])
+    def test_reader_rejects_non_numeric_and_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "tab.txt"
+        path.write_text(f"# header\n2100.0 1e-5\n{bad}\n2101.0 2e-5\n")
+        with pytest.raises(DataError) as err:
+            read_absorption_table(path)
+        assert str(path) in str(err.value) and "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("column", ["wavelengths", "kappa"])
+    def test_non_finite_arrays_rejected(self, column):
+        arrays = {"wavelengths": np.array([1.0, 2.0, 3.0]), "kappa": np.ones(3)}
+        arrays[column][2] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            AbsorptionTable(**arrays)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(DataError, match="non-negative"):
