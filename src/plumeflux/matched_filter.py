@@ -156,8 +156,14 @@ def mf_score(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, t: np.ndarray) -> f
 # k-means clustering
 
 
-def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
-    """Deterministic k-means: seeded k-means++ start, Lloyd to a fixpoint."""
+def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.ndarray, int, bool]:
+    """Deterministic k-means: seeded k-means++ start, Lloyd steps to a fixpoint.
+
+    Returns the labels, the number of Lloyd steps taken (at most ``max_iter``)
+    and whether the last one reached a fixpoint. Each step's labels equal a
+    full ``kernels.assign_labels`` pass; ``_BoundedLabels`` only skips the
+    rows whose label provably stays.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
     if k < 1:
@@ -165,7 +171,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
     if n < k:
         raise DomainError(f"cannot form {k} clusters from {n} pixels")
     if k == 1:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64), 0, True
 
     rng = np.random.default_rng(seed)
     centers = np.empty((k, X.shape[1]))
@@ -178,8 +184,9 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
             raise DomainError(f"fewer than {k} distinct spectra; cannot seed k-means")
         centers[m] = X[rng.choice(n, p=d2 / total)]
 
-    labels = kernels.assign_labels(X, centers)
-    for _ in range(max_iter):
+    lloyd = _BoundedLabels(X)
+    labels = lloyd.full(centers)
+    for step in range(1, max_iter + 1):
         sums, counts = kernels.cluster_sums(X, labels, k)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
@@ -189,14 +196,93 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
                 far = int(np.argmax(dist))
                 centers[m] = X[far]
                 dist[far] = -1.0
-            labels = kernels.assign_labels(X, centers)
+            labels = lloyd.full(centers)
             continue
-        centers = sums / counts[:, None]
-        new_labels = kernels.assign_labels(X, centers)
+        old, centers = centers, sums / counts[:, None]
+        new_labels = lloyd.moved(labels, old, centers)
         if np.array_equal(new_labels, labels):
-            break
+            return labels, step, True
         labels = new_labels
-    return labels
+    return labels, max_iter, False
+
+
+_MARGIN = 1e-11  # least relative squared-distance margin of the k-means bounds
+
+
+class _BoundedLabels:
+    """Lloyd label steps that recompute only the rows Hamerly's bounds cannot settle.
+
+    Hamerly (2010), "Making k-means even faster". Each row keeps
+    ``upper`` >= sqrt(d_a^2 + pad), with d_a its distance to its own center a,
+    and ``lower`` <= its distance to every other center. A row with
+    upper <= max(lower, s(a)/2), where s(a) is the distance from a to the
+    nearest other center, has d_j^2 - d_a^2 >= pad for every other center j.
+
+    ``pad`` is a squared-distance margin, ``rel * (|x|^2 + c2)`` with c2 the
+    largest squared center norm at the last full pass. A computed squared
+    distance is off by at most about 2 (p + 3) u (|x|^2 + |c|^2), u the unit
+    roundoff, in any summation order. While no squared center norm exceeds
+    4 c2, ``rel`` keeps pad at least 16 times that, so a skipped row gets the
+    same label from the full pass, and a recomputed row whose top-two gap
+    exceeds pad gets it from any subset of rows. ``grow`` rounds every bound
+    update outward.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.x2 = np.einsum("ij,ij->i", X, X)
+        eps = np.finfo(np.float64).eps
+        self.rel = max(_MARGIN, 64 * (X.shape[1] + 3) * eps)
+        self.grow = 1.0 + 4 * (X.shape[1] + 4) * eps
+
+    @staticmethod
+    def _bounds(d1: np.ndarray, d2: np.ndarray, pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds from computed squared distances to the nearest and second-nearest center."""
+        return np.sqrt(d1 + pad), np.sqrt(np.maximum(d2 - pad, 0.0))
+
+    def full(self, centers: np.ndarray) -> np.ndarray:
+        """Labels of every row from one full pass; resets every bound."""
+        labels, d1, d2 = kernels.assign_labels(self.X, centers)
+        self.c2 = float(np.einsum("kj,kj->k", centers, centers).max())
+        self.pad = self.rel * (self.x2 + self.c2)
+        self.upper, self.lower = self._bounds(d1, d2, self.pad)
+        return labels
+
+    def moved(self, labels: np.ndarray, old: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Labels after the centers moved from ``old``, equal to ``full(centers)``'s."""
+        if np.einsum("kj,kj->k", centers, centers).max() > 4.0 * self.c2:
+            return self.full(centers)
+        grow = self.grow
+        diff = centers - old
+        move = np.sqrt(np.einsum("kj,kj->k", diff, diff)) * grow
+        first, second = np.argsort(move)[:-3:-1]
+        self.upper += move[labels]
+        self.upper *= grow
+        self.lower -= np.where(labels == first, move[second], move[first])
+        self.lower /= grow
+        gaps = centers[:, None, :] - centers[None, :, :]
+        gaps = np.sqrt(np.einsum("ijk,ijk->ij", gaps, gaps))
+        np.fill_diagonal(gaps, np.inf)
+        half = gaps.min(axis=1) / (2.0 * grow)
+        rows = np.flatnonzero(self.upper > np.maximum(self.lower, half[labels]))
+        labels = labels.copy()
+        if rows.size == 0:
+            return labels
+        new, d1, d2 = kernels.assign_labels(self.X, centers, rows)
+        # a subset of rows can round differently from the full pass, which
+        # matters only inside the margin: such rows take the values of a
+        # re-run of their whole chunk of the full pass
+        near = np.flatnonzero(d2 - d1 <= self.pad[rows])
+        step = kernels.label_step(*centers.shape)
+        chunk_of = rows[near] // step
+        for c in np.unique(chunk_of):
+            sel = near[chunk_of == c]
+            at = rows[sel] - c * step
+            chunk = kernels.assign_labels(self.X[c * step : (c + 1) * step], centers)
+            new[sel], d1[sel], d2[sel] = (v[at] for v in chunk)
+        labels[rows] = new
+        self.upper[rows], self.lower[rows] = self._bounds(d1, d2, self.pad[rows])
+        return labels
 
 
 def normalized_features(X: np.ndarray) -> np.ndarray:
@@ -226,7 +312,7 @@ def cluster_pixels(
     X = _window_slab(cube, band_idx)[:, valid.ravel()].T
     if X.shape[0] < k:
         raise DomainError(f"cannot form {k} clusters from {X.shape[0]} valid pixels")
-    labels = kmeans(normalized_features(X), k, seed)
+    labels, _, _ = kmeans(normalized_features(X), k, seed)
     label_map = np.full(valid.shape, -1, dtype=np.int64)
     label_map[valid] = labels
     return label_map
@@ -240,6 +326,7 @@ def cluster_pixels(
 # (n, mean, M2 = sum (x - mean)(x - mean)'), arrays with a leading segment axis.
 
 _CHUNK_BYTES = 16 * 2**20  # window spectra per chunk of the moments pass
+_MERGE_GROUP = 32  # segments per merge in the moments pass
 
 
 def _window_slab(cube: RadianceCube, band_indices: np.ndarray) -> np.ndarray:
@@ -274,7 +361,8 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int) -> tuple:
     """Moments of each segment 0..n_seg-1 over the pixels (columns) of ``Y``; -1 is skipped.
 
     Memory stays bounded by one chunk: one stable argsort groups its pixels by
-    segment, and each block is centred on its own mean and merged into the totals.
+    segment, each block is centred on its own mean, and the blocks are merged
+    into the totals a group of segments at a time.
     """
     p, n_pix = Y.shape
     total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, p, p)))
@@ -286,13 +374,22 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int) -> tuple:
         order = np.argsort(s, kind="stable")
         ids, first, counts = np.unique(s[order], return_index=True, return_counts=True)
         block = np.take(Y[:, start : start + step], order, axis=1)
-        for i, lo, c in zip(ids.tolist(), first.tolist(), counts.tolist()):
-            if i >= 0:
+        keep = ids >= 0
+        ids, first, counts = ids[keep], first[keep], counts[keep]
+        # a segment appears once per chunk, so one merge takes a group of its
+        # segments' blocks; groups keep the stacked moments in cache
+        for g in range(0, ids.size, _MERGE_GROUP):
+            group = slice(g, g + _MERGE_GROUP)
+            n = counts[group].astype(np.float64)
+            means, m2 = np.empty((n.size, p)), np.empty((n.size, p, p))
+            for j, (lo, c) in enumerate(zip(first[group].tolist(), counts[group].tolist())):
                 B = block[:, lo : lo + c]
-                mean = np.add.reduce(B, axis=1) / c
-                B -= mean[:, None]
-                block_moments = (np.array([c], dtype=np.float64), mean[None], (B @ B.T)[None])
-                _merge(tuple(x[i : i + 1] for x in total), block_moments)
+                means[j] = np.add.reduce(B, axis=1) / c
+                B -= means[j][:, None]
+                np.matmul(B, B.T, out=m2[j])
+            merged = _merge(tuple(x[ids[group]] for x in total), (n, means, m2))
+            for x, v in zip(total, merged):
+                x[ids[group]] = v
     return total
 
 
@@ -322,8 +419,8 @@ def _build_partition(
 
     if config.variant == "ctmf":
         feats = normalized_features(Y[:, valid.ravel()].T)
-        labels = kmeans(feats, config.cluster_count, config.seed)
-        flags: list[str] = []
+        labels, _, converged = kmeans(feats, config.cluster_count, config.seed)
+        flags = [] if converged else ["k-means stopped at its max_iter cap before a fixpoint"]
         # merge clusters that cannot support a p-band covariance into the
         # nearest adequately sized cluster (centroid distance)
         while True:

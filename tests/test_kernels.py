@@ -60,17 +60,45 @@ class TestKernelContracts:
             assert np.all(out[seg < 0] == 0.0)
             np.testing.assert_array_equal(out, kernel(Y, seg, *args))
 
-    def test_assign_labels_matches_brute_force(self, workload):
+    def test_pixel_chunks_do_not_change_the_sweep(self, segmented, monkeypatch):
+        Y, seg, mus, qs, denoms, a, c = segmented
+        whole = kernels.mf_scores(Y, seg, mus, qs, denoms), kernels.noise_variance(Y, seg, a, c, qs, denoms)
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", 7)  # 400 pixels: 57 full chunks and one of 1
+        np.testing.assert_array_equal(kernels.mf_scores(Y, seg, mus, qs, denoms), whole[0])
+        np.testing.assert_array_equal(kernels.noise_variance(Y, seg, a, c, qs, denoms), whole[1])
+
+    def test_assign_labels_matches_brute_force(self, workload, rng):
         X, _, _, _, _, _, centers, _, _ = workload
-        d = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(kernels.assign_labels(X, centers), np.argmin(d, axis=1))
+        subset = np.sort(rng.choice(X.shape[0], 50, replace=False))
+        for rows in (None, subset):
+            x = X if rows is None else X[rows]
+            d = ((x[:, None, :] - centers) ** 2).sum(axis=2)
+            labels, d1, d2 = kernels.assign_labels(X, centers, rows)
+            np.testing.assert_array_equal(labels, np.argmin(d, axis=1))
+            d.sort(axis=1)
+            # the rounding bound the k-means margin relies on: (p + 3) eps (|x|^2 + |c|^2)
+            bound = (X.shape[1] + 3) * np.finfo(float).eps * (
+                (x**2).sum(axis=1) + (centers**2).sum(axis=1).max()
+            )
+            assert np.all(np.abs(d1 - d[:, 0]) <= bound)
+            assert np.all(np.abs(d2 - d[:, 1]) <= bound)
+
+    def test_assign_labels_second_distance_counts_ties(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        centers = np.array([[1.0, 1.0], [1.0, -1.0], [5.0, 0.0]])
+        labels, d1, d2 = kernels.assign_labels(X, centers)
+        np.testing.assert_array_equal(labels, [0, 0, 2])
+        np.testing.assert_array_equal(d1, [2.0, 1.0, 4.0])
+        np.testing.assert_array_equal(d2, [2.0, 1.0, 5.0])
+        _, _, only = kernels.assign_labels(X, centers[:1])
+        assert np.all(only == np.inf)
 
     def test_cluster_sums_matches_bincount(self, workload):
         X, *_, labels, k = workload
         sums, counts = kernels.cluster_sums(X, labels, k)
         np.testing.assert_array_equal(counts, np.bincount(labels, minlength=k))
-        for m in range(k):
-            np.testing.assert_allclose(sums[m], X[labels == m].sum(axis=0), rtol=1e-13)
+        expected = np.stack([np.bincount(labels, weights=x, minlength=k) for x in X.T], axis=1)
+        assert sums.tobytes() == expected.tobytes()
 
     def test_min_sqdist_update(self, workload):
         X, _, _, _, _, _, centers, _, _ = workload

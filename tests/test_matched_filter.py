@@ -89,14 +89,138 @@ class TestEstimateStats:
             estimate_stats(np.ones((1, 3)))
 
 
+def plain_lloyd(X, k, seed, max_iter=100):
+    """Reference k-means: the same seeding, then Lloyd steps that reassign every row.
+
+    Returns (labels, steps, converged, number of steps that moved an empty center).
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for m in range(1, k):
+        diff = X - centers[m - 1]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+        centers[m] = X[rng.choice(n, p=d2 / d2.sum())]
+    labels = kernels.assign_labels(X, centers)[0]
+    emptied = 0
+    for step in range(1, max_iter + 1):
+        sums = np.stack([np.bincount(labels, weights=x, minlength=k) for x in X.T], axis=1)
+        counts = np.bincount(labels, minlength=k)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            emptied += 1
+            dist = np.einsum("ij,ij->i", X - centers[labels], X - centers[labels])
+            for m in empty:
+                far = int(np.argmax(dist))
+                centers[m] = X[far]
+                dist[far] = -1.0
+            labels = kernels.assign_labels(X, centers)[0]
+            continue
+        centers = sums / counts[:, None]
+        new_labels = kernels.assign_labels(X, centers)[0]
+        if np.array_equal(new_labels, labels):
+            return labels, step, True, emptied
+        labels = new_labels
+    return labels, max_iter, False, emptied
+
+
+def blobs(rng, n, p, k):
+    centers = rng.uniform(0.0, 10.0, size=(k, p))
+    return centers[rng.integers(0, k, size=n)] + rng.standard_normal((n, p))
+
+
+class TestKmeansMatchesPlainLloyd:
+    """Bounded k-means gives the labels, step count and convergence of plain Lloyd."""
+
+    @staticmethod
+    def check(X, k, seed, max_iter=100):
+        labels, steps, converged = kmeans(X, k, seed, max_iter=max_iter)
+        ref_labels, ref_steps, ref_converged, emptied = plain_lloyd(X, k, seed, max_iter)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert (steps, converged) == (ref_steps, ref_converged)
+        return emptied
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_blobs(self, k):
+        X = blobs(np.random.default_rng(100 + k), 1500, 6, k)
+        self.check(X, k, seed=k)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Rows of each assign_labels call over whole rows: ("full", n) or ("chunk", rows) for a re-run."""
+        seen, first = [], []
+        assign = kernels.assign_labels
+
+        def recording(X, centers, rows=None):
+            first.append(X)
+            if rows is None:
+                seen.append(("full" if X is first[0] else "chunk", X.shape[0]))
+            return assign(X, centers, rows)
+
+        monkeypatch.setattr(kernels, "assign_labels", recording)
+        return seen
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_exact_ties_on_symmetric_points(self, k, grid):
+        # integer points, mirror-symmetric: many rows lie exactly halfway
+        # between two centers
+        g = np.arange(-6.0, 7.0) if grid == 1 else np.arange(-3.0, 4.0)
+        X = np.stack(np.meshgrid(*[g] * grid), axis=-1).reshape(-1, grid)
+        for seed in range(4):
+            self.check(X, k, seed)
+
+    def test_exact_ties_take_the_full_chunk_label(self, passes):
+        X = np.arange(-6.0, 7.0)[:, None]
+        self.check(X, 4, seed=0)
+        assert ("chunk", 13) in passes and set(passes) == {("full", 13), ("chunk", 13)}
+
+    def test_duplicate_points(self, rng):
+        X = np.repeat(blobs(rng, 40, 3, 4), 5, axis=0)
+        rng.shuffle(X)
+        self.check(X, 4, seed=3)
+
+    def test_empty_cluster_rule(self):
+        X = np.array([-2.5939996354485495, -4.865790190975382, -2.089178026314915,
+                      0.834278274770828, 0.3074876332250506, -11.49807768747803,
+                      -2.370933443626862, -3.052909875050551])[:, None]
+        assert self.check(X, 4, seed=49829) >= 1
+
+    def test_iteration_cap(self, rng):
+        X = blobs(rng, 800, 4, 6)
+        self.check(X, 6, seed=1, max_iter=2)
+        assert kmeans(X, 6, seed=1, max_iter=2)[1:] == (2, False)
+
+    def test_near_tie_fallback_reruns_whole_chunks(self, rng, monkeypatch, passes):
+        # a wide margin puts many recomputed rows inside it, and small chunks
+        # make each fallback re-run one chunk of many
+        monkeypatch.setattr(matched_filter, "_MARGIN", 0.05)
+        monkeypatch.setattr(kernels, "label_step", lambda k, p: 7)
+        self.check(blobs(rng, 700, 5, 5), 5, seed=2)
+        assert passes.count(("chunk", 7)) > 10 and set(passes) == {("full", 700), ("chunk", 7)}
+
+    def test_growing_center_norms_force_a_full_pass(self, passes):
+        # centers that start near the origin and move out grow past the norm
+        # the margin was sized for, so the bounds are rebuilt by a full pass
+        rng = np.random.default_rng(23)
+        X = np.concatenate([0.3 * rng.standard_normal((24, 2)), 3.0 + rng.standard_normal((3, 2))])
+        kmeans(X, 2, seed=0)
+        assert passes == [("full", 27)] * 2
+        assert self.check(X, 2, seed=0) == 0  # no empty cluster, so no other full pass
+
+
 class TestKmeans:
     def test_k1_labels_everything_zero(self, rng):
         X = rng.random((40, 3))
-        assert np.all(kmeans(X, 1, seed=0) == 0)
+        labels, steps, converged = kmeans(X, 1, seed=0)
+        assert np.all(labels == 0) and (steps, converged) == (0, True)
 
     def test_two_blob_partition_matches_sse_oracle(self):
         X = np.array([[0.0], [0.0], [0.0], [10.0], [10.0], [10.0]])
-        labels = kmeans(X, 2, seed=42)
+        labels = kmeans(X, 2, seed=42)[0]
 
         def sse(assignment):
             total = 0.0
@@ -117,15 +241,15 @@ class TestKmeans:
 
     def test_same_seed_identical(self, rng):
         X = rng.random((60, 4))
-        l1 = kmeans(X.copy(), 3, seed=9)
-        l2 = kmeans(X.copy(), 3, seed=9)
+        l1 = kmeans(X.copy(), 3, seed=9)[0]
+        l2 = kmeans(X.copy(), 3, seed=9)[0]
         np.testing.assert_array_equal(l1, l2)
 
     def test_different_seed_preserves_two_blob_partition(self):
         X = np.array([[0.0], [0.0], [0.0], [10.0], [10.0], [10.0]])
         partitions = set()
         for seed in range(5):
-            labels = kmeans(X, 2, seed=seed)
+            labels = kmeans(X, 2, seed=seed)[0]
             partitions.add(tuple(labels == labels[0]))
         assert partitions == {(True, True, True, False, False, False)}
 
@@ -148,6 +272,19 @@ class TestKmeans:
         assert len(np.unique(labels[:, :3])) == 1
         assert len(np.unique(labels[:, 3:])) == 1
         assert labels[0, 0] != labels[0, 5]
+
+    def test_ctmf_flags_a_stop_at_the_iteration_cap(self, rng, monkeypatch):
+        cube = random_cube(rng, n_bands=5, lines=12, samples=10)
+        absorption = make_absorption(5, rng=rng)
+        config = MfConfig(variant="ctmf", cluster_count=3, contamination_iterations=0)
+        cap = "segment 0: k-means stopped at its max_iter cap before a fixpoint"
+        assert cap not in apply_mf(cube, absorption, config).provenance
+        run = matched_filter.kmeans
+        monkeypatch.setattr(matched_filter, "kmeans", lambda X, k, seed: run(X, k, seed, max_iter=1))
+        provenance = retrieve(cube, absorption, config)[0].provenance
+        assert cap in provenance
+        # benchmark counters count these words in the provenance
+        assert "pooled" not in provenance and "decontamination skipped" not in provenance
 
     def test_cluster_pixels_fewer_pixels_than_k(self):
         cube = make_cube(np.random.default_rng(0).random((3, 1, 2)) + 1)
@@ -622,6 +759,20 @@ class TestMomentsEngine:
         close(stats_c.cov, stats.cov, 1e-12)
         close(field_c.delta_x, field.delta_x, 1e-12)
         close(field_c.sigma_noise, field.sigma_noise, 1e-12)
+
+    def test_merge_groups_do_not_change_the_moments(self, rng, monkeypatch):
+        # each segment's blocks merge in chunk order whatever the group size,
+        # and the merge is elementwise, so the moments are bit-identical
+        Y = 50.0 + rng.standard_normal((6, 3000))
+        seg = rng.integers(-1, 70, size=3000)
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 400 * 6 * 8)
+        moments = []
+        for group in (1, 3, 32, 100):
+            monkeypatch.setattr(matched_filter, "_MERGE_GROUP", group)
+            moments.append(_segment_moments(Y, seg, 70))
+        for other in moments[1:]:
+            for a, b in zip(moments[0], other):
+                np.testing.assert_array_equal(a, b)
 
     def test_large_offset_small_spread(self, rng, monkeypatch):
         monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 97 * 8 * 6)
