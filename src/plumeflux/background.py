@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage
 
+from . import kernels
 from .errors import DomainError
 from .matched_filter import normalized_features
 from .scene_io import EnhancementField, RadianceCube
@@ -91,7 +92,7 @@ def match_background(
         n_select = max(500, 5 * int(plume_mask.sum()))
 
     bands = continuum_bands(absorption)
-    spectra = cube.data[bands]  # (nb, lines, samples)
+    pixels = cube.data.reshape(cube.data.shape[0], -1).T  # (pixels, bands) view
     valid = ~cube.nodata_mask
 
     r = radius_to_pixels(buffer_m, cube.gsd)
@@ -100,21 +101,23 @@ def match_background(
     if not np.any(candidates):
         raise DomainError("no candidate background pixels outside the plume buffer")
 
-    reference = normalized_features(spectra[:, plume_mask & valid].mean(axis=1))
-    cand_lines, cand_samples = np.nonzero(candidates)
-    cand_spectra = normalized_features(spectra[:, cand_lines, cand_samples].T)
-    angles = spectral_angle(cand_spectra, reference)
+    # each gather is C-order (pixels, bands) and widened to float64 before any
+    # arithmetic; a row's angle does not depend on the chunk it is scored in
+    reference = pixels[np.ix_((plume_mask & valid).ravel(), bands)].astype(np.float64)
+    reference = normalized_features(reference.mean(axis=0))
+    cand, step = np.flatnonzero(candidates), kernels._PIXEL_CHUNK
+    angles = np.empty(cand.size)
+    for lo in range(0, cand.size, step):
+        rows = pixels[np.ix_(cand[lo : lo + step], bands)].astype(np.float64, copy=False)
+        angles[lo : lo + step] = spectral_angle(normalized_features(rows), reference)
 
-    order = np.lexsort((cand_samples, cand_lines, angles))
-    take = order[: min(n_select, order.size)]
-    indices = np.column_stack([cand_lines[take], cand_samples[take]])
-    selection = BackgroundSelection(
-        pixel_indices=indices,
+    take = np.lexsort((cand, angles))[:n_select]  # flat indices sort in (line, sample) order
+    return BackgroundSelection(
+        pixel_indices=np.column_stack(np.divmod(cand[take], plume_mask.shape[1])),
         similarity_scores=angles[take],
         continuum_band_indices=bands,
         insufficient=bool(take.size < n_select or take.size < min_sample),
     )
-    return selection
 
 
 def clutter_sigma(field: EnhancementField, selection: BackgroundSelection) -> float:

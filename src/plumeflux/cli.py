@@ -94,8 +94,8 @@ def cmd_retrieve(args) -> int:
     if cfg.input.cube is None:
         raise ConfigError("retrieve requires input.cube (level-1 radiance)")
     out = _out_dir(cfg, args)
-    cube = read_cube(cfg.input.cube)
     mf = cfg.mf[0]
+    cube = read_cube(cfg.input.cube, mf.window)
     absorption = band_absorption(_load_table(cfg), cube.descriptor, mf.window)
     field, _ = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)
     write_layers(out, field)

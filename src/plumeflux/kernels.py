@@ -112,8 +112,9 @@ def cluster_sums(X, labels, k):
 
 def min_sqdist_update(X, center, d2):
     """In-place d2 = min(d2, ||x - center||^2) per row; used by k-means++."""
-    diff = X - center
-    np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    for lo in range(0, X.shape[0], 4096):  # rows per chunk; bounds the difference array
+        diff = X[lo : lo + 4096] - center
+        np.minimum(d2[lo : lo + 4096], np.einsum("ij,ij->i", diff, diff), out=d2[lo : lo + 4096])
     return d2
 
 

@@ -20,7 +20,7 @@ from . import kernels
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .scene_io import EnhancementField, RadianceCube
 from .segmentation import SegmentationParams, robust_threshold
-from .signature import BandAbsorption, target_spectrum
+from .signature import BandAbsorption, target_spectrum, window_band_indices
 
 VARIANTS = ("cmf", "ctmf", "cwcmf")
 
@@ -125,7 +125,7 @@ def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[flo
     trace_p = np.trace(cov, axis1=1, axis2=2) / cov.shape[-1]
     floor = 1e-8 * (trace_p + 1.0) if delta_min is None else float(delta_min)
     cov *= 1.0 - gamma
-    cov += np.maximum(gamma * trace_p, floor)[:, None, None] * np.eye(cov.shape[-1])
+    np.einsum("kii->ki", cov)[...] += np.maximum(gamma * trace_p, floor)[:, None]  # diagonals
     return cov
 
 
@@ -297,25 +297,18 @@ def normalized_features(X: np.ndarray) -> np.ndarray:
 
 
 def cluster_pixels(
-    cube: RadianceCube,
-    k: int,
-    seed: int,
-    window: tuple[float, float] = MfConfig.window,
+    cube: RadianceCube, k: int, seed: int, window: tuple[float, float] = MfConfig.window
 ) -> np.ndarray:
-    """K-means label map over valid pixels (-1 at nodata)."""
-    from .signature import window_band_indices
+    """The ``ctmf`` partition: k-means label map over valid pixels (-1 at nodata).
 
+    As in ``ctmf``, a cluster too small for a covariance over the window
+    bands is pooled into its nearest cluster, and labels are then compacted.
+    """
     band_idx = window_band_indices(cube.descriptor, window)
     if band_idx.size == 0:
         raise DataError(f"no bands inside window {window}")
-    valid = ~cube.nodata_mask
-    X = _window_slab(cube, band_idx)[:, valid.ravel()].T
-    if X.shape[0] < k:
-        raise DomainError(f"cannot form {k} clusters from {X.shape[0]} valid pixels")
-    labels, _, _ = kmeans(normalized_features(X), k, seed)
-    label_map = np.full(valid.shape, -1, dtype=np.int64)
-    label_map[valid] = labels
-    return label_map
+    config = MfConfig(variant="ctmf", cluster_count=k, seed=seed, window=window)
+    return _build_partition(cube, config, _window_slab(cube, band_idx))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +345,10 @@ def _merge(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
     na += nb
     n = np.maximum(na, 1.0)  # 0 only where both are empty
     ma += d * (nb / n)[:, None]
-    m2a += sign * m2b
-    m2a += np.einsum("ki,kj->kij", d * (coef / n)[:, None], d)
+    (np.add if sign > 0 else np.subtract)(m2a, m2b, out=m2a)
+    for g in range(0, d.shape[0], _MERGE_GROUP):  # bounds the outer-product temporary
+        w = d[g : g + _MERGE_GROUP] * (coef / n)[g : g + _MERGE_GROUP, None]
+        m2a[g : g + _MERGE_GROUP] += np.einsum("ki,kj->kij", w, d[g : g + _MERGE_GROUP])
     return a
 
 
@@ -373,7 +368,7 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int) -> tuple:
         s = seg[start : start + step]
         order = np.argsort(s, kind="stable")
         ids, first, counts = np.unique(s[order], return_index=True, return_counts=True)
-        block = np.take(Y[:, start : start + step], order, axis=1)
+        block = np.take(Y[:, start : start + step], order, axis=1).astype(np.float64, copy=False)
         keep = ids >= 0
         ids, first, counts = ids[keep], first[keep], counts[keep]
         # a segment appears once per chunk, so one merge takes a group of its
@@ -418,7 +413,7 @@ def _build_partition(
         return np.where(valid, 0, -1).astype(np.int64), [range(1)], [[]]
 
     if config.variant == "ctmf":
-        feats = normalized_features(Y[:, valid.ravel()].T)
+        feats = normalized_features(Y[:, valid.ravel()].astype(np.float64).T)
         labels, _, converged = kmeans(feats, config.cluster_count, config.seed)
         flags = [] if converged else ["k-means stopped at its max_iter cap before a fixpoint"]
         # merge clusters that cannot support a p-band covariance into the

@@ -240,11 +240,12 @@ def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
 
 
 def _run_inputs(
-    cfg: RunConfig, output_dir: Optional[Path]
+    cfg: RunConfig, output_dir: Optional[Path], mfs: tuple[MfConfig, ...]
 ) -> tuple[Path, Optional[RadianceCube], Optional[AbsorptionTable]]:
     """Output directory, level-1 cube (None for level-2 input) and absorption table."""
     out_dir = resolve_output_dir(cfg, output_dir)
-    cube = read_cube(cfg.input.cube) if cfg.input.cube else None
+    window = (min(m.window[0] for m in mfs), max(m.window[1] for m in mfs))  # spans every window
+    cube = read_cube(cfg.input.cube, window) if cfg.input.cube else None
     if cube is None and cfg.input.enhancement is None:
         raise ConfigError("input: set one of 'cube' or 'enhancement'")
     table = _load_table(cfg) if cube is not None else None
@@ -253,7 +254,7 @@ def _run_inputs(
 
 def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     """Single-configuration end-to-end run; writes rasters and report.json."""
-    out_dir, cube, table = _run_inputs(cfg, output_dir)
+    out_dir, cube, table = _run_inputs(cfg, output_dir, cfg.mf[:1])
     stage = run_stage(cfg, cfg.mf[0], out_dir, cube, table)
     report = dict(stage.report)
     report["config"] = config_echo(cfg)
@@ -321,7 +322,7 @@ def run_multi(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     """Run every configured matched filter and report flux spreads per plume."""
     if len(cfg.mf) < 2:
         raise ConfigError("multi-configuration runs need at least 2 entries under 'mf'")
-    out_dir, cube, table = _run_inputs(cfg, output_dir)
+    out_dir, cube, table = _run_inputs(cfg, output_dir, cfg.mf)
 
     results: list[StageResult] = []
     sub_reports = []

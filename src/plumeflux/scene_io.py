@@ -3,9 +3,12 @@
 The canonical on-disk format is a UTF-8 text header (``key = value`` lines,
 list values comma-separated) next to a raw band-sequential little-endian
 float32 payload: ``name`` is stored as ``name.hdr`` + ``name.bin``. A
-single-band raster is a one-band cube. A pixel is nodata when every band
+single-band raster is a one-band cube. A pixel is nodata when every band read
 holds the sentinel -9999.0; in memory it is zeroed and flagged in the boolean
-``nodata_mask``, so arrays never carry the sentinel.
+``nodata_mask``, so arrays never carry the sentinel. ``read_cube`` keeps
+radiance float32 and, given a wavelength window, reads only that contiguous
+run of bands; consumers widen each pixel chunk to float64 (exactly) before
+any arithmetic. Rasters are read as float64.
 
 The containers hold their arrays read-only. An array of the right dtype
 that is already read-only and owns its memory is taken over as is, so its
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Optional, Union
 
@@ -103,7 +107,8 @@ class RadianceCube:
     """Calibrated at-sensor radiance, stored band-major: data[band, line, sample].
 
     ``data`` and ``nodata_mask`` are held read-only under the module's copy
-    rule: ``read_cube`` hands over arrays nobody else references.
+    rule: ``read_cube`` hands over arrays nobody else references. Float32
+    data stays float32; any other dtype becomes float64.
     """
 
     descriptor: SensorDescriptor
@@ -112,7 +117,8 @@ class RadianceCube:
     nodata_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        data = _frozen(self.data, np.float64)
+        dtype = np.float32 if np.asarray(self.data).dtype == np.float32 else np.float64
+        data = _frozen(self.data, dtype)
         if data.ndim != 3:
             raise DataError("cube data must be 3-D (bands, lines, samples)")
         bands, lines, samples = data.shape
@@ -123,7 +129,7 @@ class RadianceCube:
         if bands < 2 or lines < 1 or samples < 1:
             raise DataError("cube must have at least 2 bands and 1x1 pixels")
         mask = _frozen(self.nodata_mask, bool, (lines, samples), "nodata_mask")
-        if not np.all(np.isfinite(data).all(axis=0) | mask):
+        if not np.all(reduce(np.logical_and, map(np.isfinite, data)) | mask):
             raise DataError("cube contains non-finite radiance outside nodata_mask")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nodata_mask", mask)
@@ -223,11 +229,12 @@ def _numbers(text: str) -> np.ndarray:
     return np.array([_number(v) for v in text.split(",") if v.strip() != ""])
 
 
+_BAND_LISTS = ("wavelengths_nm", "fwhm_nm", "noise_a", "noise_c")
 # the numeric header keys and how each is converted; any other key stays text
 _HEADER_NUMBERS = {
     **dict.fromkeys(("samples", "lines", "bands"), int),
     **dict.fromkeys(("gsd_m", "origin_e_m", "origin_n_m"), _number),
-    **dict.fromkeys(("wavelengths_nm", "fwhm_nm", "noise_a", "noise_c"), _numbers),
+    **dict.fromkeys(_BAND_LISTS, _numbers),
 }
 _FORMAT = {"data_type": "float32", "interleave": "bsq", "byte_order": "lsb"}
 
@@ -244,15 +251,17 @@ def dataset_paths(path: Union[str, Path]) -> tuple[Path, Path]:
 
 
 def _read_bsq(
-    path: Union[str, Path], required: tuple[str, ...], bands: Optional[int] = None
+    path: Union[str, Path], required: tuple[str, ...], bands: Optional[int] = None, window=None
 ) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Header entries, float64 (bands, lines, samples) data and nodata mask of a dataset.
+    """Header entries, float32 (bands, lines, samples) data and nodata mask of a dataset.
 
-    Numeric header values come back converted (``_HEADER_NUMBERS``). A pixel
-    is nodata when every band holds the sentinel; it is zeroed in the data.
+    Numeric header values come back converted (``_HEADER_NUMBERS``). With
+    ``window`` (low, high) nm, only the run of bands whose ``wavelengths_nm``
+    fall inside it is read, and the per-band lists are cut to it. A pixel is
+    nodata when every band read holds the sentinel; it is zeroed in the data.
     With ``bands`` given, any other band count is rejected before the payload
-    is read, and a one-band read comes back 2-D (lines, samples). Both arrays
-    are read-only and own their memory, so a container takes them over as is.
+    is read, and a one-band read comes back float64 and 2-D (lines, samples).
+    Both arrays are read-only and own their memory: a container keeps them.
     """
     hdr_path, bin_path = dataset_paths(path)
     if not hdr_path.exists():
@@ -283,18 +292,30 @@ def _read_bsq(
         raise DataError(f"bands, lines and samples must be positive in {hdr_path}, got {shape}")
     if bands is not None and shape[0] != bands:
         raise DataError(f"expected {bands} band(s), got {shape[0]} in {hdr_path}")
+    lists = [key for key in _BAND_LISTS if key in entries]
+    if any(entries[key].size != shape[0] for key in lists):
+        raise DataError(f"every per-band list must hold {shape[0]} values in {hdr_path}")
+    first, count = 0, shape[0]
+    if window is not None:
+        centers = entries["wavelengths_nm"]
+        inside = np.flatnonzero((centers >= window[0]) & (centers <= window[1]))
+        if inside.size == 0:
+            raise DataError(f"no bands inside window {tuple(window)} nm in {hdr_path}")
+        first, count = int(inside[0]), int(inside[-1] - inside[0]) + 1
+        entries.update((key, entries[key][first : first + count]) for key in lists)
 
     if not bin_path.exists():
         raise DataError(f"payload file not found: {bin_path}")
-    raw = bin_path.read_bytes()
-    expected = 4 * math.prod(shape)
-    if len(raw) != expected:
-        raise DataError(f"payload {bin_path} has {len(raw)} bytes, expected {expected}")
+    size, expected = bin_path.stat().st_size, 4 * math.prod(shape)
+    if size != expected:
+        raise DataError(f"payload {bin_path} has {size} bytes, expected {expected}")
+    plane = shape[1] * shape[2]
+    data = np.fromfile(bin_path, "<f4", count * plane, offset=4 * first * plane)
+    data.shape = (count, *shape[1:])  # in place: a reshaped view would not own its memory
+    nodata = reduce(np.logical_and, (band == NODATA for band in data))
+    data[:, nodata] = 0.0
     if bands == 1:
-        shape = shape[1:]
-    data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-    nodata = np.all((data == NODATA).reshape(-1, *shape[-2:]), axis=0)
-    data[..., nodata] = 0.0
+        data = data[0].astype(np.float64)
     data.flags.writeable = nodata.flags.writeable = False
     return entries, data, nodata
 
@@ -339,9 +360,13 @@ def _origin(entries: dict) -> tuple[float, float]:
     return entries.get("origin_e_m", 0.0), entries.get("origin_n_m", 0.0)
 
 
-def read_cube(path: Union[str, Path]) -> RadianceCube:
-    """Read a radiance cube from the canonical header + BSQ payload pair."""
-    entries, data, nodata = _read_bsq(path, ("wavelengths_nm", "fwhm_nm", "gsd_m"))
+def read_cube(path: Union[str, Path], window: Optional[tuple] = None) -> RadianceCube:
+    """Read a float32 radiance cube from the canonical header + BSQ payload pair.
+
+    With ``window`` (low, high) nm, only the bands whose centres fall inside
+    it are read, and the descriptor lists only those (none is a ``DataError``).
+    """
+    entries, data, nodata = _read_bsq(path, ("wavelengths_nm", "fwhm_nm", "gsd_m"), window=window)
     try:
         descriptor = SensorDescriptor(
             sensor_id=entries.get("sensor_id", ""),

@@ -61,15 +61,11 @@ class PlumeMask:
 
     def shoelace_area_m2(self) -> float:
         """Signed shoelace area over outer ring minus holes (in m^2)."""
-        total = _ring_area(self.polygon)
-        for ring in self.holes:
-            total += _ring_area(ring)
-        return total
+        return sum(map(_ring_area, self.holes), _ring_area(self.polygon))
 
 
 def _ring_area(ring: np.ndarray) -> float:
-    x = ring[:, 0]
-    y = ring[:, 1]
+    x, y = ring[:, 0], ring[:, 1]
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
@@ -200,20 +196,19 @@ def trace_polygon(
     rings = _boundary_rings(mask)
     if not rings:
         raise DomainError("cannot trace the boundary of an empty mask")
-    metric = []
-    signed = []
-    for ring in rings:
-        pts = np.empty((ring.shape[0], 2))
-        pts[:, 0] = origin[0] + (ring[:, 0] + start[1]) * gsd
-        pts[:, 1] = origin[1] - (ring[:, 1] + start[0]) * gsd
-        metric.append(pts)
-        signed.append(_ring_area(pts))
-    total_px = sum(signed) / (gsd * gsd)
-    if round(total_px) != int(mask.sum()):
+    grid = np.concatenate(rings)
+    ends = np.cumsum([ring.shape[0] for ring in rings])
+    # twice each ring's signed pixel area, exact in integers; lines grow
+    # southward, so counterclockwise in metres is clockwise on the grid
+    x, y = grid[:, 0], grid[:, 1]
+    cross = np.concatenate([[0], np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1])])
+    twice = cross[np.concatenate([[0], ends[:-1]])] - cross[ends - 1]
+    if twice.sum() != 2 * int(mask.sum()):
         raise NumericalError("boundary tracing area mismatch (bug signal)")
-    outer_idx = int(np.argmax(signed))
-    holes = tuple(metric[i] for i in range(len(metric)) if i != outer_idx)
-    return metric[outer_idx], holes
+    pts = np.column_stack([origin[0] + (x + start[1]) * gsd, origin[1] - (y + start[0]) * gsd])
+    metric = np.split(pts, ends[:-1])
+    outer_idx = int(np.argmax(twice))
+    return metric[outer_idx], tuple(m for i, m in enumerate(metric) if i != outer_idx)
 
 
 def connected_components(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plumeflux import kernels
 from plumeflux.background import (
     clutter_sigma,
     continuum_bands,
@@ -9,7 +10,8 @@ from plumeflux.background import (
     total_sigma,
 )
 from plumeflux.errors import DomainError
-from plumeflux.scene_io import EnhancementField
+from plumeflux.matched_filter import normalized_features
+from plumeflux.scene_io import EnhancementField, RadianceCube
 from plumeflux.signature import BandAbsorption
 
 from conftest import make_cube
@@ -218,3 +220,72 @@ class TestTotalSigmaEqualityCases:
             field_from(np.zeros((5, 5)), sigma_noise=noise, sigma_clutter=1.0)
         )
         assert np.all(with_clutter.sigma_total > noise)
+
+
+def scored_scene(rng, n_bands=40, lines=30, samples=40, dtype=np.float32):
+    """Random ``dtype``-grid scene with nodata pixels, a plume blob and mixed continuum bands."""
+    data = (rng.random((n_bands, lines, samples)) * 10 + 1).astype(dtype)
+    nodata = rng.random((lines, samples)) < 0.05
+    cube = make_cube(data.astype(np.float64), n_bands=n_bands, nodata_mask=nodata)
+    k = np.where(np.arange(n_bands) % 3 == 0, 1e-5, 1e-8)  # every third band absorbs
+    mask = np.zeros((lines, samples), dtype=bool)
+    mask[10:14, 15:21] = True
+    return cube, make_absorption(n_bands, k), mask
+
+
+def selection_bytes(sel):
+    return sel.pixel_indices.tobytes(), sel.similarity_scores.tobytes(), sel.insufficient
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_whole_scene_formula(self, rng, dtype):
+        # float32-grid sums are exact in any order; float64 data shows the summation order
+        cube, absorption, mask = scored_scene(rng, dtype=dtype)
+        sel = match_background(cube, absorption, mask, n_select=300, buffer_m=30.0)
+        # the unchunked formula, on a copy of every continuum band
+        bands = continuum_bands(absorption)
+        spectra = cube.data[bands]
+        valid = ~cube.nodata_mask
+        excluded = np.zeros_like(mask)
+        for dy, dx in [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]:
+            excluded |= np.roll(np.roll(mask, dy, axis=0), dx, axis=1)
+        lines, samples = np.nonzero(valid & ~excluded)
+        reference = normalized_features(spectra[:, mask & valid].mean(axis=1))
+        angles = spectral_angle(normalized_features(spectra[:, lines, samples].T), reference)
+        take = np.lexsort((samples, lines, angles))[:300]
+        assert np.array_equal(sel.pixel_indices, np.column_stack([lines[take], samples[take]]))
+        assert sel.similarity_scores.tobytes() == angles[take].tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 13, 10**6])
+    def test_selection_does_not_depend_on_chunk_size(self, rng, monkeypatch, chunk):
+        cube, absorption, mask = scored_scene(rng)
+        expected = selection_bytes(match_background(cube, absorption, mask, n_select=300))
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", chunk)
+        assert selection_bytes(match_background(cube, absorption, mask, n_select=300)) == expected
+        # a float32 cube of the same values selects the same pixels
+        data32 = cube.data.astype(np.float32)
+        cube32 = RadianceCube(cube.descriptor, data32, nodata_mask=cube.nodata_mask)
+        assert selection_bytes(match_background(cube32, absorption, mask, n_select=300)) == expected
+
+    def test_peak_memory_is_a_few_chunks(self, rng, monkeypatch):
+        import tracemalloc
+
+        chunk, n_bands, lines, samples = 2048, 60, 160, 256
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", chunk)
+        data = (rng.random((n_bands, lines, samples)) + 1).astype(np.float32)
+        desc = make_cube(np.ones((n_bands, 1, 1)), n_bands=n_bands).descriptor
+        cube = RadianceCube(desc, data)
+        absorption = make_absorption(n_bands, np.full(n_bands, 1e-9))  # all continuum
+        mask = np.zeros((lines, samples), dtype=bool)
+        mask[70:90, 100:130] = True
+        tracemalloc.start()
+        try:
+            sel = match_background(cube, absorption, mask, n_select=500, buffer_m=30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.count == 500
+        chunk_bytes = chunk * n_bands * 8  # one widened chunk of candidate spectra
+        # a float64 copy of the continuum bands alone would be 20 chunks
+        assert peak <= 8 * chunk_bytes < data.nbytes

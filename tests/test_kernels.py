@@ -107,6 +107,16 @@ class TestKernelContracts:
         expected = np.minimum(11.0, ((X - centers[0]) ** 2).sum(axis=1))
         np.testing.assert_allclose(d2, expected, rtol=1e-13)
 
+    def test_min_sqdist_update_chunks_match_one_pass(self, rng):
+        X = rng.random((10_000, 72)) * 20  # three chunks, the last one short
+        center = rng.random(72) * 20
+        d2 = np.full(X.shape[0], np.inf)
+        d2[::3] = 0.5
+        diff = X - center
+        expected = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        kernels.min_sqdist_update(X, center, d2)
+        assert d2.tobytes() == expected.tobytes()
+
 
 class TestBackendSelection:
     def test_active_backend_name(self):

@@ -21,6 +21,7 @@ from plumeflux.matched_filter import (
     propagate_noise,
     retrieve,
 )
+from plumeflux.scene_io import read_cube, write_cube
 from plumeflux.segmentation import robust_threshold
 from plumeflux.signature import BandAbsorption, band_absorption, load_bundled_table
 
@@ -794,3 +795,42 @@ class TestMomentsEngine:
         assert n[0] == keep.size
         np.testing.assert_allclose(mean[0], X[keep].mean(axis=0), rtol=1e-14)
         np.testing.assert_allclose(m2[0] / n[0], two_pass(X[keep]), rtol=1e-8)
+
+
+class TestFloat32Slab:
+    @pytest.mark.parametrize("iterations", [0, 2])
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf", "cwcmf"])
+    def test_cube_read_from_disk_retrieves_bit_identically(
+        self, tmp_path, monkeypatch, variant, iterations
+    ):
+        # small chunks, so every chunked loop widens several float32 blocks
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 97 * 8 * 8)
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", 37)
+        rng = np.random.default_rng(90 + iterations)
+        cube = engine_cube(rng, nodata=True)
+        grid = cube.data.astype(np.float32).astype(np.float64)
+        on_grid = make_cube(grid, descriptor=cube.descriptor, nodata_mask=cube.nodata_mask)
+        write_cube(on_grid, tmp_path / "c")
+        disk = read_cube(tmp_path / "c")
+        assert disk.data.dtype == np.float32 and on_grid.data.dtype == np.float64
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=iterations)
+        features, run = [], matched_filter.kmeans
+
+        def kmeans(X, k, seed):
+            features.append(X.tobytes())
+            return run(X, k, seed)
+
+        monkeypatch.setattr(matched_filter, "kmeans", kmeans)
+        (field64, stats64), (field32, stats32) = (
+            retrieve(c, absorption, config) for c in (on_grid, disk)
+        )
+        assert len(features) == (2 if variant == "ctmf" else 0) and len(set(features)) <= 1
+        for name in ("delta_x", "sigma_noise"):
+            assert getattr(field32, name).tobytes() == getattr(field64, name).tobytes()
+        for name in ("segment_map", "mu", "cov", "q", "denom", "counts"):
+            assert getattr(stats32, name).tobytes() == getattr(stats64, name).tobytes()
+        assert field32.provenance == field64.provenance
+        if variant == "ctmf":
+            labels = (cluster_pixels(c, 3, seed=0, window=WINDOW) for c in (on_grid, disk))
+            assert np.array_equal(*labels)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -260,6 +261,67 @@ class TestPipelineLevel1:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["plume_count"] == 0
         assert report["plumes"] == []
+
+
+class TestWindowOnlyRead:
+    def wide_and_narrow(self, tmp_path):
+        """A 2040-2560 nm scene, and the same scene cut to its 2100-2450 nm bands."""
+        spec = pf.SyntheticPlumeSpec(
+            center=(32, 32), peak_delta_x=900.0, sigma_along_m=60.0, sigma_across_m=60.0
+        )
+        params = pf.SimParams(
+            lines=64,
+            samples=64,
+            band_start_nm=2040.0,
+            band_stop_nm=2560.0,
+            n_bands=53,
+            noise_a=4e-5,
+            noise_c=1e-4,
+            plume=spec,
+            column_gain_amplitude=0.02,
+            seed=3,
+        )
+        cube, _ = pf.simulate_scene(params)
+        d = cube.descriptor
+        run = (d.band_centers >= 2100.0) & (d.band_centers <= 2450.0)
+        names = ("band_centers", "band_fwhm", "noise_a", "noise_c")
+        narrow = dataclasses.replace(d, **{n: getattr(d, n)[run] for n in names})
+        for name, c in (("wide", cube), ("narrow", pf.RadianceCube(narrow, cube.data[run]))):
+            (tmp_path / name).mkdir()
+            write_cube(c, tmp_path / name / "cube")
+        return run
+
+    def test_wide_cube_gives_the_outputs_of_its_window_bands(self, tmp_path):
+        self.wide_and_narrow(tmp_path)
+        mf = [{"variant": "cwcmf"}, {"variant": "ctmf", "cluster_count": 4}]
+        reports = {}
+        for name in ("wide", "narrow"):
+            cube = {"cube": str(tmp_path / name / "cube")}
+            path = write_config(tmp_path / name, input=cube, mf=mf)
+            report = strip_timings(run_multi(load_config(path), tmp_path / name / "out"))
+            report.pop("config")
+            reports[name] = report
+        assert reports["wide"] == reports["narrow"]
+        assert reports["wide"]["runs"][0]["plume_count"] >= 1
+        out = tmp_path / "wide" / "out"
+        files = sorted(p.relative_to(out) for p in out.rglob("*.*") if p.suffix != ".json")
+        assert len(files) == 18
+        for rel in files:
+            assert (out / rel).read_bytes() == (tmp_path / "narrow" / "out" / rel).read_bytes(), rel
+
+    def test_cube_holds_the_smallest_run_covering_every_window(self, tmp_path):
+        run = self.wide_and_narrow(tmp_path)
+        windows = [{"window": [2150.0, 2300.0]}, {"window": [2200.0, 2420.0]}]
+        cfg = load_config(
+            write_config(tmp_path, input={"cube": str(tmp_path / "wide" / "cube")}, mf=windows)
+        )
+        for mfs, (low, high) in ((cfg.mf, (2150.0, 2420.0)), (cfg.mf[:1], (2150.0, 2300.0))):
+            cube = pipeline._run_inputs(cfg, tmp_path / "out", mfs)[1]
+            centers = cube.descriptor.band_centers
+            assert low <= centers[0] and centers[-1] <= high
+            assert centers[0] - 10.0 < low and high < centers[-1] + 10.0  # 10 nm band spacing
+            assert cube.data.dtype == np.float32
+        assert run.sum() == 36
 
 
 class TestPipelineLevel2:

@@ -5,6 +5,7 @@ from plumeflux.errors import ConfigError, DataError, DomainError
 from plumeflux.scene_io import (
     NODATA,
     EnhancementField,
+    RadianceCube,
     SensorDescriptor,
     effective_gsd,
     ingest_level2,
@@ -190,6 +191,92 @@ class TestCubeRoundTrip:
         mask = np.zeros((2, 2), dtype=bool)
         mask[0, 0] = True
         make_cube(data, n_bands=2, nodata_mask=mask)
+
+
+def write_wide_cube(tmp_path, rng, n_bands=40, lines=16, samples=20):
+    """A 2000-2550 nm cube with per-band fwhm and noise; returns it and the 2100-2450 nm run."""
+    desc = SensorDescriptor(
+        "wide",
+        np.linspace(2000.0, 2550.0, n_bands),
+        np.linspace(8.0, 12.0, n_bands),
+        30.0,
+        noise_a=np.linspace(1e-5, 5e-5, n_bands),
+        noise_c=np.linspace(1e-4, 3e-4, n_bands),
+    )
+    cube = make_cube(f32(rng.random((n_bands, lines, samples)) + 1.0), descriptor=desc)
+    write_cube(cube, tmp_path / "wide")
+    centers = desc.band_centers
+    inside = np.flatnonzero((centers >= 2100.0) & (centers <= 2450.0))
+    return cube, slice(inside[0], inside[-1] + 1)
+
+
+class TestFloat32WindowRead:
+    def test_float32_stays_float32_and_other_dtypes_widen(self, tmp_path, rng):
+        data = f32(rng.random((3, 4, 5)) + 1.0)
+        write_cube(make_cube(data, n_bands=3), tmp_path / "c")
+        back = read_cube(tmp_path / "c")
+        assert back.data.dtype == np.float32 and back.data.flags.owndata
+        assert np.array_equal(back.data, data)
+        desc = back.descriptor
+        assert RadianceCube(desc, data.astype(np.float32)).data.dtype == np.float32
+        assert RadianceCube(desc, data).data.dtype == np.float64
+        assert RadianceCube(desc, np.ones((3, 2, 2), dtype=np.int16)).data.dtype == np.float64
+        # rasters keep their float64 read
+        write_raster(data[0], tmp_path / "r", 30.0)
+        assert read_raster(tmp_path / "r")[0].dtype == np.float64
+
+    def test_descriptor_lists_only_the_window_bands(self, tmp_path, rng):
+        cube, run = write_wide_cube(tmp_path, rng)
+        back = read_cube(tmp_path / "wide", window=(2100.0, 2450.0))
+        d, full = back.descriptor, cube.descriptor
+        assert back.data.shape == (run.stop - run.start, 16, 20)
+        assert np.array_equal(back.data, cube.data[run])
+        for name in ("band_centers", "band_fwhm", "noise_a", "noise_c"):
+            assert np.array_equal(getattr(d, name), getattr(full, name)[run])
+        assert (d.sensor_id, d.gsd, back.origin) == (full.sensor_id, full.gsd, cube.origin)
+        assert d.band_centers[0] >= 2100.0 and d.band_centers[-1] <= 2450.0
+
+    def test_nodata_rule_follows_the_bands_read(self, tmp_path, rng):
+        data = f32(rng.random((40, 4, 5)) + 1.0)
+        desc = SensorDescriptor("x", np.linspace(2000.0, 2550.0, 40), np.full(40, 10.0), 30.0)
+        inside = np.flatnonzero((desc.band_centers >= 2100.0) & (desc.band_centers <= 2450.0))
+        data[inside, 1, 2] = NODATA  # sentinel in every window band only
+        data[:, 3, 4] = NODATA  # sentinel in every band
+        write_cube(make_cube(data, descriptor=desc), tmp_path / "c")
+        full = read_cube(tmp_path / "c")
+        assert full.nodata_mask.sum() == 1 and full.nodata_mask[3, 4]
+        assert np.all(full.data[inside, 1, 2] == NODATA)
+        window = read_cube(tmp_path / "c", window=(2100.0, 2450.0))
+        assert window.nodata_mask.sum() == 2
+        assert window.nodata_mask[1, 2] and window.nodata_mask[3, 4]
+        assert np.all(window.data[:, 1, 2] == 0.0) and np.all(window.data[:, 3, 4] == 0.0)
+
+    @pytest.mark.parametrize("window", [(1000.0, 1900.0), (2600.0, 2700.0), (2101.0, 2109.0)])
+    def test_window_without_bands_is_data_error(self, tmp_path, rng, window):
+        write_wide_cube(tmp_path, rng)
+        with pytest.raises(DataError, match="no bands inside window"):
+            read_cube(tmp_path / "wide", window=window)
+
+    def test_band_list_length_mismatch_is_data_error(self, tmp_path, rng):
+        write_wide_cube(tmp_path, rng)
+        hdr = tmp_path / "wide.hdr"
+        hdr.write_text(hdr.read_text().replace("fwhm_nm = 8.0, ", "fwhm_nm = "))
+        with pytest.raises(DataError, match="every per-band list must hold 40 values"):
+            read_cube(tmp_path / "wide", window=(2100.0, 2450.0))
+
+    def test_window_read_is_bounded_by_the_float32_window_slab(self, tmp_path, rng):
+        import tracemalloc
+
+        _, run = write_wide_cube(tmp_path, rng, n_bands=60, lines=160, samples=200)
+        slab_bytes = 4 * (run.stop - run.start) * 160 * 200
+        tracemalloc.start()
+        try:
+            cube = read_cube(tmp_path / "wide", window=(2100.0, 2450.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.data.nbytes == slab_bytes
+        assert peak <= 1.3 * slab_bytes
 
 
 class TestHeaderValues:
