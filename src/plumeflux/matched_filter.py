@@ -63,34 +63,47 @@ class MfConfig:
 
 @dataclass
 class BackgroundStats:
-    """Per-segment background statistics plus the derived filter vectors.
+    """Per-segment background statistics, held as moments, plus the filter vectors.
 
     ``segment_map`` assigns every pixel to the segment used to retrieve it
-    (-1 for nodata); ``mu``/``cov`` are indexed by segment. ``estimation_rows``
-    holds each segment's flat pixel indices that its statistics are estimated
-    from: its own pixels, or a superset when short columns are pooled;
-    ``moments`` are their (n, mean, M2), which decontamination downdates;
-    ``counts`` is how many of them the current statistics used. ``q`` is the
-    whitened target cov^-1 t and ``denom`` the filter normalization t'q,
-    factored once per segment and reused across all its pixels.
+    (-1 for nodata). ``estimation_rows`` holds each segment's flat pixel
+    indices that its statistics are estimated from: its own pixels, or a
+    superset when short columns are pooled. ``moments`` are their
+    (n, mean, M2), which decontamination downdates; ``fit`` are the moments
+    behind the current filters, the same arrays as ``moments`` until then.
+    ``mu``, ``counts`` and ``cov`` derive from ``fit``, ``cov`` anew on each
+    access. ``q`` is the whitened target cov^-1 t and ``denom`` the filter
+    normalization t'q, factored once per segment and reused across its pixels.
     """
 
     partition: str
     segment_map: np.ndarray
     band_indices: np.ndarray
-    mu: np.ndarray
-    cov: np.ndarray
-    counts: np.ndarray
     estimation_rows: list[np.ndarray]
     moments: tuple[np.ndarray, np.ndarray, np.ndarray]
+    fit: tuple[np.ndarray, np.ndarray, np.ndarray]
+    shrinkage: float
+    delta_min: Optional[float]
     t: np.ndarray
     q: np.ndarray
     denom: np.ndarray
     flags: list[list[str]] = field(default_factory=list)
 
     @property
+    def mu(self) -> np.ndarray:  # read-only: fit may share its arrays with moments
+        return np.lib.stride_tricks.as_strided(self.fit[1], writeable=False)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.fit[0].astype(np.int64)
+
+    @property
+    def cov(self) -> np.ndarray:
+        return _shrink(self.fit[0], self.fit[2], self.shrinkage, self.delta_min)
+
+    @property
     def n_segments(self) -> int:
-        return self.mu.shape[0]
+        return self.fit[0].shape[0]
 
     def all_flags(self) -> list[str]:
         out: list[str] = []
@@ -285,15 +298,15 @@ class _BoundedLabels:
         return labels
 
 
-def normalized_features(X: np.ndarray) -> np.ndarray:
-    """Spectra along the last axis scaled to unit mean.
+def normalized_features(X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spectra along the last axis scaled to unit mean, into ``out`` if given (may be ``X``).
 
     Clusters then track surface type, not brightness. Spectra whose mean is
     zero are kept as-is.
     """
     means = X.mean(axis=-1, keepdims=True)
     safe = np.where(means != 0.0, means, 1.0)
-    return X / safe
+    return np.divide(X, safe, out=out)
 
 
 def cluster_pixels(
@@ -352,15 +365,17 @@ def _merge(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
     return a
 
 
-def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int) -> tuple:
+def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sign=1.0) -> tuple:
     """Moments of each segment 0..n_seg-1 over the pixels (columns) of ``Y``; -1 is skipped.
 
     Memory stays bounded by one chunk: one stable argsort groups its pixels by
     segment, each block is centred on its own mean, and the blocks are merged
-    into the totals a group of segments at a time.
+    into the totals a group of segments at a time. Given ``total``, the blocks
+    merge into it in place; sign=-1 downdates it by them instead.
     """
     p, n_pix = Y.shape
-    total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, p, p)))
+    if total is None:
+        total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, p, p)))
     # equal chunks, each at most about _CHUNK_BYTES
     n_chunks = max(1, -(-n_pix * p * 8 // _CHUNK_BYTES))
     step = max(1, -(-n_pix // n_chunks))
@@ -382,19 +397,21 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int) -> tuple:
                 means[j] = np.add.reduce(B, axis=1) / c
                 B -= means[j][:, None]
                 np.matmul(B, B.T, out=m2[j])
-            merged = _merge(tuple(x[ids[group]] for x in total), (n, means, m2))
+            merged = _merge(tuple(x[ids[group]] for x in total), (n, means, m2), sign)
             for x, v in zip(total, merged):
                 x[ids[group]] = v
+        block = B = None  # free this chunk before the next one is gathered
     return total
 
 
 def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig) -> tuple:
-    """Each segment's (mu, cov, t, q, denom) from its moments: shrinkage, target, whitening."""
+    """Each segment's (t, q, denom) from its moments, shrinking a group of segments at a time."""
     n, mu, m2 = moments
-    cov = _shrink(n, m2, config.shrinkage, config.delta_min)
     t = np.array([target_spectrum(absorption.k_band, m, absorption.band_indices).t for m in mu])
+    groups = (slice(g, g + _MERGE_GROUP) for g in range(0, n.size, _MERGE_GROUP))
+    cov = (c for g in groups for c in _shrink(n[g], m2[g], config.shrinkage, config.delta_min))
     q, denom = (np.array(v) for v in zip(*(_whiten(c, ts) for c, ts in zip(cov, t))))
-    return mu.copy(), cov, t, q, denom
+    return t, q, denom
 
 
 def _build_partition(
@@ -413,7 +430,8 @@ def _build_partition(
         return np.where(valid, 0, -1).astype(np.int64), [range(1)], [[]]
 
     if config.variant == "ctmf":
-        feats = normalized_features(Y[:, valid.ravel()].astype(np.float64).T)
+        feats = Y[:, valid.ravel()].astype(np.float64).T
+        feats = normalized_features(feats, out=feats)  # in place: no second feature copy
         labels, _, converged = kmeans(feats, config.cluster_count, config.seed)
         flags = [] if converged else ["k-means stopped at its max_iter cap before a fixpoint"]
         # merge clusters that cannot support a p-band covariance into the
@@ -479,7 +497,7 @@ def compute_stats(
     for s, n in enumerate(moments[0]):
         if n < 2:
             raise DomainError(f"segment {s} has {int(n)} pixels; need at least 2")
-    mu, cov, t, q, denom = _filters(moments, absorption, config)
+    t, q, denom = _filters(moments, absorption, config)
     name = {"cmf": "scene", "ctmf": f"cluster(K={config.cluster_count})", "cwcmf": "column"}[
         config.variant
     ]
@@ -487,11 +505,10 @@ def compute_stats(
         partition=name,
         segment_map=seg_map,
         band_indices=band_indices,
-        mu=mu,
-        cov=cov,
-        counts=moments[0].astype(np.int64),
         estimation_rows=[np.sort(np.concatenate([rows[i] for i in m])) for m in members],
         moments=moments,
+        fit=moments,
+        shrinkage=config.shrinkage, delta_min=config.delta_min,
         t=t,
         q=q,
         denom=denom,
@@ -534,7 +551,7 @@ def decontaminate(
     Runs ``config.contamination_iterations`` rounds, each over the segment's
     estimation rows and starting again from their full moments; a segment
     whose exclusion would leave fewer than 2 pixels keeps its previous
-    statistics and is flagged in the provenance.
+    statistics and is flagged in the provenance. ``stats`` is left unchanged.
     """
     if config.contamination_iterations == 0:
         return stats
@@ -550,21 +567,20 @@ def decontaminate(
         kept = [delta[r] <= robust_threshold(delta[r], n_sigma) for r in stats.estimation_rows]
         n_kept = np.array([np.count_nonzero(k) for k in kept])
         skipped = n_kept < 2
-        # downdate the full moments by the excluded rows; tau is at least the
-        # median, so they are never more than half of a segment's rows
-        fit = np.flatnonzero(~skipped)
-        excluded = [stats.estimation_rows[s][~kept[s]] for s in fit]
-        labels = np.repeat(fit, [r.size for r in excluded])
+        # downdate one copy of the full moments in place by the excluded rows;
+        # tau is at least the median, so they are at most half of a segment's rows
+        refit = np.flatnonzero(~skipped)
+        excluded = [stats.estimation_rows[s][~kept[s]] for s in refit]
+        labels = np.repeat(refit, [r.size for r in excluded])
         rows = np.concatenate([np.zeros(0, dtype=np.int64), *excluded])
-        part = _segment_moments(Y[:, rows], labels, len(kept))
-        moments = _merge(tuple(x.copy() for x in stats.moments), part, sign=-1.0)
-        refit = (*_filters(moments, absorption, config), moments[0].astype(np.int64))
-        new = dict(zip(("mu", "cov", "t", "q", "denom", "counts"), refit))
-        for name, x in new.items():
-            x[skipped] = getattr(current, name)[skipped]
+        moments = tuple(x.copy() for x in stats.moments)
+        _segment_moments(Y[:, rows], labels, len(kept), total=moments, sign=-1.0)
+        for x, held in zip(moments, current.fit):
+            x[skipped] = held[skipped]
+        t, q, denom = _filters(moments, absorption, config)
         flags = [f + [skip_flag] if sk and skip_flag not in f else list(f)
                  for sk, f in zip(skipped, current.flags)]
-        current = replace(current, flags=flags, **new)
+        current = replace(current, fit=moments, t=t, q=q, denom=denom, flags=flags)
     return current
 
 

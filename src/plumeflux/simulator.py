@@ -246,7 +246,12 @@ class SimParams:
 
 
 def simulate_scene(params: SimParams) -> tuple[RadianceCube, Optional[PlumeTruth]]:
-    """Background, optional plume, column gains, and noise, all from one seed."""
+    """Background, optional plume, column gains, and noise, all from one seed.
+
+    The plume attenuates only the bands 3*FWHM inside the bundled absorption
+    table's range; the others get no methane. A plume with no such band is a
+    ``DataError``.
+    """
     from .signature import band_absorption, load_bundled_table
 
     descriptor = params.descriptor()
@@ -260,9 +265,12 @@ def simulate_scene(params: SimParams) -> tuple[RadianceCube, Optional[PlumeTruth
     )
     truth = None
     if params.plume is not None and params.plume.peak_delta_x > 0:
-        absorption = band_absorption(
-            load_bundled_table(), descriptor, (params.band_start_nm, params.band_stop_nm)
-        )
+        # band_absorption's own test, so float rounding cannot reject a band kept here
+        table, margin, c = load_bundled_table(), 3.0 * params.fwhm_nm, descriptor.band_centers
+        c = c[(c - margin >= table.wavelengths[0]) & (c + margin <= table.wavelengths[-1])]
+        if c.size == 0:
+            raise DataError("no band lies 3*FWHM inside the absorption table to carry a plume")
+        absorption = band_absorption(table, descriptor, (c[0], c[-1]))
         cube, truth = inject_plume(cube, absorption, params.plume)
     if params.column_gain_amplitude:
         cube = apply_column_gains(cube, params.column_gain_amplitude, seed=params.seed + 1)

@@ -1,4 +1,6 @@
 import dataclasses
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from plumeflux.matched_filter import (
     propagate_noise,
     retrieve,
 )
-from plumeflux.scene_io import read_cube, write_cube
+from plumeflux.scene_io import RadianceCube, read_cube, write_cube
 from plumeflux.segmentation import robust_threshold
 from plumeflux.signature import BandAbsorption, band_absorption, load_bundled_table
 
@@ -298,6 +300,13 @@ class TestKmeans:
         np.testing.assert_allclose(
             normalized_features(X), normalized_features(X * gains), rtol=1e-12
         )
+
+    def test_normalization_in_place_is_bit_identical(self, rng):
+        X = rng.random((20, 5)) + 0.5
+        X[3] = 0.0  # a zero-mean spectrum is kept as-is
+        expected = normalized_features(X)
+        assert normalized_features(X, out=X) is X
+        assert X.tobytes() == expected.tobytes()
 
 
 class TestMfScore:
@@ -834,3 +843,102 @@ class TestFloat32Slab:
         if variant == "ctmf":
             labels = (cluster_pixels(c, 3, seed=0, window=WINDOW) for c in (on_grid, disk))
             assert np.array_equal(*labels)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Result of ``fn`` and its tracemalloc peak above the memory held at its entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMomentsOnlyStats:
+    def test_memory_is_one_moments_stack_plus_chunks(self, monkeypatch):
+        # 200 columns of 30 float32 pixels over 24 bands: the (segments, p, p)
+        # stack is 0.9 MB, far above the pixel-sized index arrays
+        p, lines, samples = 24, 30, 200
+        rng = np.random.default_rng(95)
+        data = (10.0 + rng.standard_normal((p, lines, samples))).astype(np.float32)
+        desc = make_descriptor(n_bands=p, noise_a=1e-3, noise_c=1e-4)
+        cube = RadianceCube(descriptor=desc, data=data)
+        absorption = make_absorption(p, rng=rng)
+        config = MfConfig(variant="cwcmf", contamination_iterations=1)
+        chunk = 256 * 2**10
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(matched_filter, "_MERGE_GROUP", 4)
+        stack = samples * p * p * 8
+        stats, peak = traced_peak(compute_stats, cube, absorption, config)
+        # the moments, then one float32 gather and its float64 widening
+        assert peak <= stack + 2.5 * chunk
+        assert stats.fit[2] is stats.moments[2]
+        field = apply_mf(cube, absorption, config, stats)
+        # one copy of the moments, downdated in place; the slack covers the
+        # means, targets and per-pixel temporaries
+        _, peak = traced_peak(decontaminate, cube, absorption, config, field, stats)
+        assert peak <= stack + stack // 2
+
+    def test_filter_groups_do_not_change_the_filters(self, monkeypatch):
+        # shrinkage and whitening are per segment, so the group size is invisible
+        rng = np.random.default_rng(97)
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant="cwcmf", contamination_iterations=1)
+        runs = []
+        for group in (1, 4, 32):
+            monkeypatch.setattr(matched_filter, "_MERGE_GROUP", group)
+            field, stats = retrieve(cube, absorption, config)
+            runs.append([x.tobytes() for x in (field.delta_x, stats.cov, stats.q, stats.denom)])
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("n_sigma", [3.0, -1e9])
+    @pytest.mark.parametrize("variant", ["ctmf", "cwcmf"])
+    def test_decontaminate_leaves_its_input_unchanged(self, variant, n_sigma):
+        # fit shares its arrays with moments: neither round may write to them,
+        # whether it refits a segment or keeps it (n_sigma=-1e9 skips all)
+        rng = np.random.default_rng(96)
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=2)
+        stats = compute_stats(cube, absorption, config)
+        field = apply_mf(cube, absorption, config, stats)
+        snapshot = pickle.dumps(stats)
+        out = decontaminate(cube, absorption, config, field, stats, n_sigma=n_sigma)
+        assert pickle.dumps(stats) == snapshot
+        assert out.moments is stats.moments
+        with pytest.raises(ValueError):
+            out.mu[0, 0] = 0.0
+
+    def test_in_place_downdate_matches_merge_of_part(self, rng, monkeypatch):
+        Y = 50.0 + rng.standard_normal((6, 3000))
+        seg = rng.integers(-1, 40, size=3000)
+        out = rng.permutation(3000)[:300]
+        full = _segment_moments(Y, seg, 40)
+        ref = _merge(tuple(x.copy() for x in full), _segment_moments(Y[:, out], seg[out], 40), -1.0)
+
+        def downdate():
+            total = tuple(x.copy() for x in full)
+            assert _segment_moments(Y[:, out], seg[out], 40, total=total, sign=-1.0) is total
+            return total
+
+        # the excluded rows fit one chunk: the same arithmetic, bit for bit
+        for a, b in zip(downdate(), ref):
+            np.testing.assert_array_equal(a, b)
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 37 * 6 * 8)
+        for a, b in zip(downdate(), ref):
+            close(a, b, 1e-12)
+
+    def test_chunks_of_only_nodata(self, rng, monkeypatch):
+        Y = (50.0 + rng.standard_normal((6, 900))).astype(np.float32)
+        seg = rng.integers(0, 5, size=900)
+        seg[:300] = -1  # three whole chunks of nodata, then valid ones
+        seg[800:] = -1  # and a last one
+        monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 100 * 6 * 8)
+        # the valid pixels alone fall into the same 100-pixel chunks
+        for a, b in zip(_segment_moments(Y, seg, 5), _segment_moments(Y[:, 300:800], seg[300:800], 5)):
+            np.testing.assert_array_equal(a, b)
+        empty = _segment_moments(Y[:, :300], seg[:300], 5)
+        assert not any(np.any(x) for x in empty)

@@ -195,3 +195,36 @@ class TestSimulateScene:
         field = EnhancementField(delta_x=truth.delta_x_true, gsd=cube.gsd)
         ime, _ = integrate_ime(field, truth.mask)
         assert ime == truth.ime_true_kg
+
+
+class TestWideCube:
+    SPEC = SyntheticPlumeSpec(center=(20, 20), peak_delta_x=800.0, sigma_along_m=90, sigma_across_m=60)
+
+    def test_plume_attenuates_only_the_bands_the_table_covers(self):
+        # 1600-2600 nm in 10 nm steps; the bundled table covers 2000-2600 nm,
+        # so with a 3 * 12 nm margin only 2040-2560 nm can carry the plume
+        wide = dict(lines=40, samples=40, band_start_nm=1600.0, band_stop_nm=2600.0,
+                    n_bands=101, noise_a=1e-4, noise_c=1e-4, column_gain_amplitude=0.01, seed=4)
+        cube, truth = simulate_scene(SimParams(plume=self.SPEC, **wide))
+        clean, _ = simulate_scene(SimParams(**wide))
+        centers = cube.descriptor.band_centers
+        covered = (centers >= 2036.0) & (centers <= 2564.0)
+        assert np.count_nonzero(covered) == 53 and centers[~covered].size == 48
+        np.testing.assert_array_equal(cube.data[~covered], clean.data[~covered])
+        assert np.all(np.any(cube.data[covered] < clean.data[covered], axis=(1, 2)))
+        default = simulate_scene(SimParams(lines=40, samples=40, plume=self.SPEC, seed=4))[1]
+        assert truth.ime_true_kg == default.ime_true_kg
+
+    def test_margin_rounding_keeps_every_covered_band(self):
+        # 2000 + 3 * 16.06 - 3 * 16.06 rounds below 2000 in float64: the
+        # covered range must come from the band centres, not from that sum
+        params = SimParams(lines=40, samples=40, band_start_nm=1900.0, band_stop_nm=2700.0,
+                           n_bands=81, fwhm_nm=16.06, plume=self.SPEC)
+        _, truth = simulate_scene(params)
+        assert truth.ime_true_kg > 0.0
+
+    def test_plume_without_a_covered_band_rejected(self):
+        params = dict(band_start_nm=1000.0, band_stop_nm=1900.0)
+        simulate_scene(SimParams(**params))  # no plume: no absorption needed
+        with pytest.raises(DataError, match="absorption table"):
+            simulate_scene(SimParams(plume=self.SPEC, **params))
