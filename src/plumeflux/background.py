@@ -90,6 +90,8 @@ def match_background(
         raise DomainError("plume mask is empty")
     if n_select is None:
         n_select = max(500, 5 * int(plume_mask.sum()))
+    if n_select < 1:
+        raise DomainError(f"n_select must be >= 1, got {n_select}")
 
     bands = continuum_bands(absorption)
     pixels = cube.data.reshape(cube.data.shape[0], -1).T  # (pixels, bands) view

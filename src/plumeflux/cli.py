@@ -16,11 +16,11 @@ from typing import Optional
 
 from .config import default_config_yaml, load_config
 from .errors import ConfigError, PlumefluxError
-from .matched_filter import retrieve
 from .pipeline import (
-    _load_table,
     quantify_only,
     resolve_output_dir,
+    retrieve_layers,
+    run_inputs,
     run_multi,
     run_pipeline,
     write_layers,
@@ -28,9 +28,8 @@ from .pipeline import (
     write_report,
 )
 from .quantification import SIGMA_METHODS, WindConfig
-from .scene_io import ingest_level2, read_cube, write_cube, write_raster
+from .scene_io import ingest_level2, write_cube, write_raster
 from .segmentation import segment_field
-from .signature import band_absorption
 from .simulator import simulate_scene
 
 
@@ -93,11 +92,9 @@ def cmd_retrieve(args) -> int:
     cfg = _apply_mf_override(_load(args), args.mf)
     if cfg.input.cube is None:
         raise ConfigError("retrieve requires input.cube (level-1 radiance)")
-    out = _out_dir(cfg, args)
-    mf = cfg.mf[0]
-    cube = read_cube(cfg.input.cube, mf.window)
-    absorption = band_absorption(_load_table(cfg), cube.descriptor, mf.window)
-    field, _ = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)
+    out, cube, table = run_inputs(cfg, args.output, cfg.mf[:1])
+    field = retrieve_layers(cfg, cfg.mf[0], cube, table)[0]
+    out.mkdir(parents=True, exist_ok=True)
     write_layers(out, field)
     print(f"wrote enhancement (provenance: {field.provenance}) to {out}")
     return 0

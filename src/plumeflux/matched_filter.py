@@ -76,7 +76,6 @@ class BackgroundStats:
     normalization t'q, factored once per segment and reused across its pixels.
     """
 
-    partition: str
     segment_map: np.ndarray
     band_indices: np.ndarray
     estimation_rows: list[np.ndarray]
@@ -498,11 +497,7 @@ def compute_stats(
         if n < 2:
             raise DomainError(f"segment {s} has {int(n)} pixels; need at least 2")
     t, q, denom = _filters(moments, absorption, config)
-    name = {"cmf": "scene", "ctmf": f"cluster(K={config.cluster_count})", "cwcmf": "column"}[
-        config.variant
-    ]
     return BackgroundStats(
-        partition=name,
         segment_map=seg_map,
         band_indices=band_indices,
         estimation_rows=[np.sort(np.concatenate([rows[i] for i in m])) for m in members],

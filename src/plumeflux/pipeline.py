@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .segmentation import (
 )
 from .signature import (
     AbsorptionTable,
+    BandAbsorption,
     band_absorption,
     load_bundled_table,
     read_absorption_table,
@@ -48,26 +49,19 @@ from .signature import (
 CLUTTER_INDEPENDENCE_NOTE = (
     "clutter treated as spatially uncorrelated when aggregating to sigma(IME)"
 )
+_PLUME_KEYS = ("label_id", "pixel_count", "area_m2", "touches_edge")  # report keys of the mask
+Scene = Union[RadianceCube, EnhancementField]  # a level-1 cube or a level-2 product
 
 
-def _f32grid(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _f32grid(a: np.ndarray) -> np.ndarray:
     """Snap a layer to the float32 grid it will occupy on disk."""
-    return None if a is None else a.astype(np.float32).astype(np.float64)
+    return a.astype(np.float32).astype(np.float64)
 
 
-def _load_table(cfg: RunConfig) -> AbsorptionTable:
-    if cfg.absorption_table == "builtin":
-        return load_bundled_table()
-    return read_absorption_table(cfg.absorption_table)
-
-
-def record_to_dict(record: PlumeRecord, label_id: Optional[int] = None) -> dict:
-    plume = record.plume
-    out = {
-        "label_id": label_id if plume is None else plume.label_id,
-        "pixel_count": None if plume is None else plume.pixel_count,
-        "area_m2": None if plume is None else plume.area_m2,
-        "touches_edge": None if plume is None else plume.touches_edge,
+def record_to_dict(record: PlumeRecord, plume: dict) -> dict:
+    """A plume's report entry: the caller's values of ``_PLUME_KEYS``, then the record's."""
+    return {
+        **plume,
         "ime_kg": record.ime_kg,
         "sigma_ime_kg": record.sigma_ime_kg,
         "length_m": record.length_m,
@@ -80,7 +74,6 @@ def record_to_dict(record: PlumeRecord, label_id: Optional[int] = None) -> dict:
         "sigma_flux_ime_t_per_h": record.sigma_flux_ime_t_per_h,
         "assumptions": list(record.assumptions),
     }
-    return out
 
 
 @dataclass
@@ -107,106 +100,89 @@ def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]
     for p in plumes:
         labels[p.window][p.mask] = p.label_id
     write_raster(labels, out_dir / "plume_mask", field.gsd, field.origin, field.nodata_mask)
-    (out_dir / "plumes.geojson").write_text(
-        json.dumps(plumes_to_geojson(plumes), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_report(plumes_to_geojson(plumes), out_dir / "plumes.geojson")
 
 
 def write_report(report: dict, path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
 
 
+def retrieve_layers(
+    cfg: RunConfig, mf: MfConfig, cube: RadianceCube, table: AbsorptionTable
+) -> tuple[EnhancementField, BandAbsorption]:
+    """The retrieval step: float32-grid enhancement and noise layers, and band absorption."""
+    absorption = band_absorption(table, cube.descriptor, mf.window)
+    field = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)[0]
+    field = field.replace(delta_x=_f32grid(field.delta_x), sigma_noise=_f32grid(field.sigma_noise))
+    return field, absorption
+
+
+def _level1_background(
+    cfg: RunConfig, cube: RadianceCube, absorption: BandAbsorption, field: EnhancementField,
+    flags: list[str],
+) -> tuple[EnhancementField, Optional[np.ndarray], dict]:
+    """Provisional detection, spectral matching, clutter and total uncertainty.
+
+    Returns the field with a float32-grid ``sigma_total``, the background
+    sample (None: all valid pixels) and the report entry; appends to ``flags``.
+    """
+    valid = ~field.nodata_mask
+    tau0 = robust_threshold(field.delta_x[valid], cfg.segmentation.n_sigma)
+    provisional = (field.delta_x > tau0) & valid
+    selection = None
+    if np.any(provisional):
+        try:
+            selection = match_background(cube, absorption, provisional, **asdict(cfg.background))
+        except DomainError:
+            flags.append("background matching failed (no candidates); using all valid pixels")
+    else:
+        flags.append("no provisional detection; clutter estimated from all valid pixels")
+    if selection is None:
+        sigma_clutter, sample = robust_sigma(field.delta_x[valid]), None
+        entry = {"source": "all_valid", "selected_count": 0}
+    else:
+        sigma_clutter, sample = clutter_sigma(field, selection), selection.values_from(field)
+        entry = {
+            "source": "matched",
+            "selected_count": selection.count,
+            "insufficient": selection.insufficient,
+            "max_spectral_angle_rad": float(selection.similarity_scores.max()),
+        }
+        if selection.insufficient:
+            flags.append("background selection smaller than requested (insufficiency flag)")
+    entry["sigma_clutter_ppmm"] = sigma_clutter
+    field = total_sigma(field.replace(sigma_clutter=sigma_clutter))
+    return field.replace(sigma_total=_f32grid(field.sigma_total)), sample, entry
+
+
 def run_stage(
-    cfg: RunConfig,
-    mf: MfConfig,
-    out_dir: Path,
-    cube: Optional[RadianceCube],
-    table,
+    cfg: RunConfig, mf: MfConfig, out_dir: Path, scene: Scene, table: Optional[AbsorptionTable]
 ) -> StageResult:
-    """Run the full chain for one matched-filter configuration."""
-    timings: dict[str, float] = {}
+    """Run the chain for one matched-filter configuration on the scene of
+    ``run_inputs``: a level-1 cube is retrieved, a level-2 field is used as is."""
     flags: list[str] = [CLUTTER_INDEPENDENCE_NOTE]
     t0 = time.perf_counter()
-
-    if cube is not None:
-        absorption = band_absorption(table, cube.descriptor, mf.window)
-        field64 = retrieve(cube, absorption, mf, n_sigma=cfg.segmentation.n_sigma)[0]
-        field = field64.replace(
-            delta_x=_f32grid(field64.delta_x), sigma_noise=_f32grid(field64.sigma_noise)
-        )
-        input_mode = "level1"
+    if cfg.input.mode() == "level1":
+        field, absorption = retrieve_layers(cfg, mf, scene, table)
+        t1 = time.perf_counter()
+        field, sample, background = _level1_background(cfg, scene, absorption, field, flags)
     else:
-        absorption = None
-        field = ingest_level2(cfg.input.enhancement, cfg.input.sigma, cfg.input.gsd)
-        input_mode = "level2"
+        field, sample, t1 = scene, None, t0
+        background = {"source": "external", "selected_count": 0, "sigma_clutter_ppmm": None}
         if field.sigma_total is not None:
             flags.append("external uncertainty raster used verbatim as sigma_total")
         else:
             flags.append("no uncertainty raster ingested: sigma(IME) unavailable")
-    timings["retrieve_s"] = time.perf_counter() - t0
-
-    # background characterization: provisional detection, spectral matching,
-    # clutter, total uncertainty (level-1 only; level-2 keeps external sigma)
-    t0 = time.perf_counter()
-    valid = ~field.nodata_mask
-    if not np.any(valid):
-        raise DataError("no valid pixels in the scene")
-    bg_values: Optional[np.ndarray] = None
-    background_summary: dict = {"source": "all_valid", "selected_count": 0}
-    if cube is not None:
-        tau0 = robust_threshold(field.delta_x[valid], cfg.segmentation.n_sigma)
-        provisional = (field.delta_x > tau0) & valid
-        selection = None
-        if np.any(provisional):
-            try:
-                selection = match_background(
-                    cube,
-                    absorption,
-                    provisional,
-                    n_select=cfg.background.n_select,
-                    buffer_m=cfg.background.buffer_m,
-                    min_sample=cfg.background.min_sample,
-                )
-            except DomainError:
-                flags.append("background matching failed (no candidates); using all valid pixels")
-        else:
-            flags.append("no provisional detection; clutter estimated from all valid pixels")
-        if selection is not None:
-            sigma_clutter = clutter_sigma(field, selection)
-            bg_values = selection.values_from(field)
-            background_summary = {
-                "source": "matched",
-                "selected_count": selection.count,
-                "insufficient": selection.insufficient,
-                "max_spectral_angle_rad": float(selection.similarity_scores.max())
-                if selection.count
-                else None,
-            }
-            if selection.insufficient:
-                flags.append("background selection smaller than requested (insufficiency flag)")
-        else:
-            sigma_clutter = robust_sigma(field.delta_x[valid])
-        background_summary["sigma_clutter_ppmm"] = sigma_clutter
-        field = total_sigma(field.replace(sigma_clutter=sigma_clutter))
-        field = field.replace(sigma_total=_f32grid(field.sigma_total))
-    else:
-        background_summary = {
-            "source": "external",
-            "selected_count": 0,
-            "sigma_clutter_ppmm": None,
-        }
-    timings["background_s"] = time.perf_counter() - t0
+    timings = {"retrieve_s": t1 - t0, "background_s": time.perf_counter() - t1}
 
     t0 = time.perf_counter()
-    plumes, tau, _final_mask = segment_field(field, cfg.segmentation, bg_values)
+    plumes, tau, _final_mask = segment_field(field, cfg.segmentation, sample)
     timings["segmentation_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    records = []
-    if plumes:
-        if cfg.wind is None:
-            raise ConfigError("wind: section is required to quantify plumes")
-        records = [quantify_plume(field, p, cfg.wind, cfg.constants) for p in plumes]
+    if plumes and cfg.wind is None:
+        raise ConfigError("wind: section is required to quantify plumes")
+    records = [quantify_plume(field, p, cfg.wind, cfg.constants) for p in plumes]
     timings["quantification_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -218,13 +194,16 @@ def run_stage(
     report = {
         "schema": "plumeflux-report-1",
         "kernel_backend": kernels.backend_name(),
-        "input_mode": input_mode,
+        "input_mode": cfg.input.mode(),
         "mf_label": mf.label(),
         "provenance": field.provenance,
         "threshold_ppmm": tau,
-        "background": background_summary,
+        "background": background,
         "plume_count": len(plumes),
-        "plumes": [record_to_dict(r) for r in records],
+        "plumes": [
+            record_to_dict(r, {k: getattr(p, k) for k in _PLUME_KEYS})
+            for p, r in zip(plumes, records)
+        ],
         "assumption_flags": sorted(set(flags)),
         "timings_s": timings,
     }
@@ -239,23 +218,29 @@ def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
     return Path(out)
 
 
-def _run_inputs(
+def run_inputs(
     cfg: RunConfig, output_dir: Optional[Path], mfs: tuple[MfConfig, ...]
-) -> tuple[Path, Optional[RadianceCube], Optional[AbsorptionTable]]:
-    """Output directory, level-1 cube (None for level-2 input) and absorption table."""
+) -> tuple[Path, Scene, Optional[AbsorptionTable]]:
+    """Output directory, scene and absorption table, each read once per run: the
+    level-1 cube's bands spanning every window in ``mfs``, or the level-2 product."""
     out_dir = resolve_output_dir(cfg, output_dir)
-    window = (min(m.window[0] for m in mfs), max(m.window[1] for m in mfs))  # spans every window
-    cube = read_cube(cfg.input.cube, window) if cfg.input.cube else None
-    if cube is None and cfg.input.enhancement is None:
+    if cfg.input.mode() == "level1":
+        window = (min(m.window[0] for m in mfs), max(m.window[1] for m in mfs))
+        cube, table = read_cube(cfg.input.cube, window), cfg.absorption_table
+        table = load_bundled_table() if table == "builtin" else read_absorption_table(table)
+        return out_dir, cube, table
+    if cfg.input.enhancement is None:
         raise ConfigError("input: set one of 'cube' or 'enhancement'")
-    table = _load_table(cfg) if cube is not None else None
-    return out_dir, cube, table
+    field = ingest_level2(cfg.input.enhancement, cfg.input.sigma, cfg.input.gsd)
+    if field.nodata_mask.all():
+        raise DataError("no valid pixels in the scene")
+    return out_dir, field, None
 
 
 def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     """Single-configuration end-to-end run; writes rasters and report.json."""
-    out_dir, cube, table = _run_inputs(cfg, output_dir, cfg.mf[:1])
-    stage = run_stage(cfg, cfg.mf[0], out_dir, cube, table)
+    out_dir, scene, table = run_inputs(cfg, output_dir, cfg.mf[:1])
+    stage = run_stage(cfg, cfg.mf[0], out_dir, scene, table)
     report = dict(stage.report)
     report["config"] = config_echo(cfg)
     write_report(report, out_dir / "report.json")
@@ -322,13 +307,13 @@ def run_multi(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     """Run every configured matched filter and report flux spreads per plume."""
     if len(cfg.mf) < 2:
         raise ConfigError("multi-configuration runs need at least 2 entries under 'mf'")
-    out_dir, cube, table = _run_inputs(cfg, output_dir, cfg.mf)
+    out_dir, scene, table = run_inputs(cfg, output_dir, cfg.mf)
 
     results: list[StageResult] = []
     sub_reports = []
     for i, mf in enumerate(cfg.mf):
         sub = out_dir / f"config_{i:02d}"
-        stage = run_stage(cfg, mf, sub, cube, table)
+        stage = run_stage(cfg, mf, sub, scene, table)
         results.append(stage)
         entry = dict(stage.report)
         entry["output_subdir"] = sub.name
@@ -388,6 +373,4 @@ def quantify_only(
     if ime_kg <= 0 or area_m2 <= 0:
         raise DomainError("ime_kg and area_m2 must be positive")
     record = quantify(ime_kg, sigma_ime_kg, area_m2, wind)
-    out = record_to_dict(record)
-    out["area_m2"] = area_m2
-    return out
+    return record_to_dict(record, {**dict.fromkeys(_PLUME_KEYS), "area_m2": area_m2})

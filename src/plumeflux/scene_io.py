@@ -252,13 +252,14 @@ def dataset_paths(path: Union[str, Path]) -> tuple[Path, Path]:
 
 def _read_bsq(
     path: Union[str, Path], required: tuple[str, ...], bands: Optional[int] = None, window=None
-) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Header entries, float32 (bands, lines, samples) data and nodata mask of a dataset.
+) -> tuple[dict, np.ndarray, np.ndarray, slice]:
+    """Header entries, float32 (bands, lines, samples) data, nodata mask and band run.
 
     Numeric header values come back converted (``_HEADER_NUMBERS``). With
     ``window`` (low, high) nm, only the run of bands whose ``wavelengths_nm``
-    fall inside it is read, and the per-band lists are cut to it. A pixel is
-    nodata when every band read holds the sentinel; it is zeroed in the data.
+    fall inside it is read; the per-band lists stay whole, and the returned
+    slice cuts them to that run. A pixel is nodata when every band read holds
+    the sentinel; it is zeroed in the data.
     With ``bands`` given, any other band count is rejected before the payload
     is read, and a one-band read comes back float64 and 2-D (lines, samples).
     Both arrays are read-only and own their memory: a container keeps them.
@@ -302,7 +303,6 @@ def _read_bsq(
         if inside.size == 0:
             raise DataError(f"no bands inside window {tuple(window)} nm in {hdr_path}")
         first, count = int(inside[0]), int(inside[-1] - inside[0]) + 1
-        entries.update((key, entries[key][first : first + count]) for key in lists)
 
     if not bin_path.exists():
         raise DataError(f"payload file not found: {bin_path}")
@@ -317,7 +317,7 @@ def _read_bsq(
     if bands == 1:
         data = data[0].astype(np.float64)
     data.flags.writeable = nodata.flags.writeable = False
-    return entries, data, nodata
+    return entries, data, nodata, slice(first, first + count)
 
 
 def _write_bsq(
@@ -366,9 +366,11 @@ def read_cube(path: Union[str, Path], window: Optional[tuple] = None) -> Radianc
     With ``window`` (low, high) nm, only the bands whose centres fall inside
     it are read, and the descriptor lists only those (none is a ``DataError``).
     """
-    entries, data, nodata = _read_bsq(path, ("wavelengths_nm", "fwhm_nm", "gsd_m"), window=window)
+    required = ("wavelengths_nm", "fwhm_nm", "gsd_m")
+    entries, data, nodata, run = _read_bsq(path, required, window=window)
     try:
-        descriptor = SensorDescriptor(
+        # the whole header lists are checked: a bad band outside the window fails this read too
+        full = SensorDescriptor(
             sensor_id=entries.get("sensor_id", ""),
             band_centers=entries["wavelengths_nm"],
             band_fwhm=entries["fwhm_nm"],
@@ -376,6 +378,9 @@ def read_cube(path: Union[str, Path], window: Optional[tuple] = None) -> Radianc
             noise_a=entries.get("noise_a"),
             noise_c=entries.get("noise_c"),
         )
+        lists = ("band_centers", "band_fwhm", "noise_a", "noise_c")
+        cut = {n: getattr(full, n)[run] for n in lists if getattr(full, n) is not None}
+        descriptor = dataclasses.replace(full, **cut)
         return RadianceCube(descriptor, data, origin=_origin(entries), nodata_mask=nodata)
     except DataError as exc:
         raise DataError(f"{dataset_paths(path)[0]}: {exc}") from None
@@ -417,7 +422,7 @@ def read_raster(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray, float, 
 
     Both arrays are read-only and own their memory.
     """
-    entries, values, nodata = _read_bsq(path, ("gsd_m",), bands=1)
+    entries, values, nodata, _ = _read_bsq(path, ("gsd_m",), bands=1)
     return values, nodata, entries["gsd_m"], _origin(entries)
 
 

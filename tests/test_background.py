@@ -99,6 +99,16 @@ class TestMatchBackground:
         with pytest.raises(DomainError, match="candidate"):
             match_background(cube, absorption, mask, n_select=5, buffer_m=0.0)
 
+    @pytest.mark.parametrize("n_select", [0, -5])
+    def test_n_select_below_one_raises(self, n_select):
+        # a negative slice of the ranked candidates would keep all but the worst
+        cube = make_cube(np.full((3, 6, 6), 5.0), n_bands=3)
+        absorption = make_absorption(3, [1e-5, 1e-5, 1e-5])
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[0, 0] = True
+        with pytest.raises(DomainError, match="n_select"):
+            match_background(cube, absorption, mask, n_select=n_select, buffer_m=0.0)
+
     def test_empty_plume_mask_raises(self):
         cube = make_cube(np.full((3, 3, 3), 5.0), n_bands=3)
         absorption = make_absorption(3, [1e-5, 1e-5, 1e-5])

@@ -10,7 +10,7 @@ import yaml
 import plumeflux as pf
 from plumeflux import pipeline
 from plumeflux.cli import main
-from plumeflux.config import default_config_yaml, load_config
+from plumeflux.config import BackgroundParams, default_config_yaml, load_config
 from plumeflux.errors import ConfigError
 from plumeflux.pipeline import (
     StageResult,
@@ -155,6 +155,28 @@ class TestConfig:
         path.write_text(text + "\n")
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
         assert f"error: {key}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n_select", 0),
+            ("n_select", -5),
+            ("buffer_m", -10.0),
+            ("buffer_m", float("nan")),
+            ("buffer_m", float("inf")),
+            ("min_sample", -3),
+        ],
+    )
+    def test_out_of_range_background_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"background": {key: value}}))
+        assert main(["pipeline", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert f"error: background.{key} must be" in capsys.readouterr().err
+
+    def test_background_range_ends_load(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"background": {"n_select": 1, "buffer_m": 0, "min_sample": 0}}))
+        assert load_config(path).background == BackgroundParams(n_select=1, buffer_m=0.0, min_sample=0)
 
     def test_integral_float_loads_as_int(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -316,7 +338,7 @@ class TestWindowOnlyRead:
             write_config(tmp_path, input={"cube": str(tmp_path / "wide" / "cube")}, mf=windows)
         )
         for mfs, (low, high) in ((cfg.mf, (2150.0, 2420.0)), (cfg.mf[:1], (2150.0, 2300.0))):
-            cube = pipeline._run_inputs(cfg, tmp_path / "out", mfs)[1]
+            cube = pipeline.run_inputs(cfg, tmp_path / "out", mfs)[1]
             centers = cube.descriptor.band_centers
             assert low <= centers[0] and centers[-1] <= high
             assert centers[0] - 10.0 < low and high < centers[-1] + 10.0  # 10 nm band spacing
@@ -546,6 +568,32 @@ class TestMulti:
         assert sorted(len(m) for m in members.values()) == [1, 2, 2]
         assert unmatched == []
 
+    def test_level2_product_is_ingested_once_per_run(self, tmp_path, rng, monkeypatch):
+        values = rng.standard_normal((40, 40)) * 20
+        values[15:25, 15:25] += 800.0
+        write_raster(values, tmp_path / "enh", 30.0)
+        write_raster(np.full((40, 40), 25.0), tmp_path / "sig", 30.0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pf.ingest_level2(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ingest_level2", counted)
+        cfg_path = write_config(
+            tmp_path,
+            input={"enhancement": str(tmp_path / "enh"), "sigma": str(tmp_path / "sig")},
+            mf=[{"variant": "cmf"}, {"variant": "cwcmf"}],
+            segmentation={"min_area_m2": 0.0},
+        )
+        report = run_multi(load_config(cfg_path), tmp_path / "out")
+        assert len(calls) == 1
+        assert report["runs"][0]["plume_count"] >= 1
+        assert report["spreads"][0]["flux_std_t_per_h"] == 0.0
+        out = tmp_path / "out"
+        for name in ("enhancement.bin", "sigma_total.bin", "plume_mask.bin", "plumes.geojson"):
+            assert (out / "config_00" / name).read_bytes() == (out / "config_01" / name).read_bytes()
+
     def test_multi_requires_two_configs(self, tmp_path):
         write_scene(tmp_path, seed=5)
         cfg_path = write_config(tmp_path)
@@ -629,6 +677,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["flux_t_per_h"] == pytest.approx(3.34, rel=0.015)
         assert out["sigma_flux_t_per_h"] == pytest.approx(0.69, rel=0.03)
+        # no mask behind the record: its plume keys are unset, the area is the given one
+        assert [out[k] for k in ("label_id", "pixel_count", "area_m2", "touches_edge")] == [
+            None, None, 2569892.0, None
+        ]
+        assert len(out) == 15
 
     def test_retrieve_and_segment_subcommands(self, tmp_path):
         write_scene(tmp_path, seed=5)
@@ -652,6 +705,20 @@ class TestCli:
         )
         seg = json.loads((tmp_path / "seg" / "segmentation.json").read_text())
         assert seg["plume_count"] >= 1
+
+    @pytest.mark.parametrize("variant", [None, "cwcmf"])
+    def test_retrieve_writes_the_pipeline_layers(self, tmp_path, variant):
+        write_scene(tmp_path, seed=5, gains=0.02)
+        args = ["--config", str(write_config(tmp_path))]
+        args += [] if variant is None else ["--mf", variant]
+        for command in ("retrieve", "pipeline"):
+            assert main([command, *args, "--output", str(tmp_path / command)]) == 0
+        for name in ("enhancement.bin", "sigma_noise.bin"):
+            ret, full = ((tmp_path / c / name).read_bytes() for c in ("retrieve", "pipeline"))
+            assert ret == full, name
+        assert sorted(p.name for p in (tmp_path / "retrieve").iterdir()) == [
+            "enhancement.bin", "enhancement.hdr", "sigma_noise.bin", "sigma_noise.hdr"
+        ]
 
     def test_mf_override_flag(self, tmp_path):
         write_scene(tmp_path, seed=5)

@@ -264,6 +264,23 @@ class TestFloat32WindowRead:
         with pytest.raises(DataError, match="every per-band list must hold 40 values"):
             read_cube(tmp_path / "wide", window=(2100.0, 2450.0))
 
+    @pytest.mark.parametrize(
+        "key,values,message",
+        [
+            ("wavelengths_nm", "2500.0, 2200.0, 2300.0, 2400.0", "band_centers must be strictly"),
+            ("fwhm_nm", "0.0, 10.0, 10.0, 10.0", "band_fwhm must be positive"),
+            ("noise_c", "-1.0, 1e-4, 1e-4, 1e-4", "noise_c must be non-negative"),
+        ],
+    )
+    def test_bad_band_outside_the_window_fails_both_reads(self, tmp_path, key, values, message):
+        write_cube(make_cube(np.ones((4, 2, 3)), noise_a=1e-5, noise_c=1e-4), tmp_path / "c")
+        hdr = tmp_path / "c.hdr"
+        lines = hdr.read_text().splitlines()
+        hdr.write_text("\n".join(f"{key} = {values}" if l.startswith(key + " ") else l for l in lines))
+        for window in (None, (2150.0, 2450.0)):  # the window leaves out only band 0
+            with pytest.raises(DataError, match=message):
+                read_cube(tmp_path / "c", window)
+
     def test_window_read_is_bounded_by_the_float32_window_slab(self, tmp_path, rng):
         import tracemalloc
 
