@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from . import kernels
 from .errors import DomainError
 from .matched_filter import normalized_features
 from .scene_io import EnhancementField, RadianceCube
-from .segmentation import disk, radius_to_pixels, robust_sigma
+from .segmentation import _disk_op, radius_to_pixels, robust_sigma
 from .signature import BandAbsorption
 
 DEFAULT_MIN_SAMPLE = 100
@@ -94,26 +93,35 @@ def match_background(
         raise DomainError(f"n_select must be >= 1, got {n_select}")
 
     bands = continuum_bands(absorption)
-    pixels = cube.data.reshape(cube.data.shape[0], -1).T  # (pixels, bands) view
+    planes = cube.data.reshape(cube.data.shape[0], -1)  # (bands, pixels) view
     valid = ~cube.nodata_mask
 
-    r = radius_to_pixels(buffer_m, cube.gsd)
-    excluded = scipy.ndimage.binary_dilation(plume_mask, structure=disk(r))
+    excluded = _disk_op(plume_mask, radius_to_pixels(buffer_m, cube.gsd), dilate=True)
     candidates = valid & ~excluded
     if not np.any(candidates):
         raise DomainError("no candidate background pixels outside the plume buffer")
 
     # each gather is C-order (pixels, bands) and widened to float64 before any
     # arithmetic; a row's angle does not depend on the chunk it is scored in
-    reference = pixels[np.ix_((plume_mask & valid).ravel(), bands)].astype(np.float64)
+    reference = planes.T[np.ix_((plume_mask & valid).ravel(), bands)].astype(np.float64)
     reference = normalized_features(reference.mean(axis=0))
     cand, step = np.flatnonzero(candidates), kernels._PIXEL_CHUNK
     angles = np.empty(cand.size)
+    gather = np.empty((bands.size, min(step, cand.size)), dtype=planes.dtype)
+    buf = np.empty(gather.shape[::-1])
     for lo in range(0, cand.size, step):
-        rows = pixels[np.ix_(cand[lo : lo + step], bands)].astype(np.float64, copy=False)
-        angles[lo : lo + step] = spectral_angle(normalized_features(rows), reference)
+        chunk = cand[lo : lo + step]
+        for i, b in enumerate(bands):  # each take reads one contiguous band plane
+            np.take(planes[b], chunk, out=gather[i, : chunk.size])
+        rows = buf[: chunk.size]
+        rows[...] = gather[:, : chunk.size].T
+        angles[lo : lo + step] = spectral_angle(normalized_features(rows, out=rows), reference)
 
-    take = np.lexsort((cand, angles))[:n_select]  # flat indices sort in (line, sample) order
+    # the n_select lowest angles, ties in flat index, so (line, sample), order:
+    # sort only the angles up to the k-th lowest (NaN sorts last in both)
+    k = min(n_select, cand.size) - 1
+    take = np.flatnonzero(~(angles > np.partition(angles, k)[k]))
+    take = take[np.lexsort((take, angles[take]))][:n_select]
     return BackgroundSelection(
         pixel_indices=np.column_stack(np.divmod(cand[take], plume_mask.shape[1])),
         similarity_scores=angles[take],

@@ -10,7 +10,6 @@ overlap.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import kernels
+from . import jsonfmt, kernels
 from .background import clutter_sigma, match_background, total_sigma
 from .config import RunConfig, config_echo
 from .errors import ConfigError, DataError, DomainError
@@ -104,7 +103,8 @@ def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]
 
 
 def write_report(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)`` would."""
+    path.write_text(jsonfmt.dumps(report), encoding="utf-8")
 
 
 def retrieve_layers(

@@ -69,11 +69,13 @@ def _ring_area(ring: np.ndarray) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def robust_sigma(values: np.ndarray) -> float:
-    """1.4826 * MAD; falls back to the sample standard deviation when MAD is 0."""
+def robust_sigma(values: np.ndarray, med: Optional[float] = None) -> float:
+    """1.4826 * MAD about ``med`` (default: the median of ``values``); falls back
+    to the sample standard deviation when MAD is 0."""
     values = np.asarray(values, dtype=np.float64)
-    med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med)))
+    if med is None:
+        med = float(np.median(values))
+    mad = float(np.median(np.abs(values - med), overwrite_input=True))
     if mad > 0.0:
         return 1.4826 * mad
     if values.size < 2:
@@ -86,7 +88,8 @@ def robust_threshold(values: np.ndarray, n_sigma: float) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DomainError("cannot derive a threshold from an empty background sample")
-    return float(np.median(values)) + n_sigma * robust_sigma(values)
+    med = float(np.median(values))
+    return med + n_sigma * robust_sigma(values, med)
 
 
 def radius_to_pixels(radius_m: float, gsd: float) -> int:
@@ -112,6 +115,34 @@ def disk(radius_px: int) -> np.ndarray:
     return (ax[:, None] ** 2 + ax[None, :] ** 2) <= r * r
 
 
+def _disk_op(mask: np.ndarray, r: int, dilate: bool) -> np.ndarray:
+    """``mask`` dilated (eroded) by ``disk(r)`` with False (True) beyond the border,
+    as scipy's ``binary_dilation`` (``binary_erosion``) with ``border_value`` 0 (1).
+
+    A disk is one horizontal run per row offset dy (van Herk 1992): one run
+    widens from the half-width at |dy| = r to the one at dy = 0 and is
+    combined into the output at each offset on the way.
+    """
+    combine = np.logical_or if dilate else np.logical_and
+    lines = mask.shape[0]
+    out = np.full(mask.shape, not dilate)
+    run = np.array(mask, dtype=bool)
+    width = 0
+    halves = disk(r)[: r + 1].sum(axis=1) // 2  # at dy = r, r - 1, ..., 0
+    for dy, half in zip(range(r, -1, -1), halves.tolist()):
+        # one column wider on each side; numpy reads overlapping operands as if
+        # copied first, and the border value would leave the edges unchanged
+        for _ in range(width, half):
+            combine(run[:, 1:], run[:, :-1], out=run[:, 1:])
+            combine(run[:, :-1], run[:, 1:], out=run[:, :-1])
+        width, n = half, lines - dy
+        if n > 0:
+            combine(out[dy:], run[:n], out=out[dy:])
+            if dy:
+                combine(out[:n], run[dy:], out=out[:n])
+    return out
+
+
 def morphology(mask: np.ndarray, params: SegmentationParams, gsd: float) -> np.ndarray:
     """Binary closing then opening with disk elements sized in meters.
 
@@ -123,13 +154,9 @@ def morphology(mask: np.ndarray, params: SegmentationParams, gsd: float) -> np.n
     r_close = radius_to_pixels(params.close_radius_m, gsd)
     r_open = radius_to_pixels(params.open_radius_m, gsd)
     if r_close > 0:
-        se = disk(r_close)
-        dilated = scipy.ndimage.binary_dilation(out, structure=se, border_value=0)
-        out = scipy.ndimage.binary_erosion(dilated, structure=se, border_value=1)
+        out = _disk_op(_disk_op(out, r_close, True), r_close, False)
     if r_open > 0:
-        se = disk(r_open)
-        eroded = scipy.ndimage.binary_erosion(out, structure=se, border_value=1)
-        out = scipy.ndimage.binary_dilation(eroded, structure=se, border_value=0)
+        out = _disk_op(_disk_op(out, r_open, False), r_open, True)
     return out
 
 

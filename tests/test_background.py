@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from plumeflux import kernels
 from plumeflux.background import (
@@ -12,6 +13,7 @@ from plumeflux.background import (
 from plumeflux.errors import DomainError
 from plumeflux.matched_filter import normalized_features
 from plumeflux.scene_io import EnhancementField, RadianceCube
+from plumeflux.segmentation import disk, radius_to_pixels
 from plumeflux.signature import BandAbsorption
 
 from conftest import make_cube
@@ -299,3 +301,62 @@ class TestChunkedScoring:
         chunk_bytes = chunk * n_bands * 8  # one widened chunk of candidate spectra
         # a float64 copy of the continuum bands alone would be 20 chunks
         assert peak <= 8 * chunk_bytes < data.nbytes
+
+
+def full_sort_selection(cube, absorption, mask, n_select, buffer_m):
+    """The selection by one pixel-major gather of every candidate and a full lexsort."""
+    bands = continuum_bands(absorption)
+    pixels = cube.data.reshape(cube.data.shape[0], -1).T
+    se = disk(radius_to_pixels(buffer_m, cube.gsd))
+    excluded = scipy.ndimage.binary_dilation(mask, structure=se)
+    cand = np.flatnonzero(~cube.nodata_mask & ~excluded)
+    plume = pixels[np.ix_((mask & ~cube.nodata_mask).ravel(), bands)].astype(np.float64)
+    reference = normalized_features(plume.mean(axis=0))
+    spectra = normalized_features(pixels[np.ix_(cand, bands)].astype(np.float64))
+    angles = spectral_angle(spectra, reference)
+    take = np.lexsort((cand, angles))[:n_select]
+    return np.column_stack(np.divmod(cand[take], mask.shape[1])), angles[take]
+
+
+class TestSelectionOrder:
+    def tied_scene(self, rng, nodata_frac):
+        """Every pixel holds one of four spectra, so most angles tie exactly."""
+        n_bands, lines, samples = 12, 24, 31
+        prototypes = rng.random((4, n_bands)) * 10 + 1
+        data = prototypes[rng.integers(0, 4, lines * samples)].T.reshape(n_bands, lines, samples)
+        nodata = rng.random((lines, samples)) < nodata_frac
+        cube = make_cube(data, n_bands=n_bands, nodata_mask=nodata)
+        mask = np.zeros((lines, samples), dtype=bool)
+        mask[8:12, 10:15] = True
+        return cube, make_absorption(n_bands, np.full(n_bands, 1e-9)), mask
+
+    @pytest.mark.parametrize("nodata_frac", [0.0, 0.2])
+    @pytest.mark.parametrize("chunk", [7, 10**6])
+    def test_ties_nodata_and_short_pools_equal_the_full_sort(
+        self, rng, monkeypatch, nodata_frac, chunk
+    ):
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", chunk)
+        cube, absorption, mask = self.tied_scene(rng, nodata_frac)
+        n_cand = len(full_sort_selection(cube, absorption, mask, None, 30.0)[0])
+        for n_select in (1, 50, 173, n_cand - 1, n_cand, n_cand + 1, 10 * n_cand):
+            sel = match_background(cube, absorption, mask, n_select=n_select, buffer_m=30.0)
+            idx, angles = full_sort_selection(cube, absorption, mask, n_select, 30.0)
+            assert np.array_equal(sel.pixel_indices, idx)
+            assert sel.similarity_scores.tobytes() == angles.tobytes()
+            assert sel.insufficient == (n_select > n_cand or n_select < 100)
+        # the tie groups are large: the k-th angle is shared by many candidates
+        assert np.unique(angles).size <= 4 < n_cand
+
+    @pytest.mark.parametrize("n_select", [5, 300, 10**4])
+    def test_nan_angles_sort_last_as_in_the_full_sort(self, rng, n_select):
+        cube, absorption, mask = self.tied_scene(rng, 0.1)
+        data = np.array(cube.data)
+        # spectra whose unit-mean scaling overflows score NaN
+        data[:, 0, :6] = np.resize([1e308, -1e308, 1e-300], data.shape[0])[:, None]
+        cube = make_cube(data, n_bands=data.shape[0], nodata_mask=cube.nodata_mask)
+        with np.errstate(all="ignore"):
+            sel = match_background(cube, absorption, mask, n_select=n_select, buffer_m=30.0)
+            idx, angles = full_sort_selection(cube, absorption, mask, n_select, 30.0)
+        assert np.isnan(angles).any() == (n_select == 10**4)
+        assert np.array_equal(sel.pixel_indices, idx)
+        assert sel.similarity_scores.tobytes() == angles.tobytes()

@@ -9,6 +9,7 @@ from plumeflux.scene_io import EnhancementField
 from plumeflux.segmentation import (
     SegmentationParams,
     _boundary_rings,
+    _disk_op,
     area_to_pixels,
     connected_components,
     disk,
@@ -16,6 +17,7 @@ from plumeflux.segmentation import (
     overlap_condition,
     plumes_to_geojson,
     radius_to_pixels,
+    robust_sigma,
     robust_threshold,
     segment_field,
     trace_polygon,
@@ -54,6 +56,20 @@ class TestRobustThreshold:
         with pytest.raises(DomainError):
             robust_threshold(np.array([]), 3.0)
 
+    def test_one_median_gives_the_three_median_value(self, rng):
+        # MAD > 0: median + n * 1.4826 * MAD, bit for bit, on odd and even sizes
+        for values in (rng.standard_normal(1001) * 40, rng.standard_normal(1000) * 40):
+            med = np.median(values)
+            expected = float(med) + 3.0 * (1.4826 * float(np.median(np.abs(values - med))))
+            assert robust_threshold(values, 3.0) == expected
+            assert robust_sigma(values, float(med)) == robust_sigma(values)
+
+    def test_mad_zero_std_fallback_value(self):
+        values = np.array([5.0] * 6 + [1.0, 9.0, 5.0])
+        expected = 5.0 + 2.0 * float(np.std(values, ddof=1))
+        assert robust_threshold(values, 2.0) == expected
+        assert robust_sigma(values, 5.0) == robust_sigma(values) == float(np.std(values, ddof=1))
+
 
 class TestScaleToPixels:
     @pytest.mark.parametrize(
@@ -80,7 +96,47 @@ class TestScaleToPixels:
         assert d2[1, 1]  # distance sqrt(2) <= 2
 
 
+def scipy_disk_op(mask, r, dilate):
+    """The oracle: scipy's binary operators with the same disk and border values."""
+    if dilate:
+        return scipy.ndimage.binary_dilation(mask, structure=disk(r), border_value=0)
+    return scipy.ndimage.binary_erosion(mask, structure=disk(r), border_value=1)
+
+
+class TestDiskOp:
+    @pytest.mark.parametrize("r", range(9))
+    @pytest.mark.parametrize("dilate", [True, False])
+    def test_equals_scipy_on_random_masks(self, rng, r, dilate):
+        shapes = [(1, 23), (23, 1), (1, 1), (2, 3), (7, 5), (19, 26), (40, 33)]
+        for shape in shapes:
+            for fill in (0.0, 0.05, 0.5, 0.95, 1.0):  # all-False and all-True included
+                m = rng.random(shape) < fill
+                np.testing.assert_array_equal(_disk_op(m, r, dilate), scipy_disk_op(m, r, dilate))
+
+    def test_input_left_unchanged(self, rng):
+        m = rng.random((9, 9)) > 0.5
+        before = m.copy()
+        _disk_op(m, 3, True)
+        _disk_op(m, 3, False)
+        np.testing.assert_array_equal(m, before)
+
+
 class TestMorphology:
+    @pytest.mark.parametrize(
+        "close_m,open_m", [(60.0, 30.0), (90.0, 0.0), (0.0, 120.0), (150.0, 60.0)]
+    )
+    def test_equals_the_scipy_composition(self, rng, close_m, open_m):
+        params = SegmentationParams(close_radius_m=close_m, open_radius_m=open_m)
+        r_close, r_open = radius_to_pixels(close_m, 30.0), radius_to_pixels(open_m, 30.0)
+        for fill in (0.1, 0.4, 0.7):
+            m = rng.random((37, 52)) < fill
+            expected = m
+            if r_close:
+                expected = scipy_disk_op(scipy_disk_op(expected, r_close, True), r_close, False)
+            if r_open:
+                expected = scipy_disk_op(scipy_disk_op(expected, r_open, False), r_open, True)
+            np.testing.assert_array_equal(morphology(m, params, 30.0), expected)
+
     def test_zero_radii_identity(self, rng):
         m = rng.random((12, 12)) > 0.5
         params = SegmentationParams(close_radius_m=0.0, open_radius_m=0.0)
