@@ -57,14 +57,19 @@ def spectral_angle(spectra: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
     Uses the chord half-angle form 2*arcsin(|u - v|/2), which is exactly 0
     for identical spectra and stays well-conditioned at small angles where
-    arccos loses precision.
+    arccos loses precision. Norms take ``np.linalg.norm``'s arithmetic.
     """
+    spectra = np.asarray(spectra, dtype=np.result_type(spectra, 1.0))
     ref_norm = float(np.linalg.norm(reference))
-    norms = np.linalg.norm(spectra, axis=-1)
+    sq = np.multiply(spectra, spectra)
+    norms = np.sqrt(np.add.reduce(sq, axis=-1))
     out = np.full(spectra.shape[0], np.pi)
     ok = (norms > 0) & (ref_norm > 0)
-    unit = spectra[ok] / norms[ok, None]
-    chord = np.linalg.norm(unit - reference / ref_norm, axis=-1)
+    if not ok.any():
+        return out
+    unit = np.divide(spectra, norms[:, None], out=sq) if ok.all() else spectra[ok] / norms[ok, None]
+    unit -= reference / ref_norm
+    chord = np.sqrt(np.add.reduce(np.multiply(unit, unit, out=unit), axis=-1))
     out[ok] = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
     return out
 

@@ -141,9 +141,9 @@ def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[flo
     return cov
 
 
-def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
-    """Whitened target q = cov^-1 t and the filter normalization t'q."""
-    if not np.any(t != 0.0):
+def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = cov^-1 t and t'q of each segment in a stack: batched Cholesky, then LAPACK potrs."""
+    if not np.all(np.any(t != 0.0, axis=-1)):
         raise DomainError("degenerate target spectrum")
     try:
         chol = np.linalg.cholesky(cov)
@@ -151,17 +151,21 @@ def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
         raise NumericalError(
             "covariance not positive definite after regularization (bug signal)"
         ) from exc
-    q = scipy.linalg.cho_solve((chol, True), t)
-    denom = float(t @ q)
-    if denom <= 0.0:
+    q, denom = np.empty_like(t), np.empty(t.shape[0])
+    for s, (c, ts) in enumerate(zip(chol, t)):
+        q[s], info = scipy.linalg.lapack.dpotrs(c, ts, lower=1)  # as scipy.linalg.cho_solve
+        if info != 0:
+            raise NumericalError(f"LAPACK potrs failed with info={info} (bug signal)")
+        denom[s] = ts @ q[s]
+    if np.any(denom <= 0.0):
         raise DomainError("degenerate target spectrum")
     return q, denom
 
 
 def mf_score(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, t: np.ndarray) -> float:
     """Single-spectrum matched-filter score (x-mu)' cov^-1 t / (t' cov^-1 t)."""
-    q, denom = _whiten(np.asarray(cov, dtype=np.float64), np.asarray(t, dtype=np.float64))
-    return float((np.asarray(x, dtype=np.float64) - mu) @ q / denom)
+    q, denom = _whiten(*(np.asarray(a, dtype=np.float64)[None] for a in (cov, t)))
+    return float((np.asarray(x, dtype=np.float64) - mu) @ q[0] / denom[0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,35 +368,40 @@ def _merge(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
     return a
 
 
-def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sign=1.0) -> tuple:
+def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sign=1.0, order=None):
     """Moments of each segment 0..n_seg-1 over the pixels (columns) of ``Y``; -1 is skipped.
 
-    Memory stays bounded by one chunk: one stable argsort groups its pixels by
-    segment, each block is centred on its own mean, and the blocks are merged
-    into the totals a group of segments at a time. Given ``total``, the blocks
-    merge into it in place; sign=-1 downdates it by them instead.
+    Chunks of about _CHUNK_BYTES follow ``order``, the stable argsort of ``seg``
+    (made here when not given), so a segment is one block of each chunk it
+    spans. Each block is centred on its own mean and merged into the totals a
+    group of segments at a time. Given ``total``, the blocks merge into it in
+    place; sign=-1 downdates it.
     """
-    p, n_pix = Y.shape
+    p = Y.shape[0]
     if total is None:
         total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, p, p)))
+    if order is None:
+        order = np.argsort(seg, kind="stable")
+    # segment s is order[bounds[s] : bounds[s + 1]]; nodata (-1) sorts first
+    bounds = np.cumsum(np.bincount(seg + 1, minlength=n_seg + 1))
+    n_valid = bounds[-1] - bounds[0]
     # equal chunks, each at most about _CHUNK_BYTES
-    n_chunks = max(1, -(-n_pix * p * 8 // _CHUNK_BYTES))
-    step = max(1, -(-n_pix // n_chunks))
-    for start in range(0, n_pix, step):
-        s = seg[start : start + step]
-        order = np.argsort(s, kind="stable")
-        ids, first, counts = np.unique(s[order], return_index=True, return_counts=True)
-        block = np.take(Y[:, start : start + step], order, axis=1).astype(np.float64, copy=False)
-        keep = ids >= 0
-        ids, first, counts = ids[keep], first[keep], counts[keep]
-        # a segment appears once per chunk, so one merge takes a group of its
-        # segments' blocks; groups keep the stacked moments in cache
+    n_chunks = max(1, -(-n_valid * p * 8 // _CHUNK_BYTES))
+    step = max(1, -(-n_valid // n_chunks))
+    for lo in range(bounds[0], bounds[-1], step):
+        hi = min(lo + step, bounds[-1])
+        block = np.take(Y, order[lo:hi], axis=1).astype(np.float64, copy=False)
+        edge = np.clip(bounds, lo, hi) - lo  # segment s's block is edge[s] : edge[s + 1]
+        ids = np.flatnonzero(np.diff(edge))
+        first, counts = edge[ids], edge[ids + 1] - edge[ids]
+        # a segment is one block of the chunk, so one merge takes a group of
+        # segments; groups keep the stacked moments in cache
         for g in range(0, ids.size, _MERGE_GROUP):
             group = slice(g, g + _MERGE_GROUP)
             n = counts[group].astype(np.float64)
             means, m2 = np.empty((n.size, p)), np.empty((n.size, p, p))
-            for j, (lo, c) in enumerate(zip(first[group].tolist(), counts[group].tolist())):
-                B = block[:, lo : lo + c]
+            for j, (b, c) in enumerate(zip(first[group].tolist(), counts[group].tolist())):
+                B = block[:, b : b + c]
                 means[j] = np.add.reduce(B, axis=1) / c
                 B -= means[j][:, None]
                 np.matmul(B, B.T, out=m2[j])
@@ -404,12 +413,12 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
 
 
 def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig) -> tuple:
-    """Each segment's (t, q, denom) from its moments, shrinking a group of segments at a time."""
+    """Each segment's (t, q, denom) from its moments, whitening a group of segments at a time."""
     n, mu, m2 = moments
-    t = np.array([target_spectrum(absorption.k_band, m, absorption.band_indices).t for m in mu])
-    groups = (slice(g, g + _MERGE_GROUP) for g in range(0, n.size, _MERGE_GROUP))
-    cov = (c for g in groups for c in _shrink(n[g], m2[g], config.shrinkage, config.delta_min))
-    q, denom = (np.array(v) for v in zip(*(_whiten(c, ts) for c, ts in zip(cov, t))))
+    t = target_spectrum(absorption.k_band, mu).t
+    groups = [slice(g, g + _MERGE_GROUP) for g in range(0, n.size, _MERGE_GROUP)]
+    shrunk = (_shrink(n[g], m2[g], config.shrinkage, config.delta_min) for g in groups)
+    q, denom = (np.concatenate(v) for v in zip(*map(_whiten, shrunk, (t[g] for g in groups))))
     return t, q, denom
 
 
@@ -486,7 +495,7 @@ def compute_stats(
     # ascending flat pixel indices of each segment (nodata sorts first and is dropped)
     order = np.argsort(seg_flat, kind="stable")
     rows = np.split(order, np.searchsorted(seg_flat[order], np.arange(len(members) + 1)))[1:-1]
-    moments = _segment_moments(Y, seg_flat, len(members))
+    moments = _segment_moments(Y, seg_flat, len(members), order=order)
     # a pooled segment merges its members' moments; it never gathers the pool again
     pooled = [(s, reduce(_merge, [tuple(x[i : i + 1].copy() for x in moments) for i in m]))
               for s, m in enumerate(members) if len(m) > 1]

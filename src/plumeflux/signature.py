@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .errors import DataError
-from .scene_io import SensorDescriptor, _number
+from .scene_io import SensorDescriptor
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -72,27 +73,35 @@ class TargetSpectrum:
     band_indices: np.ndarray | None = None
 
 
+def _table_lines(path: Path):
+    """(number, raw line, fields) of each line that holds more than a '#' comment."""
+    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield number, raw, fields
+
+
 def read_absorption_table(path: Union[str, Path]) -> AbsorptionTable:
     """Read a two-column (wavelength_nm, kappa) text table; '#' comments."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"absorption table not found: {path}")
     rows = []
-    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for number, raw, parts in _table_lines(path):
         where = f"{path} line {number}"
         if len(parts) != 2:
             raise DataError(f"{where}: absorption table line is not two columns: {raw!r}")
         try:
-            rows.append((_number(parts[0]), _number(parts[1])))
+            rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise DataError(f"{where}: values must be finite numbers, got {raw!r}") from None
     if len(rows) < 2:
         raise DataError(f"absorption table {path} has fewer than 2 rows")
     arr = np.array(rows)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():  # one check per table; the offending line is looked up only now
+        number, raw, _ = next(islice(_table_lines(path), int(np.argmin(finite)), None))
+        raise DataError(f"{path} line {number}: values must be finite numbers, got {raw!r}")
     return AbsorptionTable(wavelengths=arr[:, 0], kappa=arr[:, 1])
 
 
@@ -151,10 +160,10 @@ def band_absorption(
 
 
 def target_spectrum(k_band: np.ndarray, mu: np.ndarray, band_indices=None) -> TargetSpectrum:
-    """First-order radiance perturbation per unit enhancement: t = -k * mu."""
+    """First-order radiance perturbation per unit enhancement: t = -k * mu, per row of ``mu``."""
     k_band = np.asarray(k_band, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    if k_band.shape != mu.shape:
+    if k_band.shape != mu.shape[-1:]:
         raise DataError(f"k_band shape {k_band.shape} does not match mu shape {mu.shape}")
     if not np.all(np.isfinite(mu)):
         raise DataError("background mean must be finite")

@@ -140,6 +140,35 @@ class TestMatchBackground:
         assert sel.count == 500  # max(500, 5 * 25)
 
 
+def norm_form_angle(spectra, reference):
+    """The angle by ``np.linalg.norm``, a copy of every valid row and a chord temporary."""
+    ref_norm = float(np.linalg.norm(reference))
+    norms = np.linalg.norm(spectra, axis=-1)
+    out = np.full(spectra.shape[0], np.pi)
+    ok = (norms > 0) & (ref_norm > 0)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a zero reference divides by 0
+        unit = spectra[ok] / norms[ok, None]
+        chord = np.linalg.norm(unit - reference / ref_norm, axis=-1)
+    out[ok] = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    return out
+
+
+class TestSpectralAngleArithmetic:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_linalg_norm_form(self, rng, dtype):
+        spectra = (rng.random((500, 25)) * 10 + 0.1).astype(dtype)
+        reference = spectra[3].copy()
+        cases = [(spectra, reference), (spectra, 2.5 * spectra[7] + 1.0)]
+        with_zeros = spectra.copy()
+        with_zeros[[0, 17, 499]] = 0.0  # zero-norm rows score pi
+        cases += [(with_zeros, reference), (spectra, np.zeros(25, dtype=dtype))]
+        for rows, ref in cases:
+            angles = spectral_angle(rows, ref)
+            assert angles.tobytes() == norm_form_angle(rows, ref).tobytes()
+        assert np.all(spectral_angle(with_zeros, reference)[[0, 17, 499]] == np.pi)
+        assert np.all(spectral_angle(spectra, np.zeros(25)) == np.pi)
+
+
 class TestClutterSigma:
     def test_three_point_hand_case(self):
         field = field_from([[-1.0, 0.0, 1.0]])

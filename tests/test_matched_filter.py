@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plumeflux import kernels, matched_filter
-from plumeflux.errors import DomainError
+from plumeflux.errors import DataError, DomainError, NumericalError
 from plumeflux.matched_filter import (
     MfConfig,
     _merge,
@@ -25,7 +26,12 @@ from plumeflux.matched_filter import (
 )
 from plumeflux.scene_io import RadianceCube, read_cube, write_cube
 from plumeflux.segmentation import robust_threshold
-from plumeflux.signature import BandAbsorption, band_absorption, load_bundled_table
+from plumeflux.signature import (
+    BandAbsorption,
+    band_absorption,
+    load_bundled_table,
+    target_spectrum,
+)
 
 from conftest import make_cube, make_descriptor, random_spd
 
@@ -942,3 +948,74 @@ class TestMomentsOnlyStats:
             np.testing.assert_array_equal(a, b)
         empty = _segment_moments(Y[:, :300], seg[:300], 5)
         assert not any(np.any(x) for x in empty)
+
+
+class TestSegmentOrderPass:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf", "cwcmf"])
+    def test_one_chunk_equals_one_block_per_segment(self, variant, dtype):
+        # every valid pixel fits one chunk, so each segment is one block
+        # merged into zeros: its moments carry the one-block bits exactly
+        rng = np.random.default_rng(98)
+        cube = engine_cube(rng, nodata=True)
+        cube = RadianceCube(descriptor=cube.descriptor, data=cube.data.astype(dtype),
+                            nodata_mask=cube.nodata_mask)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3)
+        Y = _window_slab(cube, absorption.band_indices)
+        seg_map, members, _ = matched_filter._build_partition(cube, config, Y)
+        seg = seg_map.ravel()
+        stats = compute_stats(cube, absorption, config)
+        for moments in (_segment_moments(Y, seg, len(members)), stats.moments):
+            for s in range(len(members)):
+                if len(members[s]) > 1:  # a pooled column merges its members
+                    continue
+                # a C-ordered block: the fancy index Y[:, rows] is laid out pixel-major
+                B = np.ascontiguousarray(Y[:, np.flatnonzero(seg == s)], dtype=np.float64)
+                c = B.shape[1]
+                mean = np.add.reduce(B, axis=1) / c
+                Bc = B - mean[:, None]
+                assert moments[0][s] == c
+                assert moments[1][s].tobytes() == mean.tobytes()
+                assert moments[2][s].tobytes() == (Bc @ Bc.T).tobytes()
+        assert variant != "cwcmf" or any(len(m) > 1 for m in members)
+
+    def test_filters_equal_per_segment_cho_solve(self, monkeypatch):
+        # groups of 4 over 9 columns: a full group, and a short last one
+        monkeypatch.setattr(matched_filter, "_MERGE_GROUP", 4)
+        rng = np.random.default_rng(99)
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant="cwcmf")
+        stats = compute_stats(cube, absorption, config)
+        t, q, denom = matched_filter._filters(stats.moments, absorption, config)
+        n, mu, m2 = stats.moments
+        for s in range(n.size):
+            one = slice(s, s + 1)
+            cov = matched_filter._shrink(n[one], m2[one], config.shrinkage, config.delta_min)[0]
+            ts = target_spectrum(absorption.k_band, mu[s]).t
+            qs = scipy.linalg.cho_solve((np.linalg.cholesky(cov), True), ts)
+            assert t[s].tobytes() == ts.tobytes()
+            assert q[s].tobytes() == qs.tobytes()
+            assert denom[s] == float(ts @ qs)
+
+    def test_filters_keep_every_error(self, monkeypatch):
+        monkeypatch.setattr(matched_filter, "_MERGE_GROUP", 4)
+        rng = np.random.default_rng(100)
+        cube = engine_cube(rng, nodata=False)
+        data = cube.data.copy()
+        data[:, :, 7] = data[:, :1, 7]  # column 7, in the second group, is constant
+        cube = make_cube(data, descriptor=cube.descriptor)
+        absorption = make_absorption(8, rng=rng)
+        # no shrinkage and a negative floor leave its zero covariance unregularized
+        singular = MfConfig(variant="cwcmf", shrinkage=0.0, delta_min=-1.0)
+        with pytest.raises(NumericalError, match="positive definite"):
+            compute_stats(cube, absorption, singular)
+        stats = compute_stats(cube, absorption, MfConfig(variant="cwcmf"))
+        zero = make_absorption(8, k_values=np.zeros(8))
+        with pytest.raises(DomainError, match="degenerate target"):
+            matched_filter._filters(stats.moments, zero, MfConfig(variant="cwcmf"))
+        n, mu, m2 = (x.copy() for x in stats.moments)
+        mu[5, 2] = np.nan
+        with pytest.raises(DataError, match="background mean must be finite"):
+            matched_filter._filters((n, mu, m2), absorption, MfConfig(variant="cwcmf"))

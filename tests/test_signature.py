@@ -51,6 +51,14 @@ class TestTableIO:
             read_absorption_table(path)
         assert str(path) in str(err.value) and "line 3" in str(err.value)
 
+    def test_reader_names_the_first_non_finite_line(self, tmp_path):
+        # finiteness is checked once per table; the line is looked up after
+        path = tmp_path / "tab.txt"
+        path.write_text("2100.0 1e-5\n# note\n\n2101.0 inf  # x\n2102.0 nan\n2103.0 1e-5\n")
+        with pytest.raises(DataError) as err:
+            read_absorption_table(path)
+        assert str(err.value) == f"{path} line 4: values must be finite numbers, got '2101.0 inf  # x'"
+
     @pytest.mark.parametrize("column", ["wavelengths", "kappa"])
     def test_non_finite_arrays_rejected(self, column):
         arrays = {"wavelengths": np.array([1.0, 2.0, 3.0]), "kappa": np.ones(3)}
@@ -124,6 +132,15 @@ class TestTargetSpectrum:
     def test_hand_example(self):
         ts = target_spectrum(np.array([0.001, 0.002]), np.array([10.0, 20.0]))
         np.testing.assert_allclose(ts.t, [-0.01, -0.04], rtol=0, atol=0)
+
+    def test_one_mean_per_row(self, rng):
+        k = rng.random(5) * 1e-5
+        mu = rng.random((3, 5)) * 30
+        t = target_spectrum(k, mu).t
+        for row, m in zip(t, mu):
+            assert row.tobytes() == target_spectrum(k, m).t.tobytes()
+        with pytest.raises(DataError, match="does not match"):
+            target_spectrum(k, mu[:, :4])
 
     def test_zero_kappa_gives_zero_target(self):
         ts = target_spectrum(np.zeros(4), np.full(4, 11.0))
