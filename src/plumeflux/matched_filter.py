@@ -14,7 +14,6 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .errors import ConfigError, DataError, DomainError, NumericalError
@@ -143,6 +142,8 @@ def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[flo
 
 def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q = cov^-1 t and t'q of each segment in a stack: batched Cholesky, then LAPACK potrs."""
+    import scipy.linalg  # here, so runs without a retrieval never load it
+
     if not np.all(np.any(t != 0.0, axis=-1)):
         raise DomainError("degenerate target spectrum")
     try:

@@ -197,12 +197,15 @@ class EnhancementField:
         return dataclasses.replace(self, **kwargs)
 
     def crop(self, window: tuple[slice, slice]) -> "EnhancementField":
-        """The field inside (line, sample) ``window``; the origin moves by whole pixels."""
+        """The field inside (line, sample) ``window``; the origin moves by whole pixels.
+        Its layers are read-only windows of this field's checked layers, not checked again."""
         rows, cols = window
         names = ("delta_x", "nodata_mask", "sigma_noise", "sigma_clutter", "sigma_total")
         maps = {n: getattr(self, n)[window] for n in names if np.ndim(getattr(self, n)) == 2}
         origin = (self.origin[0] + cols.start * self.gsd, self.origin[1] - rows.start * self.gsd)
-        return self.replace(origin=origin, **maps)
+        crop = object.__new__(EnhancementField)
+        vars(crop).update(vars(self), origin=origin, **maps)
+        return crop
 
 
 def effective_gsd(area_m2: float, pixel_count: int) -> float:

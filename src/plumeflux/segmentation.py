@@ -14,13 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.ndimage
 
 from .errors import ConfigError, DomainError, NumericalError
 from .scene_io import EnhancementField
-
-_STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -69,27 +65,42 @@ def _ring_area(ring: np.ndarray) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
+def _median(work: np.ndarray) -> float:
+    """``np.median`` of float64 ``work`` from one selection, which reorders ``work``: NaN
+    sorts last, and the lower middle value is the largest before the upper one."""
+    if not work.size:
+        return math.nan
+    half = work.size // 2
+    work.partition(half)
+    if np.isnan(work[half:].max()):
+        return math.nan
+    return float(work[half] if work.size % 2 else (work[:half].max() + work[half]) / 2)
+
+
+def _robust_stats(values: np.ndarray, med: Optional[float] = None) -> tuple[float, float]:
+    """Median of ``values`` (or ``med``) and the robust sigma about it, from one working copy."""
+    values = np.asarray(values, dtype=np.float64)
+    work = values.copy()
+    med = _median(work) if med is None else med
+    # a median ignores order, so the copy becomes |v - med| in place
+    mad = _median(np.abs(np.subtract(work, med, out=work), out=work))
+    if mad > 0.0:
+        return med, 1.4826 * mad
+    return med, float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+
+
 def robust_sigma(values: np.ndarray, med: Optional[float] = None) -> float:
     """1.4826 * MAD about ``med`` (default: the median of ``values``); falls back
     to the sample standard deviation when MAD is 0."""
-    values = np.asarray(values, dtype=np.float64)
-    if med is None:
-        med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med), overwrite_input=True))
-    if mad > 0.0:
-        return 1.4826 * mad
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+    return _robust_stats(values, med)[1]
 
 
 def robust_threshold(values: np.ndarray, n_sigma: float) -> float:
     """Detection threshold median + n_sigma * (robust sigma) of the background."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    if np.size(values) == 0:
         raise DomainError("cannot derive a threshold from an empty background sample")
-    med = float(np.median(values))
-    return med + n_sigma * robust_sigma(values, med)
+    med, sigma = _robust_stats(values)
+    return med + n_sigma * sigma
 
 
 def radius_to_pixels(radius_m: float, gsd: float) -> int:
@@ -171,46 +182,71 @@ def morphology(mask: np.ndarray, params: SegmentationParams, gsd: float) -> np.n
 _SIDE_CORNERS = np.array([[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1], [1, 1, 1, 0]])
 
 
-def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
-    """Closed vertex rings (grid units) of a binary mask's pixel boundary.
-
-    Edges are sorted by (start, end) vertex in (x, y) order; each ring is a
-    cycle of the successor list, started at its first edge in that order.
-    """
-    lines, samples = mask.shape
-    padded = np.zeros((lines + 2, samples + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    neighbours = (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:])
-    side, i, j = np.nonzero([mask & ~n for n in neighbours])
-    # vertex (x, y) has key x * stride + y, which sorts in (x, y) order
-    stride = lines + 1
+def _rings(shape: tuple[int, int], pixel: np.ndarray, lab: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boundary rings, per label ``lab``, of the pixels at flat indices ``pixel`` of a ``shape``
+    image: the (x, y) grid vertices of every ring, closed and concatenated, the index one past
+    each ring's end, and each ring's label. A side is on the boundary where the pixel across it
+    is not listed, so 4-adjacent pixels must share a label. Edges are sorted by (label, start,
+    end) vertex, in (x, y) order; a ring starts at its first edge, and rings come in that order."""
+    lines, samples = shape
+    stride = lines + 1  # vertex (x, y) has key x * stride + y, which sorts in (x, y) order
+    span = (samples + 1) * stride  # label ``lab`` holds keys lab * span + vertex
+    i, j = np.divmod(pixel, samples)
+    at = (i + 1) * (samples + 2) + j + 1  # in the image padded by one pixel
+    listed = np.zeros((lines + 2) * (samples + 2), dtype=bool)
+    listed[at] = True
+    side, n = np.nonzero(~listed[at + np.array([[-samples - 2], [samples + 2], [-1], [1]])])
     sx, sy, ex, ey = _SIDE_CORNERS.T
-    pixel = j * stride + i
-    start = pixel + (sx * stride + sy)[side]
-    end = pixel + (ex * stride + ey)[side]
-    # a vertex has one way out, or two at a pinch: one left and one right
-    # turn. Take the clockwise one, end + (-dy, dx), so pinched boundaries
-    # merge into a single ring instead of crossing.
+    vertex = lab[n].astype(np.int64) * span + j[n] * stride + i[n]
+    start = vertex + (sx * stride + sy)[side]
+    end = vertex + (ex * stride + ey)[side]
+    # a vertex has one way out, or two at a pinch: one left and one right turn. Take the
+    # clockwise one, end + (-dy, dx), so pinched boundaries merge into one ring, not crossing.
     turn = end + ((sy - ey) * stride + ex - sx)[side]
     order = np.lexsort((end, start))
     start, end, turn = start[order], end[order], turn[order]
     lo = np.searchsorted(start, end)
     pinch = np.searchsorted(start, end, side="right") - lo == 2
-    nxt = (lo + (pinch & (end[lo] != turn))).tolist()
-    vertices = np.stack(np.divmod(start, stride), axis=1)
-    on_ring = [False] * len(nxt)
-    rings = []
-    for head in range(len(nxt)):
-        cycle = []
-        edge = head
-        while not on_ring[edge]:
-            on_ring[edge] = True
-            cycle.append(edge)
-            edge = nxt[edge]
-        if cycle:
-            cycle.append(head)
-            rings.append(vertices[cycle])
-    return rings
+    nxt = lo + (pinch & (end[lo] != turn))
+    # list ranking by pointer doubling (Wyllie 1979): ``rank`` packs an edge's ring head (the least
+    # edge index on its ring) and its steps from it as head * count + steps; after k rounds it holds
+    # the least such pair of the 2**k edges up to it. A ring has at most its label's edges.
+    count = nxt.size
+    back, rank = np.argsort(nxt), np.arange(count) * count  # predecessors; every edge a head
+    for k in range(int(np.bincount(start // span).max(initial=1) - 1).bit_length()):
+        rank, back = np.minimum(rank, rank[back] + 2**k), back[back]
+    walk = np.argsort(rank)
+    heads = np.flatnonzero(rank[walk] % count == 0)
+    stops = np.append(heads[1:], count)
+    walk = np.insert(walk, stops, walk[heads])  # each ring closed by its head
+    ends = stops + np.arange(1, heads.size + 1)
+    x, y = np.divmod(start[walk] % span, stride)
+    return x, y, ends, start[walk[ends - 1]] // span
+
+
+def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
+    """Closed vertex rings (grid units) of a binary mask's pixel boundary, in ``_rings`` order."""
+    pixel = np.flatnonzero(mask)
+    x, y, ends, _ = _rings(np.shape(mask), pixel, np.ones_like(pixel))
+    return np.split(np.column_stack([x, y]), ends[:-1]) if ends.size else []
+
+
+def _polygons(shape, pixel, lab, gsd: float, origin, start=(0, 0)) -> list[tuple]:
+    """(outer ring, holes) of each label of ``_rings(shape, pixel, lab)``, in label order, as
+    (easting, northing) metres; ``start`` is the scene (line, sample) of the image's first pixel."""
+    x, y, ends, owner = _rings(shape, pixel, lab)
+    # twice each ring's signed pixel area, exact in integers; lines grow
+    # southward, so counterclockwise in metres is clockwise on the grid
+    cross = np.concatenate([[0], np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1])])
+    twice = cross[np.concatenate([[0], ends[:-1]])] - cross[ends - 1]
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))  # each label's first ring
+    if np.any(np.add.reduceat(twice, firsts) != 2 * np.bincount(lab)[owner[firsts]]):
+        raise NumericalError("boundary tracing area mismatch (bug signal)")
+    pts = np.column_stack([origin[0] + (x + start[1]) * gsd, origin[1] - (y + start[0]) * gsd])
+    metric = np.split(pts, ends[:-1])
+    spans = zip(firsts.tolist(), firsts[1:].tolist() + [len(metric)])
+    outer = [(lo, lo + int(np.argmax(twice[lo:hi])), hi) for lo, hi in spans]  # the largest ring
+    return [(metric[k], tuple(metric[lo:k] + metric[k + 1 : hi])) for lo, k, hi in outer]
 
 
 def trace_polygon(
@@ -220,22 +256,10 @@ def trace_polygon(
 
     ``start``, the scene (line, sample) of ``mask[0, 0]``, shifts the integer vertices.
     """
-    rings = _boundary_rings(mask)
-    if not rings:
+    pixel = np.flatnonzero(mask)
+    if not pixel.size:
         raise DomainError("cannot trace the boundary of an empty mask")
-    grid = np.concatenate(rings)
-    ends = np.cumsum([ring.shape[0] for ring in rings])
-    # twice each ring's signed pixel area, exact in integers; lines grow
-    # southward, so counterclockwise in metres is clockwise on the grid
-    x, y = grid[:, 0], grid[:, 1]
-    cross = np.concatenate([[0], np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1])])
-    twice = cross[np.concatenate([[0], ends[:-1]])] - cross[ends - 1]
-    if twice.sum() != 2 * int(mask.sum()):
-        raise NumericalError("boundary tracing area mismatch (bug signal)")
-    pts = np.column_stack([origin[0] + (x + start[1]) * gsd, origin[1] - (y + start[0]) * gsd])
-    metric = np.split(pts, ends[:-1])
-    outer_idx = int(np.argmax(twice))
-    return metric[outer_idx], tuple(m for i, m in enumerate(metric) if i != outer_idx)
+    return _polygons(np.shape(mask), pixel, np.ones_like(pixel), gsd, origin, start)[0]
 
 
 def connected_components(
@@ -246,36 +270,32 @@ def connected_components(
     min_pixels: int = 1,
 ) -> list[PlumeMask]:
     """Label a binary mask and emit plumes sorted by area, largest first."""
+    import scipy.ndimage  # here, so runs that never label do not load it
+
     mask = np.asarray(mask, dtype=bool)
-    structure = _STRUCTURE_8 if connectivity == 8 else _STRUCTURE_4
+    structure = scipy.ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
     labels, _ = scipy.ndimage.label(mask, structure=structure)
-    counts = np.bincount(labels.ravel())
-    found = []
-    for lab, window in enumerate(scipy.ndimage.find_objects(labels), start=1):
-        if counts[lab] >= max(1, min_pixels):
-            crop = labels[window] == lab
-            # ties go to the first pixel in raster order, which is in the window's top row
-            first = (window[0].start, window[1].start + int(np.argmax(crop[0])))
-            found.append((int(counts[lab]), first, window, crop))
-    found.sort(key=lambda c: (-c[0], c[1]))
+    pixel = np.flatnonzero(mask)
+    counts = np.bincount(labels.ravel()[pixel], minlength=1)
+    pixel = pixel[counts[labels.ravel()[pixel]] >= max(1, min_pixels)]
+    pixel = pixel[np.argsort(labels.ravel()[pixel], kind="stable")]  # each label in raster order
+    lab = labels.ravel()[pixel]
     lines, samples = mask.shape
+    row, col = np.divmod(pixel, samples)
+    first, last = np.flatnonzero(np.diff(lab, prepend=0)), np.flatnonzero(np.diff(lab, append=0))
+    size = counts[lab[first]]
+    by_size = np.lexsort((pixel[first], -size))  # ties go to the first pixel in raster order
+    # each component's tight bounding box, label and pixel count, in label order as its rings
+    left, right = np.minimum.reduceat(col, first), np.maximum.reduceat(col, first) + 1
+    boxes = np.column_stack([row[first], row[last] + 1, left, right, lab[first], size]).tolist()
+    rings = _polygons(mask.shape, pixel, lab, gsd, origin)
     plumes = []
-    for rank, (count, _, (rows, cols), crop) in enumerate(found, start=1):
-        outer, holes = trace_polygon(crop, gsd, origin, start=(rows.start, cols.start))
-        # the window is the component's tight bounding box
-        touches = rows.start == 0 or cols.start == 0 or rows.stop == lines or cols.stop == samples
-        plumes.append(
-            PlumeMask(
-                label_id=rank,
-                window=(rows, cols),
-                mask=crop,
-                pixel_count=count,
-                area_m2=count * gsd * gsd,
-                polygon=outer,
-                holes=holes,
-                touches_edge=touches,
-            )
-        )
+    for rank, i in enumerate(by_size.tolist(), start=1):
+        top, bottom, left, right, k, count = boxes[i]
+        window = (slice(top, bottom), slice(left, right))
+        touches = top == 0 or left == 0 or bottom == lines or right == samples
+        area = count * gsd * gsd
+        plumes.append(PlumeMask(rank, window, labels[window] == k, count, area, *rings[i], touches))
     return plumes
 
 

@@ -2,6 +2,10 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +405,30 @@ class TestPipelineLevel2:
         assert plume["sigma_flux_t_per_h"] is None
         assert plume["sigma_flux_wind_t_per_h"] > 0
         assert any("unavailable" in a for a in plume["assumptions"])
+
+    def test_config_and_level2_run_leave_unused_scipy_modules_unloaded(self, tmp_path, rng):
+        # scipy.linalg serves the retrieval and scipy.ndimage the labelling only
+        values = rng.standard_normal((40, 40)) * 20
+        values[15:25, 15:25] += 800.0
+        write_raster(values, tmp_path / "enh", 30.0)
+        cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")})
+        script = "\n".join([
+            "import sys",
+            "from pathlib import Path",
+            "import plumeflux",
+            "from plumeflux.config import load_config",
+            "from plumeflux.pipeline import run_pipeline",
+            f"cfg = load_config({str(cfg_path)!r})",
+            "loaded = lambda: [m for m in ('scipy.linalg', 'scipy.ndimage') if m in sys.modules]",
+            "print(loaded())",
+            f"report = run_pipeline(cfg, Path({str(tmp_path / 'out')!r}))",
+            "print(loaded(), report['plume_count'])",
+        ])
+        src = str(Path(pf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[]", "['scipy.ndimage'] 1"]
 
     def test_downstream_chain_idempotent_on_emitted_rasters(self, tmp_path):
         # level-1 run, then re-enter the downstream from its own rasters

@@ -102,6 +102,44 @@ class TestIntegrateIme:
         assert ime == pytest.approx(f * 900.0 * 300.0, rel=1e-12)
 
 
+class TestPlumeCrop:
+    def test_crop_views_give_the_validated_crops_ime_bit_for_bit(self, rng):
+        delta = rng.standard_normal((30, 40)) * 50 + 200
+        sigma = np.abs(rng.standard_normal((30, 40))) * 20
+        nodata = np.zeros((30, 40), dtype=bool)
+        nodata[12, 15:18] = True  # inside the window and the plume mask
+        delta[nodata], sigma[nodata] = np.nan, np.nan
+        window = (slice(8, 20), slice(10, 25))
+        mask = rng.random((12, 15)) > 0.4
+        mask[4, 5:8] = True
+        for sigma_total in (sigma, None):
+            field = EnhancementField(
+                delta_x=delta,
+                gsd=30.0,
+                origin=(355000.0, 4100000.0),
+                sigma_noise=np.full((30, 40), 3.0),
+                sigma_clutter=5.0,
+                sigma_total=sigma_total,
+                nodata_mask=nodata,
+            )
+            crop = field.crop(window)
+            maps = {}
+            for name in ("delta_x", "nodata_mask", "sigma_noise", "sigma_total"):
+                full, layer = getattr(field, name), getattr(crop, name)
+                if full is None:
+                    assert layer is None
+                    continue
+                assert layer.base is full and not layer.flags.writeable
+                np.testing.assert_array_equal(layer, full[window])
+                maps[name] = full[window]
+            # the same crop built through the checks, with copied layers
+            checked = field.replace(origin=crop.origin, **maps)
+            assert crop.origin == checked.origin == (355300.0, 4099760.0)
+            assert (crop.gsd, crop.sigma_clutter) == (checked.gsd, checked.sigma_clutter)
+            assert integrate_ime(crop, mask) == integrate_ime(checked, mask)
+            assert (integrate_ime(crop, mask)[1] is None) is (sigma_total is None)
+
+
 class TestPlumeLength:
     @pytest.mark.parametrize(
         "area,expected",

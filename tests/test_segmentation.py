@@ -1,15 +1,19 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.ndimage
 
+from plumeflux import jsonfmt
 from plumeflux.errors import DomainError
 from plumeflux.scene_io import EnhancementField
 from plumeflux.segmentation import (
+    PlumeMask,
     SegmentationParams,
     _boundary_rings,
     _disk_op,
+    _median,
     area_to_pixels,
     connected_components,
     disk,
@@ -27,6 +31,99 @@ from plumeflux.segmentation import (
 def shoelace(ring):
     x, y = ring[:, 0], ring[:, 1]
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: one boundary walk per cropped component, edge by edge in Python
+
+WALK_CORNERS = np.array([[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1], [1, 1, 1, 0]])
+
+
+def walk_rings(mask):
+    """Rings of one mask: edges sorted by (start, end) vertex, each cycle walked from its first edge."""
+    lines, samples = mask.shape
+    padded = np.zeros((lines + 2, samples + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    neighbours = (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:])
+    side, i, j = np.nonzero([mask & ~n for n in neighbours])
+    stride = lines + 1
+    sx, sy, ex, ey = WALK_CORNERS.T
+    pixel = j * stride + i
+    start = pixel + (sx * stride + sy)[side]
+    end = pixel + (ex * stride + ey)[side]
+    turn = end + ((sy - ey) * stride + ex - sx)[side]
+    order = np.lexsort((end, start))
+    start, end, turn = start[order], end[order], turn[order]
+    lo = np.searchsorted(start, end)
+    pinch = np.searchsorted(start, end, side="right") - lo == 2
+    nxt = (lo + (pinch & (end[lo] != turn))).tolist()
+    vertices = np.stack(np.divmod(start, stride), axis=1)
+    on_ring = [False] * len(nxt)
+    rings = []
+    for head in range(len(nxt)):
+        cycle = []
+        edge = head
+        while not on_ring[edge]:
+            on_ring[edge] = True
+            cycle.append(edge)
+            edge = nxt[edge]
+        if cycle:
+            rings.append(vertices[cycle + [head]])
+    return rings
+
+
+def walk_polygon(crop, gsd, origin, start):
+    rings = walk_rings(crop)
+    grid = np.concatenate(rings)
+    ends = np.cumsum([ring.shape[0] for ring in rings])
+    x, y = grid[:, 0], grid[:, 1]
+    cross = np.concatenate([[0], np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1])])
+    twice = cross[np.concatenate([[0], ends[:-1]])] - cross[ends - 1]
+    assert twice.sum() == 2 * int(crop.sum())
+    pts = np.column_stack([origin[0] + (x + start[1]) * gsd, origin[1] - (y + start[0]) * gsd])
+    metric = np.split(pts, ends[:-1])
+    k = int(np.argmax(twice))
+    return metric[k], tuple(m for i, m in enumerate(metric) if i != k)
+
+
+def walk_components(mask, gsd, origin, connectivity, min_pixels):
+    structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else None
+    labels, _ = scipy.ndimage.label(mask, structure=structure)
+    counts = np.bincount(labels.ravel())
+    found = []
+    for lab, window in enumerate(scipy.ndimage.find_objects(labels), start=1):
+        if counts[lab] >= max(1, min_pixels):
+            crop = labels[window] == lab
+            first = (window[0].start, window[1].start + int(np.argmax(crop[0])))
+            found.append((int(counts[lab]), first, window, crop))
+    found.sort(key=lambda c: (-c[0], c[1]))
+    lines, samples = mask.shape
+    plumes = []
+    for rank, (count, _, (rows, cols), crop) in enumerate(found, start=1):
+        outer, holes = walk_polygon(crop, gsd, origin, (rows.start, cols.start))
+        touches = rows.start == 0 or cols.start == 0 or rows.stop == lines or cols.stop == samples
+        plumes.append(
+            PlumeMask(rank, (rows, cols), crop, count, count * gsd * gsd, outer, holes, touches)
+        )
+    return plumes
+
+
+def random_masks(rng, n):
+    """Seeded masks: speckle of any density, smoothed blobs with holes and
+    pinches, single rows and columns, and the empty and full masks."""
+    yield np.zeros((7, 9), dtype=bool)
+    yield np.ones((7, 9), dtype=bool)
+    for trial in range(n - 2):
+        shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+        kind = trial % 3
+        if kind == 0:
+            yield rng.random(shape) < rng.uniform(0.05, 0.95)
+        elif kind == 1:
+            smooth = scipy.ndimage.uniform_filter(rng.random(shape), int(rng.integers(2, 6)))
+            yield smooth > np.quantile(smooth, rng.uniform(0.2, 0.8))
+        else:
+            blob = scipy.ndimage.uniform_filter(rng.random(shape), 5) > 0.45
+            yield blob & (rng.random(shape) > 0.15)  # blobs with pinholes
 
 
 class TestRobustThreshold:
@@ -69,6 +166,48 @@ class TestRobustThreshold:
         expected = 5.0 + 2.0 * float(np.std(values, ddof=1))
         assert robust_threshold(values, 2.0) == expected
         assert robust_sigma(values, 5.0) == robust_sigma(values) == float(np.std(values, ddof=1))
+
+
+class TestMedian:
+    @staticmethod
+    def samples(rng):
+        for n in list(range(1, 12)) + [100, 101, 1000, 1001]:
+            yield rng.standard_normal(n) * 40
+            yield rng.integers(-3, 4, n).astype(np.float64)  # ties
+            yield (rng.standard_normal(n) * 40).astype(np.float32).astype(np.float64)
+            yield np.full(n, 2.5)
+
+    def test_equals_np_median(self, rng):
+        for values in self.samples(rng):
+            assert _median(values.copy()) == np.median(values)
+
+    def test_nan_and_empty(self, rng):
+        for n in (1, 2, 7, 10):
+            for at in {0, n // 2, n - 1}:
+                values = rng.standard_normal(n)
+                values[at] = np.nan
+                assert math.isnan(_median(values.copy()))
+        assert math.isnan(_median(np.array([])))
+
+    def test_robust_sigma_and_threshold_equal_the_np_median_forms(self, rng):
+        def sigma(values, med):
+            mad = float(np.median(np.abs(values - med)))
+            return 1.4826 * mad if mad > 0 else (float(np.std(values, ddof=1)) if values.size > 1 else 0.0)
+
+        for values in self.samples(rng):
+            kept = values.copy()
+            med = float(np.median(values))
+            assert robust_sigma(values) == sigma(values, med)
+            assert robust_sigma(values, med + 1.0) == sigma(values, med + 1.0)
+            assert robust_threshold(values, 3.0) == med + 3.0 * sigma(values, med)
+            np.testing.assert_array_equal(values, kept)  # the caller's values are not reordered
+        nan = np.array([1.0, np.nan, 2.0, 3.0])
+        assert math.isnan(robust_sigma(nan)) and math.isnan(robust_threshold(nan, 3.0))
+        # one value: no spread about its own median, and |v - med| about another
+        assert robust_sigma(np.array([4.0])) == 0.0 == robust_sigma(np.array([np.nan]))
+        assert robust_sigma(np.array([4.0]), 1.0) == 1.4826 * 3.0
+        assert robust_threshold(np.array([4.0]), 3.0) == 4.0
+        assert robust_sigma(np.array([])) == 0.0
 
 
 class TestScaleToPixels:
@@ -269,6 +408,40 @@ class TestConnectedComponents:
             tracemalloc.stop()
         assert len(plumes) >= 300
         assert peak < 32 * mask.nbytes
+
+
+class TestAgainstThePerCropWalk:
+    def test_plumes_and_geojson_bytes_equal_the_walk(self, rng):
+        seen = {"holes": 0, "pinch": 0, "edge": 0, "empty": 0}
+        combos = [(c, p) for c in (4, 8) for p in (1, 3)]
+        for trial, m in enumerate(random_masks(rng, 520)):
+            gsd = float(rng.choice([7.5, 30.0, 60.0]))
+            origin = (355000.0 + float(rng.integers(0, 100)), 4100000.5)
+            for k, (connectivity, min_pixels) in enumerate(combos):
+                got = connected_components(m, gsd, origin, connectivity, min_pixels)
+                want = walk_components(m, gsd, origin, connectivity, min_pixels)
+                assert [(p.window, p.mask.tobytes()) for p in got] == [
+                    (p.window, p.mask.tobytes()) for p in want
+                ]
+                assert all(p.polygon.dtype == np.float64 for p in got)
+                # the features hold every other field: rank, counts, area, edge flag, rings
+                assert plumes_to_geojson(got) == plumes_to_geojson(want)
+                seen["empty"] += not got
+                seen["holes"] += sum(bool(p.holes) for p in got)
+                seen["edge"] += sum(p.touches_edge for p in got)
+                seen["pinch"] += sum(len({*map(tuple, p.polygon.tolist())}) < len(p.polygon) - 1 for p in got)
+                if k == trial % len(combos):  # the written bytes, one setting per mask in turn
+                    assert jsonfmt.dumps(plumes_to_geojson(got)) == jsonfmt.dumps(plumes_to_geojson(want))
+        assert all(seen.values()), seen
+
+    def test_dense_speckle_scene(self):
+        rng = np.random.default_rng(3)
+        m = scipy.ndimage.uniform_filter(rng.random((160, 200)), 3) > 0.55
+        for connectivity in (4, 8):
+            got = connected_components(m, 30.0, (1000.0, 2000.0), connectivity, 1)
+            want = walk_components(m, 30.0, (1000.0, 2000.0), connectivity, 1)
+            assert len(got) > 100
+            assert jsonfmt.dumps(plumes_to_geojson(got)) == jsonfmt.dumps(plumes_to_geojson(want))
 
 
 class TestBoundaryRings:
