@@ -152,7 +152,8 @@ class EnhancementField:
     ``sigma_total`` combines noise and clutter in quadrature. Every value
     outside ``nodata_mask`` is finite, and the sigma layers are non-negative.
     Map layers are held read-only under the module's copy rule, so
-    ``replace`` shares the layers it does not change.
+    ``replace`` shares the layers it does not change; ``crop`` layers are
+    read-only views of this field's layers, which are not checked again.
     """
 
     delta_x: np.ndarray
@@ -197,8 +198,7 @@ class EnhancementField:
         return dataclasses.replace(self, **kwargs)
 
     def crop(self, window: tuple[slice, slice]) -> "EnhancementField":
-        """The field inside (line, sample) ``window``; the origin moves by whole pixels.
-        Its layers are read-only windows of this field's checked layers, not checked again."""
+        """The field inside (line, sample) ``window``; the origin moves by whole pixels."""
         rows, cols = window
         names = ("delta_x", "nodata_mask", "sigma_noise", "sigma_clutter", "sigma_total")
         maps = {n: getattr(self, n)[window] for n in names if np.ndim(getattr(self, n)) == 2}

@@ -77,11 +77,11 @@ def _median(work: np.ndarray) -> float:
     return float(work[half] if work.size % 2 else (work[:half].max() + work[half]) / 2)
 
 
-def _robust_stats(values: np.ndarray, med: Optional[float] = None) -> tuple[float, float]:
-    """Median of ``values`` (or ``med``) and the robust sigma about it, from one working copy."""
+def _robust_stats(values: np.ndarray) -> tuple[float, float]:
+    """Median of ``values`` and the robust sigma about it, from one working copy."""
     values = np.asarray(values, dtype=np.float64)
     work = values.copy()
-    med = _median(work) if med is None else med
+    med = _median(work)
     # a median ignores order, so the copy becomes |v - med| in place
     mad = _median(np.abs(np.subtract(work, med, out=work), out=work))
     if mad > 0.0:
@@ -89,10 +89,9 @@ def _robust_stats(values: np.ndarray, med: Optional[float] = None) -> tuple[floa
     return med, float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
-def robust_sigma(values: np.ndarray, med: Optional[float] = None) -> float:
-    """1.4826 * MAD about ``med`` (default: the median of ``values``); falls back
-    to the sample standard deviation when MAD is 0."""
-    return _robust_stats(values, med)[1]
+def robust_sigma(values: np.ndarray) -> float:
+    """1.4826 * MAD of ``values``; falls back to the sample standard deviation when MAD is 0."""
+    return _robust_stats(values)[1]
 
 
 def robust_threshold(values: np.ndarray, n_sigma: float) -> float:
@@ -212,7 +211,8 @@ def _rings(shape: tuple[int, int], pixel: np.ndarray, lab: np.ndarray) -> tuple[
     # edge index on its ring) and its steps from it as head * count + steps; after k rounds it holds
     # the least such pair of the 2**k edges up to it. A ring has at most its label's edges.
     count = nxt.size
-    back, rank = np.argsort(nxt), np.arange(count) * count  # predecessors; every edge a head
+    back, rank = np.empty_like(nxt), np.arange(count) * count  # every edge a head
+    back[nxt] = np.arange(count)  # predecessors: ``nxt`` is a permutation
     for k in range(int(np.bincount(start // span).max(initial=1) - 1).bit_length()):
         rank, back = np.minimum(rank, rank[back] + 2**k), back[back]
     walk = np.argsort(rank)
@@ -231,10 +231,20 @@ def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
     return np.split(np.column_stack([x, y]), ends[:-1]) if ends.size else []
 
 
-def _polygons(shape, pixel, lab, gsd: float, origin, start=(0, 0)) -> list[tuple]:
-    """(outer ring, holes) of each label of ``_rings(shape, pixel, lab)``, in label order, as
-    (easting, northing) metres; ``start`` is the scene (line, sample) of the image's first pixel."""
-    x, y, ends, owner = _rings(shape, pixel, lab)
+def trace_polygon(
+    mask: np.ndarray, gsd: float, origin: tuple[float, float], start=(0, 0), labels=None
+):
+    """Outer ring and holes of a mask, as (easting, northing) vertices in meters.
+
+    ``start``, the scene (line, sample) of ``mask[0, 0]``, shifts the integer vertices.
+    Given ``labels``, an integer image in which 4-adjacent pixels of ``mask`` share a
+    label, it returns the (outer ring, holes) of every label of ``mask``, in label order.
+    """
+    pixel = np.flatnonzero(mask)
+    if labels is None and not pixel.size:
+        raise DomainError("cannot trace the boundary of an empty mask")
+    lab = np.ones_like(pixel) if labels is None else np.ravel(labels)[pixel]
+    x, y, ends, owner = _rings(np.shape(mask), pixel, lab)
     # twice each ring's signed pixel area, exact in integers; lines grow
     # southward, so counterclockwise in metres is clockwise on the grid
     cross = np.concatenate([[0], np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1])])
@@ -246,20 +256,8 @@ def _polygons(shape, pixel, lab, gsd: float, origin, start=(0, 0)) -> list[tuple
     metric = np.split(pts, ends[:-1])
     spans = zip(firsts.tolist(), firsts[1:].tolist() + [len(metric)])
     outer = [(lo, lo + int(np.argmax(twice[lo:hi])), hi) for lo, hi in spans]  # the largest ring
-    return [(metric[k], tuple(metric[lo:k] + metric[k + 1 : hi])) for lo, k, hi in outer]
-
-
-def trace_polygon(
-    mask: np.ndarray, gsd: float, origin: tuple[float, float], start: tuple[int, int] = (0, 0)
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Outer ring and holes of a mask, as (easting, northing) vertices in meters.
-
-    ``start``, the scene (line, sample) of ``mask[0, 0]``, shifts the integer vertices.
-    """
-    pixel = np.flatnonzero(mask)
-    if not pixel.size:
-        raise DomainError("cannot trace the boundary of an empty mask")
-    return _polygons(np.shape(mask), pixel, np.ones_like(pixel), gsd, origin, start)[0]
+    polygons = [(metric[k], tuple(metric[lo:k] + metric[k + 1 : hi])) for lo, k, hi in outer]
+    return polygons if labels is not None else polygons[0]
 
 
 def connected_components(
@@ -288,7 +286,9 @@ def connected_components(
     # each component's tight bounding box, label and pixel count, in label order as its rings
     left, right = np.minimum.reduceat(col, first), np.maximum.reduceat(col, first) + 1
     boxes = np.column_stack([row[first], row[last] + 1, left, right, lab[first], size]).tolist()
-    rings = _polygons(mask.shape, pixel, lab, gsd, origin)
+    kept = np.zeros(mask.shape, dtype=bool)
+    kept.ravel()[pixel] = True
+    rings = trace_polygon(kept, gsd, origin, labels=labels)  # every plume's rings in one pass
     plumes = []
     for rank, i in enumerate(by_size.tolist(), start=1):
         top, bottom, left, right, k, count = boxes[i]
@@ -336,7 +336,7 @@ def overlap_condition(
 
     Pixels whose centers fall outside the axis-aligned intersection are
     dropped (the crop removes whole rows/columns, which is equivalent for
-    axis-aligned grids).
+    axis-aligned grids). The crops' layers are views that share the inputs' memory.
     """
 
     def footprint(f):
