@@ -29,7 +29,6 @@ class BackgroundSelection:
 
     pixel_indices: np.ndarray  # (n, 2) of (line, sample)
     similarity_scores: np.ndarray  # spectral angle, radians
-    continuum_band_indices: np.ndarray
     insufficient: bool
 
     @property
@@ -130,7 +129,6 @@ def match_background(
     return BackgroundSelection(
         pixel_indices=np.column_stack(np.divmod(cand[take], plume_mask.shape[1])),
         similarity_scores=angles[take],
-        continuum_band_indices=bands,
         insufficient=bool(take.size < n_select or take.size < min_sample),
     )
 

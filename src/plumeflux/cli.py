@@ -107,7 +107,7 @@ def cmd_segment(args) -> int:
     if enh is None:
         raise ConfigError("segment requires input.enhancement or --enhancement")
     field = ingest_level2(enh, None, cfg.input.gsd)
-    plumes, tau, _mask = segment_field(field, cfg.segmentation)
+    plumes, tau = segment_field(field, cfg.segmentation)
     write_plumes(out, field, plumes)
     write_report(
         {

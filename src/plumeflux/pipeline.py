@@ -10,6 +10,7 @@ overlap.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -81,7 +82,7 @@ class StageResult:
 
     report: dict
     plumes: list[PlumeMask]
-    records: list[PlumeRecord]
+    labels: np.ndarray  # the plume label raster: each plume's label_id on its pixels, else 0
 
 
 def write_layers(out_dir: Path, field: EnhancementField) -> None:
@@ -93,13 +94,14 @@ def write_layers(out_dir: Path, field: EnhancementField) -> None:
             write_raster(layer, out_dir / name, field.gsd, field.origin, field.nodata_mask)
 
 
-def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]) -> None:
-    """Write the plume label raster and the plume polygons as GeoJSON."""
+def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]) -> np.ndarray:
+    """Write the plume label raster and the plume polygons as GeoJSON; returns the raster."""
     labels = np.zeros(field.shape)
     for p in plumes:
         labels[p.window][p.mask] = p.label_id
     write_raster(labels, out_dir / "plume_mask", field.gsd, field.origin, field.nodata_mask)
     write_report(plumes_to_geojson(plumes), out_dir / "plumes.geojson")
+    return labels
 
 
 def write_report(report: dict, path: Path) -> None:
@@ -176,7 +178,7 @@ def run_stage(
     timings = {"retrieve_s": t1 - t0, "background_s": time.perf_counter() - t1}
 
     t0 = time.perf_counter()
-    plumes, tau, _final_mask = segment_field(field, cfg.segmentation, sample)
+    plumes, tau = segment_field(field, cfg.segmentation, sample)
     timings["segmentation_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -188,7 +190,7 @@ def run_stage(
     t0 = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_layers(out_dir, field)
-    write_plumes(out_dir, field, plumes)
+    labels = write_plumes(out_dir, field, plumes)
     timings["outputs_s"] = time.perf_counter() - t0
 
     report = {
@@ -207,7 +209,7 @@ def run_stage(
         "assumption_flags": sorted(set(flags)),
         "timings_s": timings,
     }
-    return StageResult(report=report, plumes=plumes, records=records)
+    return StageResult(report=report, plumes=plumes, labels=labels)
 
 
 def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
@@ -247,51 +249,37 @@ def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     return report
 
 
-def _mask_iou(a: PlumeMask, b: PlumeMask) -> float:
-    """Pixel IoU of two plumes on one scene grid, counted where their windows overlap."""
-    (ra, ca), (rb, cb) = a.window, b.window
-    r0, r1 = max(ra.start, rb.start), min(ra.stop, rb.stop)
-    c0, c1 = max(ca.start, cb.start), min(ca.stop, cb.stop)
-    if r0 >= r1 or c0 >= c1:
-        return 0.0
-    part_a = a.mask[r0 - ra.start : r1 - ra.start, c0 - ca.start : c1 - ca.start]
-    part_b = b.mask[r0 - rb.start : r1 - rb.start, c0 - cb.start : c1 - cb.start]
-    inter = int(np.count_nonzero(part_a & part_b))
-    return inter / (a.pixel_count + b.pixel_count - inter) if inter else 0.0
-
-
 def match_plumes_across_runs(
     runs: list[StageResult], iou_threshold: float = 0.3
 ) -> tuple[list[dict], list[dict]]:
     """Greedy IoU matching of plumes against the first run's plumes.
 
-    Returns (groups, unmatched): each group holds one member per run where a
-    match of IoU >= threshold exists; plumes that match no group are listed
-    as unmatched with their run index.
+    Pixel IoUs come from the runs' label rasters. Returns (groups, unmatched):
+    each group holds one member per run where a match of IoU >= threshold
+    exists, taken in order of decreasing IoU; plumes that match no group are
+    listed as unmatched with their run index.
     """
     if not runs:
         return [], []
-    groups = [
-        {"anchor_label": p.label_id, "members": [(0, p.label_id)], "anchor": p}
-        for p in runs[0].plumes
-    ]
+    groups = [{"anchor_label": p.label_id, "members": [(0, p.label_id)]} for p in runs[0].plumes]
+    at = np.flatnonzero(runs[0].labels)  # the anchor plumes' pixels
+    anchor = runs[0].labels.ravel()[at].astype(np.intp)
+    n_a = np.array([0] + [p.pixel_count for p in runs[0].plumes])
     unmatched = []
     for run_idx in range(1, len(runs)):
         plumes = runs[run_idx].plumes
-        # (start, stop) per window axis; plumes whose windows are disjoint have IoU 0
-        a, b = (np.array([[(w.start, w.stop) for w in p.window] for p in ps]).reshape(-1, 2, 2)
-                for ps in ([g["anchor"] for g in groups], plumes))
-        lo = np.maximum(a[:, None, :, 0], b[None, :, :, 0])
-        overlap = np.all(lo < np.minimum(a[:, None, :, 1], b[None, :, :, 1]), axis=-1)
-        pairs = []
-        for g_idx, j in zip(*np.nonzero(overlap | (iou_threshold <= 0))):
-            iou = _mask_iou(groups[g_idx]["anchor"], plumes[j]) if overlap[g_idx, j] else 0.0
-            if iou >= iou_threshold:
-                pairs.append((iou, int(g_idx), plumes[j].label_id))
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+        other = runs[run_idx].labels.ravel()[at].astype(np.intp)
+        n_b = np.array([0] + [p.pixel_count for p in plumes])
+        # every (anchor, plume) pixel intersection from one count of label pairs; the
+        # anchor pixels that no plume of this run covers fall in column 0
+        inter = np.bincount(anchor * n_b.size + other, minlength=n_a.size * n_b.size)
+        inter = inter.reshape(n_a.size, n_b.size)[1:, 1:]
+        iou = inter / (n_a[1:, None] + n_b[None, 1:] - inter)
+        g, j = np.nonzero(iou >= iou_threshold)
+        order = np.lexsort((j, g, -iou[g, j]))
         taken_groups: set[int] = set()
         taken_plumes: set[int] = set()
-        for iou, g_idx, label in pairs:
+        for g_idx, label in zip(g[order].tolist(), (j[order] + 1).tolist()):
             if g_idx in taken_groups or label in taken_plumes:
                 continue
             groups[g_idx]["members"].append((run_idx, label))
@@ -321,8 +309,7 @@ def run_multi(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
         write_report(entry, sub / "report.json")
 
     flux_by_run_label = [
-        {p.label_id: r.flux_t_per_h for p, r in zip(stage.plumes, stage.records)}
-        for stage in results
+        {p["label_id"]: p["flux_t_per_h"] for p in stage.report["plumes"]} for stage in results
     ]
     groups, unmatched = match_plumes_across_runs(results)
     spreads = []
@@ -370,7 +357,9 @@ def quantify_only(
     wind,
 ) -> dict:
     """Quantification without rasters: IME and area straight to a flux record."""
-    if ime_kg <= 0 or area_m2 <= 0:
-        raise DomainError("ime_kg and area_m2 must be positive")
+    if not (0 < ime_kg < math.inf and 0 < area_m2 < math.inf):
+        raise DomainError("ime_kg and area_m2 must be finite and positive")
+    if sigma_ime_kg is not None and not 0 <= sigma_ime_kg < math.inf:
+        raise DomainError("sigma_ime_kg must be finite and non-negative")
     record = quantify(ime_kg, sigma_ime_kg, area_m2, wind)
     return record_to_dict(record, {**dict.fromkeys(_PLUME_KEYS), "area_m2": area_m2})

@@ -52,6 +52,8 @@ class WindConfig:
     sigma_method: str = "analytic"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u10, self.sigma_u10, self.beta0, self.beta1))):
+            raise ConfigError("u10, sigma_u10, beta0 and beta1 must be finite")
         if not self.u10 > 0:
             raise ConfigError("u10 must be positive")
         if self.sigma_u10 < 0:
@@ -74,7 +76,6 @@ class PlumeRecord:
     sigma_ime_kg: Optional[float] = None
     sigma_flux_ime_t_per_h: Optional[float] = None
     sigma_flux_t_per_h: Optional[float] = None
-    plume: Optional[PlumeMask] = None
     assumptions: tuple[str, ...] = ()
 
 
@@ -174,7 +175,6 @@ def quantify(
     sigma_ime_kg: Optional[float],
     area_m2: float,
     wind: WindConfig,
-    plume: Optional[PlumeMask] = None,
     extra_assumptions: tuple[str, ...] = (),
 ) -> PlumeRecord:
     """Assemble a full record from aggregated quantities (no rasters needed)."""
@@ -201,7 +201,6 @@ def quantify(
         sigma_flux_t_per_h=total,
         sigma_flux_wind_t_per_h=sigma_wind,
         sigma_flux_ime_t_per_h=sigma_ime_term,
-        plume=plume,
         assumptions=tuple(assumptions),
     )
 
@@ -215,4 +214,4 @@ def quantify_plume(
     """Quantify one segmented plume from the field's enhancement and sigma layers."""
     ime, sigma_ime = integrate_ime(field.crop(plume.window), plume.mask, constants)
     extra = ("plume touches the scene edge",) if plume.touches_edge else ()
-    return quantify(ime, sigma_ime, plume.area_m2, wind, plume=plume, extra_assumptions=extra)
+    return quantify(ime, sigma_ime, plume.area_m2, wind, extra_assumptions=extra)

@@ -231,12 +231,9 @@ def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
     return np.split(np.column_stack([x, y]), ends[:-1]) if ends.size else []
 
 
-def trace_polygon(
-    mask: np.ndarray, gsd: float, origin: tuple[float, float], start=(0, 0), labels=None
-):
+def trace_polygon(mask: np.ndarray, gsd: float, origin: tuple[float, float], labels=None):
     """Outer ring and holes of a mask, as (easting, northing) vertices in meters.
 
-    ``start``, the scene (line, sample) of ``mask[0, 0]``, shifts the integer vertices.
     Given ``labels``, an integer image in which 4-adjacent pixels of ``mask`` share a
     label, it returns the (outer ring, holes) of every label of ``mask``, in label order.
     """
@@ -252,7 +249,7 @@ def trace_polygon(
     firsts = np.flatnonzero(np.diff(owner, prepend=-1))  # each label's first ring
     if np.any(np.add.reduceat(twice, firsts) != 2 * np.bincount(lab)[owner[firsts]]):
         raise NumericalError("boundary tracing area mismatch (bug signal)")
-    pts = np.column_stack([origin[0] + (x + start[1]) * gsd, origin[1] - (y + start[0]) * gsd])
+    pts = np.column_stack([origin[0] + x * gsd, origin[1] - y * gsd])
     metric = np.split(pts, ends[:-1])
     spans = zip(firsts.tolist(), firsts[1:].tolist() + [len(metric)])
     outer = [(lo, lo + int(np.argmax(twice[lo:hi])), hi) for lo, hi in spans]  # the largest ring
@@ -303,12 +300,12 @@ def segment_field(
     field: EnhancementField,
     params: SegmentationParams,
     background_values: Optional[np.ndarray] = None,
-) -> tuple[list[PlumeMask], float, np.ndarray]:
+) -> tuple[list[PlumeMask], float]:
     """Threshold, morphology, and labeling in one step.
 
     ``background_values`` is the spectrally matched background sample when
     available; otherwise all non-nodata pixels serve as background.
-    Returns (plumes, threshold, final binary mask).
+    Returns (plumes, threshold).
     """
     valid = ~field.nodata_mask
     bg = background_values if background_values is not None else field.delta_x[valid]
@@ -323,10 +320,7 @@ def segment_field(
         connectivity=params.connectivity,
         min_pixels=area_to_pixels(params.min_area_m2, field.gsd),
     )
-    final = np.zeros_like(cleaned)
-    for plume in plumes:
-        final[plume.window] |= plume.mask
-    return plumes, tau, final
+    return plumes, tau
 
 
 def overlap_condition(

@@ -260,9 +260,11 @@ def test_criterion_11_segmentation_invariants():
     field1 = pf.EnhancementField(delta_x=values, gsd=30.0)
     field2 = pf.EnhancementField(delta_x=2.5 * values + 11.0, gsd=30.0)
     params = SegmentationParams(min_area_m2=0.0)
-    _, _, m1 = segment_field(field1, params)
-    _, _, m2 = segment_field(field2, params)
-    assert np.array_equal(m1, m2)
+    p1, _ = segment_field(field1, params)
+    p2, _ = segment_field(field2, params)
+    assert p1 and [(p.label_id, p.window, p.mask.tobytes()) for p in p1] == [
+        (p.label_id, p.window, p.mask.tobytes()) for p in p2
+    ]
     # exact shoelace identity on random masks
     for _ in range(20):
         mask = rng.random((15, 15)) > 0.5

@@ -175,7 +175,7 @@ class TestClutterSigma:
         sel_indices = np.array([[0, 0], [0, 1], [0, 2]])
         from plumeflux.background import BackgroundSelection
 
-        sel = BackgroundSelection(sel_indices, np.zeros(3), np.arange(1), False)
+        sel = BackgroundSelection(sel_indices, np.zeros(3), False)
         assert clutter_sigma(field, sel) == pytest.approx(1.4826, rel=1e-12)
 
     def test_all_equal_gives_zero(self):
@@ -183,7 +183,7 @@ class TestClutterSigma:
         from plumeflux.background import BackgroundSelection
 
         idx = np.argwhere(np.ones((2, 5), dtype=bool))
-        sel = BackgroundSelection(idx, np.zeros(10), np.arange(1), False)
+        sel = BackgroundSelection(idx, np.zeros(10), False)
         assert clutter_sigma(field, sel) == 0.0
 
     def test_mad_scale_factor_consistent_on_normal_samples(self):
@@ -193,7 +193,7 @@ class TestClutterSigma:
         from plumeflux.background import BackgroundSelection
 
         idx = np.argwhere(np.ones((250, 400), dtype=bool))
-        sel = BackgroundSelection(idx, np.zeros(idx.shape[0]), np.arange(1), False)
+        sel = BackgroundSelection(idx, np.zeros(idx.shape[0]), False)
         assert clutter_sigma(field, sel) == pytest.approx(1.0, abs=0.02)
 
 

@@ -18,13 +18,22 @@ from plumeflux.config import BackgroundParams, default_config_yaml, load_config
 from plumeflux.errors import ConfigError
 from plumeflux.pipeline import (
     StageResult,
-    _mask_iou,
     match_plumes_across_runs,
     run_multi,
     run_pipeline,
+    write_plumes,
 )
-from plumeflux.scene_io import read_raster, write_cube, write_raster
+from plumeflux.scene_io import EnhancementField, read_raster, write_cube, write_raster
 from plumeflux.segmentation import connected_components
+
+
+def stage_of(mask):
+    """A stage result holding ``mask``'s plumes and their label raster."""
+    plumes = connected_components(mask, 30.0)
+    labels = np.zeros(mask.shape)
+    for p in plumes:
+        labels[p.window][p.mask] = p.label_id
+    return StageResult(report={}, plumes=plumes, labels=labels)
 
 
 def write_scene(tmp_path, seed=5, noise=True, gains=0.0, peak=900.0):
@@ -430,6 +439,23 @@ class TestPipelineLevel2:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["[]", "['scipy.ndimage'] 1"]
 
+    def test_write_plumes_returns_the_written_raster(self, tmp_path, rng):
+        values = rng.standard_normal((40, 50)) * 20
+        values[5:15, 5:20] += 800.0
+        values[25:35, 30:45] += 600.0
+        nodata = np.zeros(values.shape, dtype=bool)
+        nodata[0, :] = nodata[10, 10] = True
+        field = EnhancementField(delta_x=values, gsd=30.0, nodata_mask=nodata)
+        plumes, _ = pf.segment_field(field, pf.SegmentationParams(min_area_m2=0.0))
+        labels = write_plumes(tmp_path, field, plumes)
+        back, back_nodata, _, _ = read_raster(tmp_path / "plume_mask")
+        assert labels.dtype == np.float64 and len(plumes) == 2
+        assert np.array_equal(labels, back)
+        assert np.array_equal(back_nodata, nodata)
+        assert [np.count_nonzero(labels == p.label_id) for p in plumes] == [
+            p.pixel_count for p in plumes
+        ]
+
     def test_downstream_chain_idempotent_on_emitted_rasters(self, tmp_path):
         # level-1 run, then re-enter the downstream from its own rasters
         write_scene(tmp_path, seed=5)
@@ -441,7 +467,7 @@ class TestPipelineLevel2:
         # raster round-trip is bit-exact on the float32 grid
         enh1, _, _, _ = read_raster(tmp_path / "out1" / "enhancement")
         assert np.array_equal(field2.delta_x, enh1)
-        plumes2, tau2, _ = pf.segment_field(field2, cfg.segmentation)
+        plumes2, tau2 = pf.segment_field(field2, cfg.segmentation)
         # same plume geometry regardless of entry path when given the same
         # background sample (all-valid here; the level-1 run used matching)
         labels1, _, _, _ = read_raster(tmp_path / "out1" / "plume_mask")
@@ -524,7 +550,7 @@ class TestMulti:
             m = np.zeros(shape, dtype=bool)
             for box in boxes:
                 m[box] = True
-            return StageResult(report={}, plumes=connected_components(m, 30.0), records=[])
+            return stage_of(m)
 
         def full(p):
             out = np.zeros(shape, dtype=bool)
@@ -546,7 +572,6 @@ class TestMulti:
                 for b in runs[run_idx].plumes:
                     fa, fb = full(a), full(b)
                     iou = np.count_nonzero(fa & fb) / np.count_nonzero(fa | fb)
-                    assert _mask_iou(a, b) == _mask_iou(b, a) == iou
                     if iou >= 0.3:
                         expected[a.label_id].append((run_idx, b.label_id))
         groups, unmatched = match_plumes_across_runs(runs)
@@ -561,20 +586,18 @@ class TestMulti:
         ]
         assert len(unmatched) == 2
 
-    def test_disjoint_windows_skip_the_mask_comparison(self, monkeypatch):
+    def test_disjoint_plumes_match_only_without_a_threshold(self):
         def run(*boxes):
             m = np.zeros((40, 60), dtype=bool)
             for box in boxes:
                 m[box] = True
-            return StageResult(report={}, plumes=connected_components(m, 30.0), records=[])
+            return stage_of(m)
 
         runs = [
             run(np.s_[2:6, 2:6], np.s_[2:6, 20:26], np.s_[30:36, 40:50]),
             run(np.s_[3:7, 3:7], np.s_[20:24, 50:58]),
         ]
-        calls = []
-        real = pipeline._mask_iou
-        monkeypatch.setattr(pipeline, "_mask_iou", lambda a, b: calls.append(1) or real(a, b))
+
         def label(run, top_left):
             (p,) = [p for p in run.plumes if (p.window[0].start, p.window[1].start) == top_left]
             return p.label_id
@@ -582,19 +605,61 @@ class TestMulti:
         a0, a1, a2 = (label(runs[0], corner) for corner in ((2, 2), (2, 20), (30, 40)))
         b0, b1 = (label(runs[1], corner) for corner in ((3, 3), (20, 50)))
         groups, unmatched = match_plumes_across_runs(runs)
-        # one window pair of six intersects
-        assert len(calls) == 1
         members = {g["anchor_label"]: g["members"] for g in groups}
         assert members == {a0: [(0, a0), (1, b0)], a1: [(0, a1)], a2: [(0, a2)]}
         assert unmatched == [{"config_index": 1, "label_id": b1}]
         # with no threshold, disjoint pairs still match, at IoU 0
-        calls.clear()
         groups, unmatched = match_plumes_across_runs(runs, iou_threshold=0.0)
-        assert len(calls) == 1
         members = {g["anchor_label"]: g["members"] for g in groups}
         assert members[a0] == [(0, a0), (1, b0)]
         assert sorted(len(m) for m in members.values()) == [1, 2, 2]
         assert unmatched == []
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.7])
+    def test_matching_equals_a_full_mask_oracle(self, threshold):
+        rng = np.random.default_rng(41)
+        shape = (48, 64)
+
+        def full(p):
+            out = np.zeros(shape, dtype=bool)
+            out[p.window] = p.mask
+            return out
+
+        sizes, unmatched_count = set(), 0
+        for trial in range(16):
+            base = np.kron(rng.random((12, 16)) > 0.6, np.ones((4, 4), dtype=bool))
+            masks = [base, base ^ (rng.random(shape) > 0.9), base ^ (rng.random(shape) > 0.7)]
+            if trial % 4 < 3:  # one run, the anchor included, finds no plume
+                masks[trial % 4] = np.zeros(shape, dtype=bool)
+            runs = [stage_of(m) for m in masks]
+            expected = [[(0, a.label_id)] for a in runs[0].plumes]
+            expected_unmatched = []
+            for r in (1, 2):
+                pairs = []
+                for g, a in enumerate(runs[0].plumes):
+                    for b in runs[r].plumes:
+                        fa, fb = full(a), full(b)
+                        iou = np.count_nonzero(fa & fb) / np.count_nonzero(fa | fb)
+                        if iou >= threshold:
+                            pairs.append((-iou, g, b.label_id))
+                taken_g, taken_b = set(), set()
+                for _, g, label in sorted(pairs):
+                    if g not in taken_g and label not in taken_b:
+                        expected[g].append((r, label))
+                        taken_g.add(g)
+                        taken_b.add(label)
+                expected_unmatched += [
+                    {"config_index": r, "label_id": b.label_id}
+                    for b in runs[r].plumes
+                    if b.label_id not in taken_b
+                ]
+            groups, unmatched = match_plumes_across_runs(runs, iou_threshold=threshold)
+            assert [g["anchor_label"] for g in groups] == [p.label_id for p in runs[0].plumes]
+            assert [g["members"] for g in groups] == expected
+            assert unmatched == expected_unmatched
+            sizes.update(len(m) for m in expected)
+            unmatched_count += len(unmatched)
+        assert {2, 3} <= sizes and unmatched_count > 0
 
     def test_level2_product_is_ingested_once_per_run(self, tmp_path, rng, monkeypatch):
         values = rng.standard_normal((40, 40)) * 20
@@ -710,6 +775,36 @@ class TestCli:
             None, None, 2569892.0, None
         ]
         assert len(out) == 15
+
+    @pytest.mark.parametrize(
+        "override, code",
+        [
+            (("--ime-kg", "nan"), 3),
+            (("--ime-kg", "-1"), 3),
+            (("--area-m2", "inf"), 3),
+            (("--sigma-ime-kg", "-5"), 3),
+            (("--sigma-ime-kg", "nan"), 3),
+            (("--u10", "inf"), 2),
+            (("--sigma-u10", "nan"), 2),
+            (("--beta0", "-inf"), 2),
+            (("--beta1", "nan"), 2),
+        ],
+    )
+    def test_quantify_rejects_non_finite_input(self, capsys, override, code):
+        args = {"--ime-kg": "820.91", "--area-m2": "1e6", "--u10": "3", "--sigma-ime-kg": "19.8"}
+        args.update([override])
+        assert main(["quantify", *(f"{k}={v}" for k, v in args.items())]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err and "Traceback" not in err
+
+    def test_quantify_rejects_a_non_finite_wind_config(self, tmp_path, capsys):
+        write_raster(np.zeros((4, 4)), tmp_path / "enh", 30.0)
+        argv = ["quantify", "--ime-kg", "820.91", "--area-m2", "1e6", "--config"]
+        for sigma_u10, code in ((1.0, 0), (math.nan, 2)):
+            cfg = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")},
+                               wind={"u10": 3.0, "sigma_u10": sigma_u10})
+            assert main([*argv, str(cfg)]) == code
+        assert "finite" in capsys.readouterr().err
 
     def test_retrieve_and_segment_subcommands(self, tmp_path):
         write_scene(tmp_path, seed=5)
