@@ -3,12 +3,15 @@
 The matched filter, its noise propagation, and the k-means steps are the
 only loops that touch every pixel of a scene, so they are the only code
 here. The matched-filter kernels sweep the (bands, pixels) window slab in
-pixel chunks, band by band, with per-segment tables indexed by each pixel's
-segment (-1: nodata, which scores 0); the k-means kernels take float64
-(pixels, bands) arrays.
+pixel chunks, band by band, with per-segment tables looked up by each
+pixel's segment (-1: nodata, which scores 0); the k-means kernels take
+float64 (pixels, bands) arrays.
 """
 
 from __future__ import annotations
+
+import ctypes
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -16,40 +19,85 @@ import numpy as np
 _PIXEL_CHUNK = 16_384  # pixels per sweep of the matched-filter kernels; keeps temporaries in cache
 
 
+@contextmanager
+def one_blas_thread():
+    """Keep this thread's calls to numpy's OpenBLAS on this thread; also a decorator.
+
+    OpenBLAS splits even a (72, 512) @ (512, 72) product across its worker threads:
+    no gain on a 2-CPU host, and 2-3x the time while another process holds a core.
+    """
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)  # numpy >= 2
+    lib = umath and ctypes.CDLL(umath.__file__)  # its symbol lookups reach the BLAS it links
+    set_threads = getattr(lib, "openblas_set_num_threads_local", lambda n: n)  # other BLAS: no-op
+    previous = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def _padded(table, fill=0.0):
     """Per-segment table with an entry for segment -1 appended."""
     return np.concatenate([table, np.full((1,) + table.shape[1:], fill)])
 
 
-def mf_scores(Y, seg, mu, q, denom):
+def _sweep(Y, segment_map, out, *tables):
+    """The slab's pixel chunks as (acc, term, bands), band by band per chunk.
+
+    ``acc`` is the chunk's view of ``out``, ``term`` a scratch array of its
+    shape, and ``bands`` yields each band's values with every table's entries
+    for the chunk's pixels. The tables are ``_padded`` (segments + 1, bands).
+    When every valid pixel of a 2-D map carries its column's segment (a column
+    partition, as in cmf and cwcmf), a chunk is whole lines, the values are
+    (lines, samples) and an entry is its column's table row, broadcast; any
+    other map gathers the entries pixel by pixel.
+    """
+    seg = segment_map.ravel()
+    column = segment_map.max(axis=0) if segment_map.ndim == 2 else None
+    by_column = column is not None and bool(np.all((segment_map == column) | (segment_map < 0)))
+    step = max(1, _PIXEL_CHUNK // column.size) * column.size if by_column else _PIXEL_CHUNK
+    term = np.empty(min(step, seg.size))
+    if by_column:
+        tables = [np.ascontiguousarray(t[column].T) for t in tables]  # (bands, samples)
+        for lo in range(0, seg.size, step):
+            acc = out[lo : lo + step].reshape(-1, column.size)
+            bands = ((y.reshape(acc.shape), *(t[b] for t in tables))
+                     for b, y in enumerate(Y[:, lo : lo + step]))
+            yield acc, term[: acc.size].reshape(acc.shape), bands
+        return
+    gathered = np.empty((len(tables), term.size))
+    for lo in range(0, seg.size, step):
+        s = seg[lo : lo + step]
+        bands = ((y, *(np.take(t[:, b], s, out=w[: s.size], mode="wrap")
+                       for t, w in zip(tables, gathered)))
+                 for b, y in enumerate(Y[:, lo : lo + step]))
+        yield out[lo : lo + step], term[: s.size], bands
+
+
+def mf_scores(Y, segment_map, mu, q, denom):
     """Score sum_b (y_b - mu[s, b]) q[s, b] / denom[s] of each pixel y of segment s.
 
-    The score stays centred, so it keeps its precision when |y| >> |y - mu|.
+    ``segment_map`` is (lines, samples), or flat. The score stays centred, so
+    it keeps its precision when |y| >> |y - mu|.
     """
-    mu, q = _padded(mu), _padded(q)
-    out = np.zeros(Y.shape[1])
-    term, weight = np.empty(_PIXEL_CHUNK), np.empty(_PIXEL_CHUNK)
-    for lo in range(0, Y.shape[1], _PIXEL_CHUNK):
-        s, acc = seg[lo : lo + _PIXEL_CHUNK], out[lo : lo + _PIXEL_CHUNK]
-        t, w = term[: s.size], weight[: s.size]
-        for b, y in enumerate(Y[:, lo : lo + _PIXEL_CHUNK]):
-            np.subtract(y, np.take(mu[:, b], s, out=t, mode="wrap"), out=t)
-            acc += np.multiply(t, np.take(q[:, b], s, out=w, mode="wrap"), out=t)
+    seg = segment_map.ravel()
+    out = np.zeros(seg.size)
+    for acc, t, bands in _sweep(Y, segment_map, out, _padded(mu), _padded(q)):
+        for y, m, w in bands:
+            np.subtract(y, m, out=t)
+            acc += np.multiply(t, w, out=t)
     out /= _padded(denom, 1.0)[seg]
     out[seg < 0] = 0.0
     return out
 
 
-def noise_variance(Y, seg, a, c, q, denom):
+def noise_variance(Y, segment_map, a, c, q, denom):
     """Per-pixel variance q' diag(a*max(y,0)+c) q / denom**2, with q and denom of its segment."""
-    aq2 = _padded(a * q * q)
-    out = np.zeros(Y.shape[1])
-    term, weight = np.empty(_PIXEL_CHUNK), np.empty(_PIXEL_CHUNK)
-    for lo in range(0, Y.shape[1], _PIXEL_CHUNK):
-        s, acc = seg[lo : lo + _PIXEL_CHUNK], out[lo : lo + _PIXEL_CHUNK]
-        t, w = term[: s.size], weight[: s.size]
-        for b, y in enumerate(Y[:, lo : lo + _PIXEL_CHUNK]):
-            acc += np.multiply(np.maximum(y, 0.0, out=t), np.take(aq2[:, b], s, out=w, mode="wrap"), out=t)
+    seg = segment_map.ravel()
+    out = np.zeros(seg.size)
+    for acc, t, bands in _sweep(Y, segment_map, out, _padded(a * q * q)):
+        for y, w in bands:
+            acc += np.multiply(np.maximum(y, 0.0, out=t), w, out=t)
     out += _padded(q * q @ c)[seg]
     out /= _padded(denom * denom, 1.0)[seg]
     out[seg < 0] = 0.0

@@ -9,6 +9,7 @@ its own mean, so outputs stay in ppm*m under every partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
@@ -68,11 +69,13 @@ class BackgroundStats:
     (-1 for nodata). ``estimation_rows`` holds each segment's flat pixel
     indices that its statistics are estimated from: its own pixels, or a
     superset when short columns are pooled. ``moments`` are their
-    (n, mean, M2), which decontamination downdates; ``fit`` are the moments
+    (n, mean, M2), which decontamination downdates, with each M2 packed as
+    its lower triangle (``np.tril_indices`` order); ``fit`` are the moments
     behind the current filters, the same arrays as ``moments`` until then.
     ``mu``, ``counts`` and ``cov`` derive from ``fit``, ``cov`` anew on each
-    access. ``q`` is the whitened target cov^-1 t and ``denom`` the filter
-    normalization t'q, factored once per segment and reused across its pixels.
+    access as full symmetric matrices. ``q`` is the whitened target cov^-1 t
+    and ``denom`` the filter normalization t'q, factored once per segment and
+    reused across its pixels.
     """
 
     segment_map: np.ndarray
@@ -131,8 +134,11 @@ def estimate_stats(
 
 
 def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[float]) -> np.ndarray:
-    """Shrinkage-regularized covariance of each segment from its count and M2."""
-    cov = m2 / n[:, None, None]
+    """Shrinkage-regularized covariance of each segment from its count and packed M2."""
+    p = (math.isqrt(8 * m2.shape[-1] + 1) - 1) // 2
+    rows, cols = np.tril_indices(p)  # the lower triangle, row >= col
+    cov = np.empty((n.size, p, p))
+    cov[:, rows, cols] = cov[:, cols, rows] = m2 / n[:, None]
     trace_p = np.trace(cov, axis1=1, axis2=2) / cov.shape[-1]
     floor = 1e-8 * (trace_p + 1.0) if delta_min is None else float(delta_min)
     cov *= 1.0 - gamma
@@ -173,6 +179,7 @@ def mf_score(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, t: np.ndarray) -> f
 # k-means clustering
 
 
+@kernels.one_blas_thread()
 def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.ndarray, int, bool]:
     """Deterministic k-means: seeded k-means++ start, Lloyd steps to a fixpoint.
 
@@ -333,7 +340,8 @@ def cluster_pixels(
 #
 # Every stage reads the (bands, pixels) slab; the segment map gives each pixel
 # its segment (-1 for nodata). A segment's statistics come from its moments
-# (n, mean, M2 = sum (x - mean)(x - mean)'), arrays with a leading segment axis.
+# (n, mean, M2 = sum (x - mean)(x - mean)'), arrays with a leading segment axis;
+# M2 is symmetric, so only its lower triangle is kept, p(p+1)/2 values.
 
 _CHUNK_BYTES = 16 * 2**20  # window spectra per chunk of the moments pass
 _MERGE_GROUP = 32  # segments per merge in the moments pass
@@ -363,24 +371,28 @@ def _merge(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
     n = np.maximum(na, 1.0)  # 0 only where both are empty
     ma += d * (nb / n)[:, None]
     (np.add if sign > 0 else np.subtract)(m2a, m2b, out=m2a)
+    rows, cols = np.tril_indices(d.shape[1])
     for g in range(0, d.shape[0], _MERGE_GROUP):  # bounds the outer-product temporary
         w = d[g : g + _MERGE_GROUP] * (coef / n)[g : g + _MERGE_GROUP, None]
-        m2a[g : g + _MERGE_GROUP] += np.einsum("ki,kj->kij", w, d[g : g + _MERGE_GROUP])
+        m2a[g : g + _MERGE_GROUP] += w[:, rows] * d[g : g + _MERGE_GROUP, cols]
     return a
 
 
+@kernels.one_blas_thread()
 def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sign=1.0, order=None):
     """Moments of each segment 0..n_seg-1 over the pixels (columns) of ``Y``; -1 is skipped.
 
     Chunks of about _CHUNK_BYTES follow ``order``, the stable argsort of ``seg``
     (made here when not given), so a segment is one block of each chunk it
-    spans. Each block is centred on its own mean and merged into the totals a
-    group of segments at a time. Given ``total``, the blocks merge into it in
-    place; sign=-1 downdates it.
+    spans. A chunk is gathered in the slab's dtype; each block is widened on its
+    own, centred on its own mean and merged into the totals a group of segments
+    at a time. Given ``total``, the blocks merge into it in place; sign=-1
+    downdates it.
     """
     p = Y.shape[0]
+    rows, cols = np.tril_indices(p)
     if total is None:
-        total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, p, p)))
+        total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, rows.size)))
     if order is None:
         order = np.argsort(seg, kind="stable")
     # segment s is order[bounds[s] : bounds[s + 1]]; nodata (-1) sorts first
@@ -389,9 +401,10 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
     # equal chunks, each at most about _CHUNK_BYTES
     n_chunks = max(1, -(-n_valid * p * 8 // _CHUNK_BYTES))
     step = max(1, -(-n_valid // n_chunks))
+    square = np.empty((p, p))  # one block's M2, before packing
     for lo in range(bounds[0], bounds[-1], step):
         hi = min(lo + step, bounds[-1])
-        block = np.take(Y, order[lo:hi], axis=1).astype(np.float64, copy=False)
+        block = np.take(Y, order[lo:hi], axis=1)
         edge = np.clip(bounds, lo, hi) - lo  # segment s's block is edge[s] : edge[s + 1]
         ids = np.flatnonzero(np.diff(edge))
         first, counts = edge[ids], edge[ids + 1] - edge[ids]
@@ -400,12 +413,12 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
         for g in range(0, ids.size, _MERGE_GROUP):
             group = slice(g, g + _MERGE_GROUP)
             n = counts[group].astype(np.float64)
-            means, m2 = np.empty((n.size, p)), np.empty((n.size, p, p))
+            means, m2 = np.empty((n.size, p)), np.empty((n.size, rows.size))
             for j, (b, c) in enumerate(zip(first[group].tolist(), counts[group].tolist())):
-                B = block[:, b : b + c]
+                B = block[:, b : b + c].astype(np.float64, copy=False)
                 means[j] = np.add.reduce(B, axis=1) / c
                 B -= means[j][:, None]
-                np.matmul(B, B.T, out=m2[j])
+                m2[j] = np.matmul(B, B.T, out=square)[rows, cols]
             merged = _merge(tuple(x[ids[group]] for x in total), (n, means, m2), sign)
             for x, v in zip(total, merged):
                 x[ids[group]] = v
@@ -531,7 +544,7 @@ def apply_mf(
     if stats is None:
         stats = compute_stats(cube, absorption, config)
     Y = _window_slab(cube, stats.band_indices)
-    delta = kernels.mf_scores(Y, stats.segment_map.ravel(), stats.mu, stats.q, stats.denom)
+    delta = kernels.mf_scores(Y, stats.segment_map, stats.mu, stats.q, stats.denom)
     flags = stats.all_flags()
     provenance = config.label() + (" | " + "; ".join(flags) if flags else "")
     return EnhancementField(
@@ -561,14 +574,13 @@ def decontaminate(
     if config.contamination_iterations == 0:
         return stats
     Y = _window_slab(cube, stats.band_indices)
-    seg_flat = stats.segment_map.ravel()
     delta = np.array(field.delta_x, dtype=np.float64).ravel()
     skip_flag = "decontamination skipped (segment emptied)"
     current = stats
     for it in range(config.contamination_iterations):
         if it:
             # re-score so this round thresholds the field of the last round's stats
-            delta = kernels.mf_scores(Y, seg_flat, current.mu, current.q, current.denom)
+            delta = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)
         kept = [delta[r] <= robust_threshold(delta[r], n_sigma) for r in stats.estimation_rows]
         n_kept = np.array([np.count_nonzero(k) for k in kept])
         skipped = n_kept < 2
@@ -604,7 +616,7 @@ def propagate_noise(
     if descriptor.has_noise_model():
         a, c = descriptor.noise_a[stats.band_indices], descriptor.noise_c[stats.band_indices]
         Y = _window_slab(cube, stats.band_indices)
-        var = kernels.noise_variance(Y, seg_flat, a, c, stats.q, stats.denom)
+        var = kernels.noise_variance(Y, stats.segment_map, a, c, stats.q, stats.denom)
     else:
         flags.append("noise coefficients unavailable: a-posteriori matched-filter precision used")
         var = np.where(seg_flat >= 0, 1.0 / stats.denom[seg_flat], 0.0)

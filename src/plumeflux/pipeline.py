@@ -285,6 +285,8 @@ def match_plumes_across_runs(
             groups[g_idx]["members"].append((run_idx, label))
             taken_groups.add(g_idx)
             taken_plumes.add(label)
+            if len(taken_groups) == len(groups) or len(taken_plumes) == len(plumes):
+                break  # no pair left can be taken
         for p in plumes:
             if p.label_id not in taken_plumes:
                 unmatched.append({"config_index": run_idx, "label_id": p.label_id})

@@ -315,8 +315,13 @@ def _read_bsq(
     plane = shape[1] * shape[2]
     data = np.fromfile(bin_path, "<f4", count * plane, offset=4 * first * plane)
     data.shape = (count, *shape[1:])  # in place: a reshaped view would not own its memory
-    nodata = reduce(np.logical_and, (band == NODATA for band in data))
-    data[:, nodata] = 0.0
+    # the pixels that hold the sentinel in band 0, narrowed band by band
+    at = np.flatnonzero(data[0] == NODATA)
+    for band in data[1:]:
+        at = at[band.ravel()[at] == NODATA]
+    data.reshape(count, plane)[:, at] = 0.0
+    nodata = np.zeros(shape[1:], dtype=bool)
+    nodata.ravel()[at] = True
     if bands == 1:
         data = data[0].astype(np.float64)
     data.flags.writeable = nodata.flags.writeable = False

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,35 @@ class TestKernelContracts:
         np.testing.assert_array_equal(kernels.mf_scores(Y, seg, mus, qs, denoms), whole[0])
         np.testing.assert_array_equal(kernels.noise_variance(Y, seg, a, c, qs, denoms), whole[1])
 
+    @pytest.mark.parametrize("chunk", [7, 16_384])
+    @pytest.mark.parametrize("shape", [(13, 5), (1, 9), (11, 1), (40, 9)])
+    @pytest.mark.parametrize("partition", ["columns", "one", "mixed"])
+    def test_two_d_map_equals_the_gather(self, rng, monkeypatch, partition, shape, chunk):
+        # a map whose valid pixels carry their column's segment is swept in
+        # whole lines against per-column tables; any other map gathers
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", chunk)  # 7: lines not a multiple of a block
+        (lines, samples), p = shape, 6
+        seg_map = np.tile(np.arange(samples), (lines, 1))
+        if partition == "one":
+            seg_map[:] = 0
+        elif partition == "mixed":
+            seg_map = rng.integers(0, 3, size=shape)
+        nodata = rng.random(shape) < 0.2
+        if samples > 1:
+            nodata[:, samples // 2] = True  # an all-nodata column
+        seg_map[nodata] = -1
+        n_seg = max(1, seg_map.max() + 1)
+        Y = (50.0 + rng.standard_normal((p, lines * samples))).astype(np.float32)
+        Y[:, nodata.ravel()] = np.nan
+        mu = 50.0 + rng.standard_normal((n_seg, p))
+        q, denom = rng.standard_normal((n_seg, p)), rng.random(n_seg) + 0.5
+        a, c = rng.random(p) * 1e-3, rng.random(p) * 1e-3
+        for kernel, args in ((kernels.mf_scores, (mu, q, denom)),
+                             (kernels.noise_variance, (a, c, q, denom))):
+            out = kernel(Y, seg_map, *args)
+            assert out.tobytes() == kernel(Y, seg_map.ravel(), *args).tobytes()
+            assert np.all(out[nodata.ravel()] == 0.0) and np.all(np.isfinite(out))
+
     def test_assign_labels_matches_brute_force(self, workload, rng):
         X, _, _, _, _, _, centers, _, _ = workload
         subset = np.sort(rng.choice(X.shape[0], 50, replace=False))
@@ -121,3 +152,32 @@ class TestKernelContracts:
 class TestBackendSelection:
     def test_active_backend_name(self):
         assert kernels.backend_name() == "numpy"
+
+
+def _blas_threads():
+    """This thread's OpenBLAS thread setting, read by setting it back; None under another BLAS."""
+    numpy_lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    setter = getattr(numpy_lib, "openblas_set_num_threads_local", None)
+    if setter is None:
+        return None
+    value = setter(1)
+    setter(value)
+    return value
+
+
+class TestOneBlasThread:
+    def test_products_keep_their_bits_and_the_setting_comes_back(self, rng):
+        B = rng.standard_normal((72, 512))
+        expected = B @ B.T  # large enough for OpenBLAS to split across threads
+        before = _blas_threads()
+        with kernels.one_blas_thread():
+            inside = B @ B.T
+            assert _blas_threads() in (None, 1)
+        assert inside.tobytes() == expected.tobytes()
+        assert _blas_threads() == before
+
+    def test_restores_after_an_exception(self):
+        before = _blas_threads()
+        with pytest.raises(ValueError), kernels.one_blas_thread():
+            raise ValueError
+        assert _blas_threads() == before

@@ -721,6 +721,14 @@ def close(actual, expected, rtol):
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
 
 
+def unpacked(m2, p):
+    """Full symmetric matrices from M2 stored as packed lower triangles."""
+    rows, cols = np.tril_indices(p)
+    full = np.empty(m2.shape[:-1] + (p, p))
+    full[..., rows, cols] = full[..., cols, rows] = m2
+    return full
+
+
 class TestMomentsEngine:
     @pytest.mark.parametrize("iterations", [0, 1, 2])
     @pytest.mark.parametrize("nodata", [False, True])
@@ -809,7 +817,7 @@ class TestMomentsEngine:
         n, mean, m2 = _merge(full, part, sign=-1.0)
         assert n[0] == keep.size
         np.testing.assert_allclose(mean[0], X[keep].mean(axis=0), rtol=1e-14)
-        np.testing.assert_allclose(m2[0] / n[0], two_pass(X[keep]), rtol=1e-8)
+        np.testing.assert_allclose(unpacked(m2[0], 6) / n[0], two_pass(X[keep]), rtol=1e-8)
 
 
 class TestFloat32Slab:
@@ -864,8 +872,8 @@ def traced_peak(fn, *args, **kwargs):
 
 class TestMomentsOnlyStats:
     def test_memory_is_one_moments_stack_plus_chunks(self, monkeypatch):
-        # 200 columns of 30 float32 pixels over 24 bands: the (segments, p, p)
-        # stack is 0.9 MB, far above the pixel-sized index arrays
+        # 200 columns of 30 float32 pixels over 24 bands: the packed M2 stack,
+        # (segments, p(p+1)/2), is 0.48 MB, far above the pixel-sized index arrays
         p, lines, samples = 24, 30, 200
         rng = np.random.default_rng(95)
         data = (10.0 + rng.standard_normal((p, lines, samples))).astype(np.float32)
@@ -876,16 +884,17 @@ class TestMomentsOnlyStats:
         chunk = 256 * 2**10
         monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", chunk)
         monkeypatch.setattr(matched_filter, "_MERGE_GROUP", 4)
-        stack = samples * p * p * 8
+        stack = samples * p * (p + 1) // 2 * 8
         stats, peak = traced_peak(compute_stats, cube, absorption, config)
-        # the moments, then one float32 gather and its float64 widening
-        assert peak <= stack + 2.5 * chunk
+        # the moments, then one float32 gather (half a chunk), widened one
+        # segment's block at a time, and the pixel-sized index arrays
+        assert peak <= stack + 1.75 * chunk
         assert stats.fit[2] is stats.moments[2]
         field = apply_mf(cube, absorption, config, stats)
         # one copy of the moments, downdated in place; the slack covers the
-        # means, targets and per-pixel temporaries
+        # means, targets and per-pixel temporaries, not a second copy
         _, peak = traced_peak(decontaminate, cube, absorption, config, field, stats)
-        assert peak <= stack + stack // 2
+        assert peak <= stack + 3 * stack // 4
 
     def test_filter_groups_do_not_change_the_filters(self, monkeypatch):
         # shrinkage and whitening are per segment, so the group size is invisible
@@ -977,7 +986,7 @@ class TestSegmentOrderPass:
                 Bc = B - mean[:, None]
                 assert moments[0][s] == c
                 assert moments[1][s].tobytes() == mean.tobytes()
-                assert moments[2][s].tobytes() == (Bc @ Bc.T).tobytes()
+                assert moments[2][s].tobytes() == (Bc @ Bc.T)[np.tril_indices(B.shape[0])].tobytes()
         assert variant != "cwcmf" or any(len(m) > 1 for m in members)
 
     def test_filters_equal_per_segment_cho_solve(self, monkeypatch):
@@ -1019,3 +1028,53 @@ class TestSegmentOrderPass:
         mu[5, 2] = np.nan
         with pytest.raises(DataError, match="background mean must be finite"):
             matched_filter._filters((n, mu, m2), absorption, MfConfig(variant="cwcmf"))
+
+
+def full_merge(a, b, sign):
+    """The merge on full (segments, p, p) M2 stacks, as it was before packing."""
+    (na, ma, m2a), (nb, mb, m2b) = a, b
+    nb = sign * nb
+    d = mb - ma
+    coef = na * nb
+    na += nb
+    n = np.maximum(na, 1.0)
+    ma += d * (nb / n)[:, None]
+    (np.add if sign > 0 else np.subtract)(m2a, m2b, out=m2a)
+    m2a += np.einsum("ki,kj->kij", d * (coef / n)[:, None], d)
+    return a
+
+
+class TestPackedMoments:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_merge_is_the_full_merge_lower_triangle(self, rng, sign):
+        # 70 segments: two full merge groups and a short one
+        k, p = 70, 7
+        rows, cols = np.tril_indices(p)
+
+        def moments(n):
+            X = rng.standard_normal((k, p, p))
+            return n, 50.0 + rng.standard_normal((k, p)), X @ X.transpose(0, 2, 1)
+
+        a = moments(rng.integers(40, 90, size=k).astype(np.float64))
+        b = moments(rng.integers(1, 30, size=k).astype(np.float64))
+        full = full_merge(tuple(x.copy() for x in a), b, sign)
+        packed = _merge((a[0].copy(), a[1].copy(), a[2][:, rows, cols]), (*b[:2], b[2][:, rows, cols]), sign)
+        for x, y in zip(packed[:2], full[:2]):
+            assert x.tobytes() == y.tobytes()
+        assert packed[2].tobytes() == full[2][:, rows, cols].tobytes()
+
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf", "cwcmf"])
+    def test_cov_is_symmetric(self, variant):
+        rng = np.random.default_rng(101)
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=1)
+        _, stats = retrieve(cube, absorption, config)
+        assert stats.moments[2].shape == (stats.n_segments, 8 * 9 // 2)
+        cov = stats.cov
+        assert cov.shape == (stats.n_segments, 8, 8)
+        np.testing.assert_array_equal(cov, cov.transpose(0, 2, 1))
+        n, _, m2 = stats.fit
+        shrunk = unpacked(m2, 8) / n[:, None, None] * (1.0 - config.shrinkage)
+        off = ~np.eye(8, dtype=bool)
+        np.testing.assert_array_equal(cov[:, off], shrunk[:, off])

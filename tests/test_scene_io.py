@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,23 @@ class TestFloat32WindowRead:
         assert window.nodata_mask.sum() == 2
         assert window.nodata_mask[1, 2] and window.nodata_mask[3, 4]
         assert np.all(window.data[:, 1, 2] == 0.0) and np.all(window.data[:, 3, 4] == 0.0)
+
+    @pytest.mark.parametrize("window", [None, (2100.0, 2450.0)])
+    def test_nodata_mask_is_every_band_read_holding_the_sentinel(self, tmp_path, rng, window):
+        # about half of all values are sentinels: most pixels hold only some
+        data = f32(rng.random((40, 9, 11)) + 1.0)
+        data[rng.random(data.shape) < 0.5] = NODATA
+        data[:, rng.random((9, 11)) < 0.1] = NODATA  # scattered pixels,
+        data[:, 4, :] = NODATA  # a whole line and a whole column
+        data[:, :, 7] = NODATA
+        desc = SensorDescriptor("x", np.linspace(2000.0, 2550.0, 40), np.full(40, 10.0), 30.0)
+        write_cube(make_cube(data, descriptor=desc), tmp_path / "c")
+        back = read_cube(tmp_path / "c", window=window)
+        read = data if window is None else data[(desc.band_centers >= window[0]) & (desc.band_centers <= window[1])]
+        expected = reduce(np.logical_and, (band == NODATA for band in read))
+        assert 11 + 9 - 1 < expected.sum() < expected.size
+        assert np.array_equal(back.nodata_mask, expected)
+        assert np.array_equal(back.data, np.where(expected, 0.0, read))
 
     @pytest.mark.parametrize("window", [(1000.0, 1900.0), (2600.0, 2700.0), (2101.0, 2109.0)])
     def test_window_without_bands_is_data_error(self, tmp_path, rng, window):
