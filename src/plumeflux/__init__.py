@@ -50,7 +50,6 @@ from .segmentation import (
 from .signature import (
     AbsorptionTable,
     BandAbsorption,
-    TargetSpectrum,
     band_absorption,
     load_bundled_table,
     read_absorption_table,

@@ -140,19 +140,6 @@ def clutter_sigma(field: EnhancementField, selection: BackgroundSelection) -> fl
     return robust_sigma(selection.values_from(field))
 
 
-def total_sigma(field: EnhancementField) -> EnhancementField:
-    """Assemble sigma_total = sqrt(sigma_noise^2 + sigma_clutter^2) per pixel."""
-    clutter = field.sigma_clutter
-    if field.sigma_noise is None and clutter is None:
-        raise DomainError("field carries neither sigma_noise nor sigma_clutter")
-    if clutter is None:
-        clutter_sq = 0.0
-    elif np.ndim(clutter) == 0:
-        clutter_sq = float(clutter) ** 2
-    else:
-        clutter_sq = np.asarray(clutter) ** 2
-    if field.sigma_noise is None:
-        total = np.sqrt(np.broadcast_to(clutter_sq, field.shape).astype(np.float64))
-    else:
-        total = np.sqrt(field.sigma_noise**2 + clutter_sq)
-    return field.replace(sigma_total=total)
+def total_sigma(sigma_noise: np.ndarray, sigma_clutter: float) -> np.ndarray:
+    """Per-pixel sigma_total = sqrt(sigma_noise^2 + sigma_clutter^2), clutter a scene scalar."""
+    return np.sqrt(sigma_noise**2 + float(sigma_clutter) ** 2)

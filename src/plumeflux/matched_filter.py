@@ -429,7 +429,7 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
 def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig) -> tuple:
     """Each segment's (t, q, denom) from its moments, whitening a group of segments at a time."""
     n, mu, m2 = moments
-    t = target_spectrum(absorption.k_band, mu).t
+    t = target_spectrum(absorption.k_band, mu)
     groups = [slice(g, g + _MERGE_GROUP) for g in range(0, n.size, _MERGE_GROUP)]
     shrunk = (_shrink(n[g], m2[g], config.shrinkage, config.delta_min) for g in groups)
     q, denom = (np.concatenate(v) for v in zip(*map(_whiten, shrunk, (t[g] for g in groups))))
@@ -560,27 +560,23 @@ def decontaminate(
     cube: RadianceCube,
     absorption: BandAbsorption,
     config: MfConfig,
-    field: EnhancementField,
     stats: BackgroundStats,
     n_sigma: float = SegmentationParams.n_sigma,
 ) -> BackgroundStats:
     """Re-estimate statistics excluding pixels above the segmentation threshold.
 
-    Runs ``config.contamination_iterations`` rounds, each over the segment's
-    estimation rows and starting again from their full moments; a segment
-    whose exclusion would leave fewer than 2 pixels keeps its previous
-    statistics and is flagged in the provenance. ``stats`` is left unchanged.
+    Runs ``config.contamination_iterations`` rounds. Each scores the scene
+    with the previous round's filters (``stats``' own in the first) and
+    thresholds those scores over each segment's estimation rows, starting
+    again from their full moments; a segment whose exclusion would leave
+    fewer than 2 pixels keeps its previous statistics and is flagged in the
+    provenance. ``stats`` is left unchanged, and returned at 0 rounds.
     """
-    if config.contamination_iterations == 0:
-        return stats
     Y = _window_slab(cube, stats.band_indices)
-    delta = np.array(field.delta_x, dtype=np.float64).ravel()
     skip_flag = "decontamination skipped (segment emptied)"
     current = stats
-    for it in range(config.contamination_iterations):
-        if it:
-            # re-score so this round thresholds the field of the last round's stats
-            delta = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)
+    for _ in range(config.contamination_iterations):
+        delta = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)
         kept = [delta[r] <= robust_threshold(delta[r], n_sigma) for r in stats.estimation_rows]
         n_kept = np.array([np.count_nonzero(k) for k in kept])
         skipped = n_kept < 2
@@ -631,12 +627,10 @@ def retrieve(
     config: MfConfig,
     n_sigma: float = SegmentationParams.n_sigma,
 ) -> tuple[EnhancementField, BackgroundStats]:
-    """Full retrieval: stats, filter, decontamination rounds, noise layer."""
+    """Full retrieval: stats, decontamination rounds, filter, noise layer."""
     stats = compute_stats(cube, absorption, config)
+    stats = decontaminate(cube, absorption, config, stats, n_sigma)
     fld = apply_mf(cube, absorption, config, stats)
-    if config.contamination_iterations > 0:
-        stats = decontaminate(cube, absorption, config, fld, stats, n_sigma)
-        fld = apply_mf(cube, absorption, config, stats)
     sigma_noise, flags = propagate_noise(stats, cube)
     provenance = fld.provenance + (" | " + "; ".join(flags) if flags else "")
     return fld.replace(sigma_noise=sigma_noise, provenance=provenance), stats

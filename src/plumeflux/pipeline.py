@@ -153,8 +153,8 @@ def _level1_background(
         if selection.insufficient:
             flags.append("background selection smaller than requested (insufficiency flag)")
     entry["sigma_clutter_ppmm"] = sigma_clutter
-    field = total_sigma(field.replace(sigma_clutter=sigma_clutter))
-    return field.replace(sigma_total=_f32grid(field.sigma_total)), sample, entry
+    field = field.replace(sigma_total=_f32grid(total_sigma(field.sigma_noise, sigma_clutter)))
+    return field, sample, entry
 
 
 def run_stage(

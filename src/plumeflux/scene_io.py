@@ -148,7 +148,6 @@ class RadianceCube:
 class EnhancementField:
     """Per-pixel gas enhancement (ppm*m) with optional uncertainty layers.
 
-    ``sigma_clutter`` is a scalar for scene-level clutter or a full map;
     ``sigma_total`` combines noise and clutter in quadrature. Every value
     outside ``nodata_mask`` is finite, and the sigma layers are non-negative.
     Map layers are held read-only under the module's copy rule, so
@@ -160,7 +159,6 @@ class EnhancementField:
     gsd: float
     origin: tuple[float, float] = (0.0, 0.0)
     sigma_noise: Optional[np.ndarray] = None
-    sigma_clutter: Union[float, np.ndarray, None] = None
     sigma_total: Optional[np.ndarray] = None
     nodata_mask: Optional[np.ndarray] = None
     provenance: str = ""
@@ -178,14 +176,11 @@ class EnhancementField:
         object.__setattr__(self, "nodata_mask", mask)
         object.__setattr__(self, "gsd", float(self.gsd))
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
-        for name in ("sigma_noise", "sigma_clutter", "sigma_total"):
+        for name in ("sigma_noise", "sigma_total"):
             layer = getattr(self, name)
             if layer is None:
                 continue
-            if name == "sigma_clutter" and np.ndim(layer) == 0:
-                layer = float(layer)
-            else:
-                layer = _frozen(layer, np.float64, delta.shape, name)
+            layer = _frozen(layer, np.float64, delta.shape, name)
             if not np.all((np.isfinite(layer) & (layer >= 0)) | mask):
                 raise DataError(f"{name} must be finite and non-negative outside nodata_mask")
             object.__setattr__(self, name, layer)
@@ -200,8 +195,8 @@ class EnhancementField:
     def crop(self, window: tuple[slice, slice]) -> "EnhancementField":
         """The field inside (line, sample) ``window``; the origin moves by whole pixels."""
         rows, cols = window
-        names = ("delta_x", "nodata_mask", "sigma_noise", "sigma_clutter", "sigma_total")
-        maps = {n: getattr(self, n)[window] for n in names if np.ndim(getattr(self, n)) == 2}
+        names = ("delta_x", "nodata_mask", "sigma_noise", "sigma_total")
+        maps = {n: getattr(self, n)[window] for n in names if getattr(self, n) is not None}
         origin = (self.origin[0] + cols.start * self.gsd, self.origin[1] - rows.start * self.gsd)
         crop = object.__new__(EnhancementField)
         vars(crop).update(vars(self), origin=origin, **maps)

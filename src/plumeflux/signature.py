@@ -51,26 +51,10 @@ class BandAbsorption:
 
     k_band: np.ndarray
     band_indices: np.ndarray
-    window: tuple[float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "k_band", np.asarray(self.k_band, dtype=np.float64))
         object.__setattr__(self, "band_indices", np.asarray(self.band_indices, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class TargetSpectrum:
-    """Unit-enhancement radiance perturbation t = -k * mu per window band.
-
-    ``mu`` is the background mean the spectrum was built from, kept for
-    provenance: the target adapts to whichever background partition is in
-    effect.
-    """
-
-    k_band: np.ndarray
-    t: np.ndarray
-    mu: np.ndarray
-    band_indices: np.ndarray | None = None
 
 
 def _table_lines(path: Path):
@@ -156,10 +140,10 @@ def band_absorption(
         if norm <= 0:
             raise DataError(f"spectral response of band {b} integrates to zero on the table grid")
         k_band[i] = np.trapezoid(g * table.kappa, wl) / norm
-    return BandAbsorption(k_band=k_band, band_indices=indices, window=(low, high))
+    return BandAbsorption(k_band=k_band, band_indices=indices)
 
 
-def target_spectrum(k_band: np.ndarray, mu: np.ndarray, band_indices=None) -> TargetSpectrum:
+def target_spectrum(k_band: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """First-order radiance perturbation per unit enhancement: t = -k * mu, per row of ``mu``."""
     k_band = np.asarray(k_band, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -167,7 +151,7 @@ def target_spectrum(k_band: np.ndarray, mu: np.ndarray, band_indices=None) -> Ta
         raise DataError(f"k_band shape {k_band.shape} does not match mu shape {mu.shape}")
     if not np.all(np.isfinite(mu)):
         raise DataError("background mean must be finite")
-    return TargetSpectrum(k_band=k_band, t=-k_band * mu, mu=mu, band_indices=band_indices)
+    return -k_band * mu
 
 
 def transmittance(k_band: np.ndarray, delta_x) -> np.ndarray:

@@ -233,7 +233,7 @@ def test_criterion_10_closed_loop_with_noise():
         cube, truth = closed_loop_scene(seed=100 + seed, noise=True)
         absorption = pf.band_absorption(table, cube.descriptor, WINDOW)
         field, _ = pf.retrieve(cube, absorption, config)
-        field = total_sigma(field.replace(sigma_clutter=0.0))
+        field = field.replace(sigma_total=total_sigma(field.sigma_noise, 0.0))
         ime_ret, sigma_ime = pf.integrate_ime(field, truth.mask)
         if abs(ime_ret - truth.ime_true_kg) <= 2.0 * sigma_ime:
             hits += 1

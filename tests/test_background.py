@@ -23,7 +23,6 @@ def make_absorption(n_bands, k_values):
     return BandAbsorption(
         k_band=np.asarray(k_values, dtype=float),
         band_indices=np.arange(n_bands),
-        window=(2100.0, 2450.0),
     )
 
 
@@ -197,22 +196,26 @@ class TestClutterSigma:
         assert clutter_sigma(field, sel) == pytest.approx(1.0, abs=0.02)
 
 
+def assembled(noise, clutter):
+    """A field of the noise layer with sigma_total assembled as the pipeline does."""
+    field = field_from(np.zeros(np.shape(noise)), sigma_noise=noise)
+    return field.replace(sigma_total=total_sigma(field.sigma_noise, clutter))
+
+
 class TestTotalSigma:
     def test_three_four_five(self):
-        field = field_from(np.zeros((2, 2)), sigma_noise=np.full((2, 2), 3.0), sigma_clutter=4.0)
-        out = total_sigma(field)
+        out = assembled(np.full((2, 2), 3.0), 4.0)
         np.testing.assert_array_equal(out.sigma_total, np.full((2, 2), 5.0))
 
     def test_zero_clutter_keeps_noise(self):
         noise = np.array([[1.0, 2.0], [3.0, 4.0]])
-        field = field_from(np.zeros((2, 2)), sigma_noise=noise, sigma_clutter=0.0)
-        out = total_sigma(field)
+        out = assembled(noise, 0.0)
         np.testing.assert_array_equal(out.sigma_total, noise)
 
     def test_elementwise_frozen_values(self):
         noise = np.array([[30.0, 40.0]])
-        f0 = total_sigma(field_from(np.zeros((1, 2)), sigma_noise=noise, sigma_clutter=0.0))
-        f30 = total_sigma(field_from(np.zeros((1, 2)), sigma_noise=noise, sigma_clutter=30.0))
+        f0 = assembled(noise, 0.0)
+        f30 = assembled(noise, 30.0)
         np.testing.assert_allclose(f0.sigma_total, [[30.0, 40.0]], rtol=1e-12)
         np.testing.assert_allclose(
             f30.sigma_total, [[42.42640687119285, 50.0]], rtol=1e-12
@@ -221,19 +224,11 @@ class TestTotalSigma:
     def test_total_bounds_components(self, rng):
         noise = rng.random((6, 6)) * 10
         clutter = 3.3
-        out = total_sigma(field_from(np.zeros((6, 6)), sigma_noise=noise, sigma_clutter=clutter))
+        out = assembled(noise, clutter)
         assert np.all(out.sigma_total >= noise)
         assert np.all(out.sigma_total >= clutter)
         eq_noise = np.isclose(out.sigma_total, noise)
         assert not np.any(eq_noise)  # clutter nonzero everywhere
-
-    def test_missing_noise_broadcasts_clutter(self):
-        out = total_sigma(field_from(np.zeros((3, 4)), sigma_clutter=2.5))
-        np.testing.assert_array_equal(out.sigma_total, np.full((3, 4), 2.5))
-
-    def test_nothing_to_combine_raises(self):
-        with pytest.raises(DomainError):
-            total_sigma(field_from(np.zeros((2, 2))))
 
 
 class TestSelectionDeterminism:
@@ -253,13 +248,9 @@ class TestSelectionDeterminism:
 class TestTotalSigmaEqualityCases:
     def test_equal_to_noise_iff_clutter_zero(self, rng):
         noise = rng.random((5, 5)) * 10 + 0.1
-        with_zero = total_sigma(
-            field_from(np.zeros((5, 5)), sigma_noise=noise, sigma_clutter=0.0)
-        )
+        with_zero = assembled(noise, 0.0)
         np.testing.assert_array_equal(with_zero.sigma_total, noise)
-        with_clutter = total_sigma(
-            field_from(np.zeros((5, 5)), sigma_noise=noise, sigma_clutter=1.0)
-        )
+        with_clutter = assembled(noise, 1.0)
         assert np.all(with_clutter.sigma_total > noise)
 
 

@@ -45,7 +45,6 @@ def make_absorption(n_bands, k_values=None, rng=None):
     return BandAbsorption(
         k_band=np.asarray(k_values, dtype=float),
         band_indices=np.arange(n_bands),
-        window=WINDOW,
     )
 
 
@@ -454,6 +453,26 @@ class TestVariantDegeneracies:
         assert all(c >= 6 for c in stats.counts)
         assert any("pooled" in f for flags in stats.flags for f in flags)
 
+    def test_small_cluster_pools_into_nearest(self, rng):
+        # a two-endmember mixture plus 3 pixels of a distinct spectrum: k-means
+        # gives those 3 their own cluster, too small for a 6-band covariance
+        p, lines, samples = 6, 20, 20
+        ends = rng.uniform(5.0, 15.0, size=(2, p))
+        frac = rng.random(lines * samples)
+        pixels = np.outer(frac, ends[0]) + np.outer(1.0 - frac, ends[1])
+        pixels += 0.01 * rng.standard_normal(pixels.shape)
+        odd = [7, 150, 333]
+        pixels[odd] = np.linspace(20.0, 2.0, p)
+        cube = make_cube(np.ascontiguousarray(pixels.T.reshape(p, lines, samples)))
+        config = MfConfig(variant="ctmf", cluster_count=3)
+        field, stats = retrieve(cube, make_absorption(p, rng=rng), config)
+        assert "segment 0: cluster 2 pooled into 1 (fewer than 7 pixels)" in field.provenance
+        seg = stats.segment_map.ravel()
+        sizes = np.bincount(seg)
+        assert sizes.size == stats.n_segments == 2 and np.all(sizes >= p + 1)
+        # the 3 pixels take the segment of cluster 1, the one they were pooled into
+        assert np.all(seg[odd] == 1) and sizes[1] > len(odd)
+
     def test_tiny_image_pooling_degenerates_to_scene(self, rng):
         cube = random_cube(rng, n_bands=6, lines=2, samples=2)
         absorption = make_absorption(6, rng=rng)
@@ -463,14 +482,12 @@ class TestVariantDegeneracies:
 
 
 class TestDecontaminate:
-    def test_zero_field_leaves_stats_unchanged(self, rng):
+    def test_threshold_above_every_score_leaves_stats_unchanged(self, rng):
         cube = random_cube(rng, n_bands=4)
         absorption = make_absorption(4, rng=rng)
         config = MfConfig(variant="cmf", contamination_iterations=1)
         stats = compute_stats(cube, absorption, config)
-        field = apply_mf(cube, absorption, config, stats=stats)
-        zero_field = field.replace(delta_x=np.zeros_like(field.delta_x))
-        out = decontaminate(cube, absorption, config, zero_field, stats)
+        out = decontaminate(cube, absorption, config, stats, n_sigma=1e9)
         np.testing.assert_array_equal(out.mu, stats.mu)
         np.testing.assert_array_equal(out.cov, stats.cov)
 
@@ -479,8 +496,7 @@ class TestDecontaminate:
         absorption = make_absorption(4, rng=rng)
         config = MfConfig(variant="cmf", contamination_iterations=0)
         stats = compute_stats(cube, absorption, config)
-        field = apply_mf(cube, absorption, config, stats=stats)
-        assert decontaminate(cube, absorption, config, field, stats) is stats
+        assert decontaminate(cube, absorption, config, stats) is stats
 
     def test_plume_exclusion_shrinks_covariance_trace(self):
         from plumeflux.simulator import SimParams, SyntheticPlumeSpec, simulate_scene
@@ -500,8 +516,7 @@ class TestDecontaminate:
         absorption = band_absorption(table, cube.descriptor, WINDOW)
         config = MfConfig(variant="cmf", shrinkage=0.0, contamination_iterations=1)
         stats0 = compute_stats(cube, absorption, config)
-        field0 = apply_mf(cube, absorption, config, stats=stats0)
-        stats1 = decontaminate(cube, absorption, config, field0, stats0)
+        stats1 = decontaminate(cube, absorption, config, stats0)
         assert np.trace(stats1.cov[0]) <= np.trace(stats0.cov[0])
         assert stats1.counts[0] < stats0.counts[0]
 
@@ -517,26 +532,29 @@ class TestDecontaminate:
         config = MfConfig(variant="cwcmf", contamination_iterations=1)
         stats = compute_stats(cube, absorption, config)
         assert any("pooled" in f for f in stats.flags[3])
-        field = apply_mf(cube, absorption, config, stats=stats)
-        out = decontaminate(cube, absorption, config, field, stats)
+        out = decontaminate(cube, absorption, config, stats)
         assert out.counts[3] >= 37
 
     def test_one_scoring_pass_per_round(self, rng, monkeypatch):
-        # retrieve scores the scene once, once between rounds, and once at the end
+        # each round scores the scene with the last round's filters, and retrieve
+        # builds its one field from the final filters: one more scoring pass
         cube = random_cube(rng, n_bands=4)
         absorption = make_absorption(4, rng=rng)
         calls = []
 
-        def counting(*args):
-            calls.append(1)
-            return mf_scores(*args)
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
 
-        mf_scores = kernels.mf_scores
-        monkeypatch.setattr(kernels, "mf_scores", counting)
-        for rounds in (1, 2):
+        monkeypatch.setattr(kernels, "mf_scores", counting(kernels.mf_scores))
+        monkeypatch.setattr(matched_filter, "apply_mf", counting(matched_filter.apply_mf))
+        for rounds in (0, 1, 2):
             calls.clear()
             retrieve(cube, absorption, MfConfig(variant="cmf", contamination_iterations=rounds))
-            assert len(calls) == rounds + 1
+            assert calls.count("mf_scores") == rounds + 1
+            assert calls.count("apply_mf") == 1
 
 
 class TestPropagateNoise:
@@ -754,16 +772,15 @@ class TestMomentsEngine:
         absorption = make_absorption(8, rng=rng)
         config = MfConfig(variant="cwcmf", contamination_iterations=1)
         stats = compute_stats(cube, absorption, config)
-        field = apply_mf(cube, absorption, config, stats=stats)
-        out = decontaminate(cube, absorption, config, field, stats, n_sigma=-1.0)
+        out = decontaminate(cube, absorption, config, stats, n_sigma=-1.0)
         assert np.all(2 * out.counts < stats.counts)
         ref = reference_retrieve(cube, absorption, config, n_sigma=-1.0)
         close(out.mu, ref[0], 1e-10)
         close(out.cov, ref[1], 1e-10)
         # tau below every value empties each segment: all keep their statistics
         # from the round before, not those of the full moments
-        before = decontaminate(cube, absorption, config, field, stats)
-        out = decontaminate(cube, absorption, config, field, before, n_sigma=-1e9)
+        before = decontaminate(cube, absorption, config, stats)
+        out = decontaminate(cube, absorption, config, before, n_sigma=-1e9)
         assert all("decontamination skipped (segment emptied)" in f for f in out.flags)
         assert np.any(before.counts < stats.counts)
         for name in ("mu", "cov", "t", "q", "denom", "counts"):
@@ -890,10 +907,9 @@ class TestMomentsOnlyStats:
         # segment's block at a time, and the pixel-sized index arrays
         assert peak <= stack + 1.75 * chunk
         assert stats.fit[2] is stats.moments[2]
-        field = apply_mf(cube, absorption, config, stats)
         # one copy of the moments, downdated in place; the slack covers the
         # means, targets and per-pixel temporaries, not a second copy
-        _, peak = traced_peak(decontaminate, cube, absorption, config, field, stats)
+        _, peak = traced_peak(decontaminate, cube, absorption, config, stats)
         assert peak <= stack + 3 * stack // 4
 
     def test_filter_groups_do_not_change_the_filters(self, monkeypatch):
@@ -919,9 +935,8 @@ class TestMomentsOnlyStats:
         absorption = make_absorption(8, rng=rng)
         config = MfConfig(variant=variant, cluster_count=3, contamination_iterations=2)
         stats = compute_stats(cube, absorption, config)
-        field = apply_mf(cube, absorption, config, stats)
         snapshot = pickle.dumps(stats)
-        out = decontaminate(cube, absorption, config, field, stats, n_sigma=n_sigma)
+        out = decontaminate(cube, absorption, config, stats, n_sigma=n_sigma)
         assert pickle.dumps(stats) == snapshot
         assert out.moments is stats.moments
         with pytest.raises(ValueError):
@@ -1002,7 +1017,7 @@ class TestSegmentOrderPass:
         for s in range(n.size):
             one = slice(s, s + 1)
             cov = matched_filter._shrink(n[one], m2[one], config.shrinkage, config.delta_min)[0]
-            ts = target_spectrum(absorption.k_band, mu[s]).t
+            ts = target_spectrum(absorption.k_band, mu[s])
             qs = scipy.linalg.cho_solve((np.linalg.cholesky(cov), True), ts)
             assert t[s].tobytes() == ts.tobytes()
             assert q[s].tobytes() == qs.tobytes()

@@ -118,7 +118,6 @@ class TestPlumeCrop:
                 gsd=30.0,
                 origin=(355000.0, 4100000.0),
                 sigma_noise=np.full((30, 40), 3.0),
-                sigma_clutter=5.0,
                 sigma_total=sigma_total,
                 nodata_mask=nodata,
             )
@@ -135,7 +134,7 @@ class TestPlumeCrop:
             # the same crop built through the checks, with copied layers
             checked = field.replace(origin=crop.origin, **maps)
             assert crop.origin == checked.origin == (355300.0, 4099760.0)
-            assert (crop.gsd, crop.sigma_clutter) == (checked.gsd, checked.sigma_clutter)
+            assert crop.gsd == checked.gsd
             assert integrate_ime(crop, mask) == integrate_ime(checked, mask)
             assert (integrate_ime(crop, mask)[1] is None) is (sigma_total is None)
 

@@ -177,7 +177,7 @@ class TestCubeRoundTrip:
         assert not np.shares_memory(field.delta_x, delta) and delta.flags.writeable
         assert not np.shares_memory(field.sigma_noise, noise) and noise.flags.writeable
         assert not field.delta_x.flags.writeable and not field.nodata_mask.flags.writeable
-        moved = field.replace(sigma_clutter=1.0)
+        moved = field.replace(provenance="moved")
         assert moved.delta_x is field.delta_x
         assert moved.sigma_noise is field.sigma_noise
         assert moved.nodata_mask is field.nodata_mask
@@ -490,7 +490,7 @@ class TestEnhancementFieldInvariants:
             EnhancementField(delta_x=np.ones((3, 3)), gsd=30.0, sigma_noise=-np.ones((3, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["delta_x", "sigma_noise", "sigma_clutter", "sigma_total"])
+    @pytest.mark.parametrize("name", ["delta_x", "sigma_noise", "sigma_total"])
     def test_non_finite_outside_nodata_rejected(self, name, bad):
         layer = np.ones((3, 3))
         layer[1, 2] = bad
@@ -517,10 +517,8 @@ class TestEnhancementFieldInvariants:
         from plumeflux.background import total_sigma
 
         noise = rng.random((5, 5)) * 10
-        field = EnhancementField(
-            delta_x=np.zeros((5, 5)), gsd=30.0, sigma_noise=noise, sigma_clutter=4.0
-        )
-        out = total_sigma(field)
+        field = EnhancementField(delta_x=np.zeros((5, 5)), gsd=30.0, sigma_noise=noise)
+        out = field.replace(sigma_total=total_sigma(field.sigma_noise, 4.0))
         assert np.array_equal(out.sigma_total, np.sqrt(noise**2 + 4.0**2))
         np.testing.assert_allclose(out.sigma_total**2, out.sigma_noise**2 + 16.0, rtol=1e-15)
 

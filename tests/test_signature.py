@@ -131,34 +131,34 @@ class TestBandAbsorption:
 class TestTargetSpectrum:
     def test_hand_example(self):
         ts = target_spectrum(np.array([0.001, 0.002]), np.array([10.0, 20.0]))
-        np.testing.assert_allclose(ts.t, [-0.01, -0.04], rtol=0, atol=0)
+        np.testing.assert_allclose(ts, [-0.01, -0.04], rtol=0, atol=0)
 
     def test_one_mean_per_row(self, rng):
         k = rng.random(5) * 1e-5
         mu = rng.random((3, 5)) * 30
-        t = target_spectrum(k, mu).t
+        t = target_spectrum(k, mu)
         for row, m in zip(t, mu):
-            assert row.tobytes() == target_spectrum(k, m).t.tobytes()
+            assert row.tobytes() == target_spectrum(k, m).tobytes()
         with pytest.raises(DataError, match="does not match"):
             target_spectrum(k, mu[:, :4])
 
     def test_zero_kappa_gives_zero_target(self):
         ts = target_spectrum(np.zeros(4), np.full(4, 11.0))
-        assert np.all(ts.t == 0.0)
+        assert np.all(ts == 0.0)
 
     def test_brightness_scaling_linearity(self, rng):
         k = rng.random(6) * 1e-5
         mu = rng.random(6) * 50
-        t1 = target_spectrum(k, mu).t
-        t2 = target_spectrum(k, 3.5 * mu).t
+        t1 = target_spectrum(k, mu)
+        t2 = target_spectrum(k, 3.5 * mu)
         np.testing.assert_allclose(t2, 3.5 * t1, rtol=1e-15)
 
     def test_sign_convention(self, rng):
         k = rng.random(5) * 1e-5
         mu = rng.random(5) * 30
         ts = target_spectrum(k, mu)
-        assert np.all(ts.t <= 0)
-        np.testing.assert_array_equal(ts.t, -k * mu)
+        assert np.all(ts <= 0)
+        np.testing.assert_array_equal(ts, -k * mu)
 
 
 class TestTransmittance:
@@ -189,7 +189,7 @@ class TestLinearization:
             dx = 0.01 / k.max() * rng.uniform(0.1, 1.0)
             ts = target_spectrum(k, mu)
             exact = mu * np.exp(-k * dx)
-            linear = mu + ts.t * dx
+            linear = mu + ts * dx
             rel = np.abs(exact - linear) / (mu * k * dx)
             assert np.all(rel <= 0.006)
 
@@ -199,6 +199,6 @@ class TestLinearization:
         table = table_from_fn(kappa_fn, step=0.05)
         result = band_absorption(table, desc, WINDOW)
         mu = rng.random(6) * 20
-        t1 = target_spectrum(result.k_band, mu).t
-        t2 = target_spectrum(result.k_band, 7.0 * mu).t
+        t1 = target_spectrum(result.k_band, mu)
+        t2 = target_spectrum(result.k_band, 7.0 * mu)
         np.testing.assert_allclose(t2, 7.0 * t1, rtol=1e-15)

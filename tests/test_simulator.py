@@ -20,9 +20,7 @@ from conftest import make_cube, make_descriptor
 
 
 def flat_absorption(n_bands, k=0.002):
-    return BandAbsorption(
-        k_band=np.full(n_bands, k), band_indices=np.arange(n_bands), window=(2100.0, 2450.0)
-    )
+    return BandAbsorption(k_band=np.full(n_bands, k), band_indices=np.arange(n_bands))
 
 
 class TestSynthBackground:
