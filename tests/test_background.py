@@ -230,6 +230,18 @@ class TestTotalSigma:
         eq_noise = np.isclose(out.sigma_total, noise)
         assert not np.any(eq_noise)  # clutter nonzero everywhere
 
+    def test_clutter_map_rejected(self):
+        # clutter is one number per scene; a map must not be broadcast silently
+        with pytest.raises(TypeError):
+            total_sigma(np.ones((2, 2)), np.full((2, 2), 4.0))
+
+    def test_frozen_noise_layer_left_unchanged(self):
+        # the pipeline passes a field's read-only layer: total_sigma writes a new array
+        field = field_from(np.zeros((2, 2)), sigma_noise=np.full((2, 2), 3.0))
+        out = total_sigma(field.sigma_noise, 4.0)
+        np.testing.assert_array_equal(field.sigma_noise, np.full((2, 2), 3.0))
+        assert not np.shares_memory(out, field.sigma_noise)
+
 
 class TestSelectionDeterminism:
     def test_identical_inputs_identical_selection(self, rng):

@@ -521,6 +521,35 @@ class TestDecontaminate:
         assert stats1.counts[0] < stats0.counts[0]
 
 
+    def test_first_round_thresholds_the_retrieved_field(self, rng):
+        # a round excludes the estimation rows whose enhancement, as a retrieval
+        # without decontamination reports it, lies above each segment's threshold
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant="ctmf", cluster_count=3, contamination_iterations=1)
+        field, stats = retrieve(cube, absorption, dataclasses.replace(config, contamination_iterations=0))
+        delta = field.delta_x.ravel()
+        kept = [np.count_nonzero(delta[r] <= robust_threshold(delta[r], 1.0)) for r in stats.estimation_rows]
+        out = decontaminate(cube, absorption, config, stats, n_sigma=1.0)
+        np.testing.assert_array_equal(out.counts, kept)
+        assert np.all(out.counts < stats.counts)
+
+    def test_two_rounds_equal_one_round_twice(self, rng):
+        # each round starts again from the full moments and scores with the
+        # previous round's filters, so rounds compose bit for bit
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        one = MfConfig(variant="cwcmf", contamination_iterations=1)
+        two = dataclasses.replace(one, contamination_iterations=2)
+        stats = compute_stats(cube, absorption, one)
+        first = decontaminate(cube, absorption, one, stats, n_sigma=1.0)
+        once_more = decontaminate(cube, absorption, one, first, n_sigma=1.0)
+        out = decontaminate(cube, absorption, two, stats, n_sigma=1.0)
+        assert not np.array_equal(out.counts, first.counts)  # the second round moved
+        for name in ("mu", "cov", "q", "denom"):
+            assert getattr(out, name).tobytes() == getattr(once_more, name).tobytes(), name
+        assert out.flags == once_more.flags
+
     def test_pooled_column_keeps_pooling(self, rng):
         # column 3 keeps 20 valid pixels, fewer than p+1 = 37: it is pooled
         # with its neighbours, and decontamination must refit over that pool
