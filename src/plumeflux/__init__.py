@@ -6,10 +6,8 @@ from .matched_filter import (
     BackgroundStats,
     MfConfig,
     apply_mf,
-    cluster_pixels,
     compute_stats,
     decontaminate,
-    estimate_stats,
     propagate_noise,
     retrieve,
 )

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 from typing import Optional
 
-from . import jsonfmt
 from .config import default_config_yaml, load_config
 from .errors import ConfigError, PlumefluxError
 from .pipeline import (
@@ -140,7 +140,7 @@ def cmd_quantify(args) -> int:
     if wind is None:
         raise ConfigError("quantify needs a wind section in --config or --u10 on the command line")
     out = quantify_only(args.ime_kg, args.sigma_ime_kg, args.area_m2, wind)
-    print(jsonfmt.dumps(out))
+    print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 

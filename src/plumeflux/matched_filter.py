@@ -20,7 +20,7 @@ from . import kernels
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .scene_io import EnhancementField, RadianceCube
 from .segmentation import SegmentationParams, robust_threshold
-from .signature import BandAbsorption, target_spectrum, window_band_indices
+from .signature import BandAbsorption, target_spectrum
 
 VARIANTS = ("cmf", "ctmf", "cwcmf")
 
@@ -113,28 +113,14 @@ class BackgroundStats:
         return out
 
 
-def estimate_stats(
-    X: np.ndarray, gamma: float = MfConfig.shrinkage, delta_min: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and shrinkage-regularized ML covariance of pixel spectra (rows).
+def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[float]) -> np.ndarray:
+    """Shrinkage-regularized covariance of each segment from its count and packed M2.
 
-    cov = (1 - gamma) * S + delta * I with S the divisor-N sample covariance
-    and delta = max(gamma * trace(S)/p, floor). The default floor
+    cov = (1 - gamma) * S + delta * I with S = M2 / n, the divisor-N sample
+    covariance, and delta = max(gamma * trace(S)/p, floor). The default floor
     1e-8 * (trace(S)/p + 1) keeps the matrix SPD across radiance scales,
     including the all-identical-pixels case where S is exactly zero.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DomainError("estimate_stats expects a (pixels, bands) matrix")
-    n = X.shape[0]
-    if n < 2:
-        raise DomainError(f"need at least 2 pixels to estimate statistics, got {n}")
-    count, mu, m2 = _segment_moments(X.T, np.zeros(n, dtype=np.int64), 1)
-    return mu[0], _shrink(count, m2, gamma, delta_min)[0]
-
-
-def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[float]) -> np.ndarray:
-    """Shrinkage-regularized covariance of each segment from its count and packed M2."""
     p = (math.isqrt(8 * m2.shape[-1] + 1) - 1) // 2
     rows, cols = np.tril_indices(p)  # the lower triangle, row >= col
     cov = np.empty((n.size, p, p))
@@ -167,12 +153,6 @@ def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(denom <= 0.0):
         raise DomainError("degenerate target spectrum")
     return q, denom
-
-
-def mf_score(x: np.ndarray, mu: np.ndarray, cov: np.ndarray, t: np.ndarray) -> float:
-    """Single-spectrum matched-filter score (x-mu)' cov^-1 t / (t' cov^-1 t)."""
-    q, denom = _whiten(*(np.asarray(a, dtype=np.float64)[None] for a in (cov, t)))
-    return float((np.asarray(x, dtype=np.float64) - mu) @ q[0] / denom[0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +298,6 @@ def normalized_features(X: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     means = X.mean(axis=-1, keepdims=True)
     safe = np.where(means != 0.0, means, 1.0)
     return np.divide(X, safe, out=out)
-
-
-def cluster_pixels(
-    cube: RadianceCube, k: int, seed: int, window: tuple[float, float] = MfConfig.window
-) -> np.ndarray:
-    """The ``ctmf`` partition: k-means label map over valid pixels (-1 at nodata).
-
-    As in ``ctmf``, a cluster too small for a covariance over the window
-    bands is pooled into its nearest cluster, and labels are then compacted.
-    """
-    band_idx = window_band_indices(cube.descriptor, window)
-    if band_idx.size == 0:
-        raise DataError(f"no bands inside window {window}")
-    config = MfConfig(variant="ctmf", cluster_count=k, seed=seed, window=window)
-    return _build_partition(cube, config, _window_slab(cube, band_idx))[0]
 
 
 # ---------------------------------------------------------------------------

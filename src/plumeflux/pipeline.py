@@ -10,6 +10,7 @@ overlap.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -18,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import jsonfmt, kernels
+from . import kernels
 from .background import clutter_sigma, match_background, total_sigma
 from .config import RunConfig, config_echo
 from .errors import ConfigError, DataError, DomainError
@@ -33,6 +34,7 @@ from .scene_io import (
 )
 from .segmentation import (
     PlumeMask,
+    geojson_text,
     plumes_to_geojson,
     robust_sigma,
     robust_threshold,
@@ -100,13 +102,14 @@ def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]
     for p in plumes:
         labels[p.window][p.mask] = p.label_id
     write_raster(labels, out_dir / "plume_mask", field.gsd, field.origin, field.nodata_mask)
-    write_report(plumes_to_geojson(plumes), out_dir / "plumes.geojson")
+    text = geojson_text(plumes_to_geojson(plumes))
+    (out_dir / "plumes.geojson").write_text(text, encoding="utf-8")
     return labels
 
 
 def write_report(report: dict, path: Path) -> None:
-    """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)`` would."""
-    path.write_text(jsonfmt.dumps(report), encoding="utf-8")
+    """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)``."""
+    path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def retrieve_layers(

@@ -50,6 +50,20 @@ def _frozen(array, dtype, shape: Optional[tuple] = None, name: str = "") -> np.n
     return array
 
 
+def _check_gsd(gsd: float) -> None:
+    """The header reader's rule for ``gsd_m``: positive and finite."""
+    if not 0 < gsd < math.inf:
+        raise DataError(f"gsd must be positive and finite, got {gsd!r}")
+
+
+def _origin_floats(origin) -> tuple[float, float]:
+    """``origin`` as two floats, each finite as the header reader requires."""
+    easting, northing = float(origin[0]), float(origin[1])
+    if not (math.isfinite(easting) and math.isfinite(northing)):
+        raise DataError(f"origin must be finite, got {origin!r}")
+    return easting, northing
+
+
 @dataclass(frozen=True)
 class SensorDescriptor:
     """Spectral and radiometric description of one instrument.
@@ -81,8 +95,7 @@ class SensorDescriptor:
         fwhm = _frozen(self.band_fwhm, np.float64, centers.shape, "band_fwhm")
         if np.any(fwhm <= 0):
             raise DataError("band_fwhm must be positive")
-        if not self.gsd > 0:
-            raise DataError("gsd must be positive")
+        _check_gsd(self.gsd)
         object.__setattr__(self, "band_centers", centers)
         object.__setattr__(self, "band_fwhm", fwhm)
         for name in ("noise_a", "noise_c"):
@@ -133,7 +146,7 @@ class RadianceCube:
             raise DataError("cube contains non-finite radiance outside nodata_mask")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nodata_mask", mask)
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        object.__setattr__(self, "origin", _origin_floats(self.origin))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -167,15 +180,14 @@ class EnhancementField:
         delta = _frozen(self.delta_x, np.float64)
         if delta.ndim != 2:
             raise DataError("delta_x must be 2-D")
-        if not self.gsd > 0:
-            raise DataError("gsd must be positive")
+        _check_gsd(self.gsd)
         mask = _frozen(self.nodata_mask, bool, delta.shape, "nodata_mask")
         if not np.all(np.isfinite(delta) | mask):
             raise DataError("delta_x contains non-finite values outside nodata_mask")
         object.__setattr__(self, "delta_x", delta)
         object.__setattr__(self, "nodata_mask", mask)
         object.__setattr__(self, "gsd", float(self.gsd))
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        object.__setattr__(self, "origin", _origin_floats(self.origin))
         for name in ("sigma_noise", "sigma_total"):
             layer = getattr(self, name)
             if layer is None:

@@ -9,6 +9,7 @@ boundaries: their shoelace area equals pixel_count * gsd^2 identically.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -224,23 +225,14 @@ def _rings(shape: tuple[int, int], pixel: np.ndarray, lab: np.ndarray) -> tuple[
     return x, y, ends, start[walk[ends - 1]] // span
 
 
-def _boundary_rings(mask: np.ndarray) -> list[np.ndarray]:
-    """Closed vertex rings (grid units) of a binary mask's pixel boundary, in ``_rings`` order."""
-    pixel = np.flatnonzero(mask)
-    x, y, ends, _ = _rings(np.shape(mask), pixel, np.ones_like(pixel))
-    return np.split(np.column_stack([x, y]), ends[:-1]) if ends.size else []
+def trace_polygon(mask: np.ndarray, gsd: float, origin: tuple[float, float], labels: np.ndarray):
+    """Outer ring and holes of every label of a mask, as (easting, northing) vertices in meters.
 
-
-def trace_polygon(mask: np.ndarray, gsd: float, origin: tuple[float, float], labels=None):
-    """Outer ring and holes of a mask, as (easting, northing) vertices in meters.
-
-    Given ``labels``, an integer image in which 4-adjacent pixels of ``mask`` share a
-    label, it returns the (outer ring, holes) of every label of ``mask``, in label order.
+    ``labels`` is an integer image in which 4-adjacent pixels of ``mask`` share a label.
+    Returns the (outer ring, holes) of every label of ``mask``, in label order.
     """
     pixel = np.flatnonzero(mask)
-    if labels is None and not pixel.size:
-        raise DomainError("cannot trace the boundary of an empty mask")
-    lab = np.ones_like(pixel) if labels is None else np.ravel(labels)[pixel]
+    lab = np.ravel(labels)[pixel]
     x, y, ends, owner = _rings(np.shape(mask), pixel, lab)
     # twice each ring's signed pixel area, exact in integers; lines grow
     # southward, so counterclockwise in metres is clockwise on the grid
@@ -253,8 +245,7 @@ def trace_polygon(mask: np.ndarray, gsd: float, origin: tuple[float, float], lab
     metric = np.split(pts, ends[:-1])
     spans = zip(firsts.tolist(), firsts[1:].tolist() + [len(metric)])
     outer = [(lo, lo + int(np.argmax(twice[lo:hi])), hi) for lo, hi in spans]  # the largest ring
-    polygons = [(metric[k], tuple(metric[lo:k] + metric[k + 1 : hi])) for lo, k, hi in outer]
-    return polygons if labels is not None else polygons[0]
+    return [(metric[k], tuple(metric[lo:k] + metric[k + 1 : hi])) for lo, k, hi in outer]
 
 
 def connected_components(
@@ -285,7 +276,7 @@ def connected_components(
     boxes = np.column_stack([row[first], row[last] + 1, left, right, lab[first], size]).tolist()
     kept = np.zeros(mask.shape, dtype=bool)
     kept.ravel()[pixel] = True
-    rings = trace_polygon(kept, gsd, origin, labels=labels)  # every plume's rings in one pass
+    rings = trace_polygon(kept, gsd, origin, labels)  # every plume's rings in one pass
     plumes = []
     for rank, i in enumerate(by_size.tolist(), start=1):
         top, bottom, left, right, k, count = boxes[i]
@@ -377,3 +368,32 @@ def plumes_to_geojson(plumes: Sequence[PlumeMask]) -> dict:
             }
         )
     return {"type": "FeatureCollection", "features": features}
+
+
+def geojson_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of a ``plumes_to_geojson`` document.
+
+    ``json`` encodes every coordinate in Python. Here each ring is swapped
+    for a placeholder, the rest is dumped once, and each placeholder becomes
+    the ring's (easting, northing) rows, filled from one ``%r`` template at
+    the placeholder's indent: ``json`` writes a finite float as its repr. A
+    non-finite coordinate has no such repr, so the whole document then goes
+    to ``json.dumps``.
+    """
+    geometry = [f["geometry"] for f in doc["features"]]
+    rings = [ring for g in geometry for ring in g["coordinates"]]
+    values = tuple(v for ring in rings for row in ring for v in row)
+    # a finite sum has no NaN or infinity among its terms
+    if not math.isfinite(sum(values)):
+        return json.dumps(doc, indent=2, sort_keys=True)
+    features = [{**f, "geometry": {**g, "coordinates": ["\0"] * len(g["coordinates"])}}
+                for f, g in zip(doc["features"], geometry)]
+    text = json.dumps({**doc, "features": features}, indent=2, sort_keys=True)
+    parts = text.replace("%", "%%").split('"\\u0000"')  # "\0" is written escaped
+    template = parts[:1]
+    for ring, before, after in zip(rings, parts, parts[1:]):
+        nl = before[before.rfind("\n") :]
+        inner = nl + "  "
+        row = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+        template += ["[" + inner + ("," + inner).join([row] * len(ring)) + nl + "]", after]
+    return "".join(template) % values

@@ -12,14 +12,12 @@ from plumeflux.matched_filter import (
     MfConfig,
     _merge,
     _segment_moments,
+    _whiten,
     _window_slab,
     apply_mf,
-    cluster_pixels,
     compute_stats,
     decontaminate,
-    estimate_stats,
     kmeans,
-    mf_score,
     normalized_features,
     propagate_noise,
     retrieve,
@@ -60,41 +58,70 @@ def random_cube(rng, n_bands=5, lines=8, samples=10, mean=None, cov=None):
     return make_cube(np.abs(data) + 0.1, n_bands=n_bands)
 
 
-class TestEstimateStats:
-    def test_two_pixel_hand_case(self):
-        X = np.array([[0.0, 0.0], [2.0, 2.0]])
-        mu, cov = estimate_stats(X, gamma=0.0)
-        np.testing.assert_array_equal(mu, [1.0, 1.0])
+def two_pass_stats(X, gamma, delta_min=None):
+    """Mean and shrinkage-regularized covariance of the rows of ``X``, in two passes."""
+    mu = X.mean(0)
+    Xc = X - mu
+    S = Xc.T @ Xc / X.shape[0]
+    trace_p = np.trace(S) / S.shape[0]
+    floor = 1e-8 * (trace_p + 1.0) if delta_min is None else delta_min
+    return mu, (1.0 - gamma) * S + max(gamma * trace_p, floor) * np.eye(S.shape[0])
+
+
+def pixel_cube(X):
+    """A one-column cube whose pixels are the rows of ``X``, and an all-band absorption."""
+    n, p = X.shape
+    return make_cube(X.T.reshape(p, n, 1)), make_absorption(p, np.full(p, 1e-5))
+
+
+class TestSegmentStats:
+    """Each segment's mean and shrinkage-regularized covariance from ``compute_stats``."""
+
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf"])
+    def test_two_pixel_hand_case(self, variant):
+        cube, absorption = pixel_cube(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        stats = compute_stats(cube, absorption, MfConfig(variant, cluster_count=1, shrinkage=0.0))
+        np.testing.assert_array_equal(stats.mu, [[1.0, 1.0]])
         # divisor-N covariance [[1,1],[1,1]] plus floor 1e-8*(trace/p + 1) = 2e-8
-        expected = np.array([[1.0, 1.0], [1.0, 1.0]]) + 2e-8 * np.eye(2)
-        np.testing.assert_array_equal(cov, expected)
+        np.testing.assert_array_equal(stats.cov, [np.ones((2, 2)) + 2e-8 * np.eye(2)])
 
-    def test_identical_pixels_floor_keeps_spd(self):
-        X = np.full((10, 4), 7.0)
-        mu, cov = estimate_stats(X, gamma=0.0)
-        np.testing.assert_array_equal(mu, np.full(4, 7.0))
-        np.testing.assert_array_equal(cov, 1e-8 * np.eye(4))
-        np.linalg.cholesky(cov)
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf"])
+    def test_identical_pixels_floor_keeps_spd(self, variant):
+        cube, absorption = pixel_cube(np.full((10, 4), 7.0))
+        stats = compute_stats(cube, absorption, MfConfig(variant, cluster_count=1, shrinkage=0.0))
+        np.testing.assert_array_equal(stats.mu, [np.full(4, 7.0)])
+        np.testing.assert_array_equal(stats.cov, [1e-8 * np.eye(4)])
 
-    def test_scaling_homogeneity(self, rng):
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf"])
+    def test_single_valid_pixel_rejected(self, variant):
+        mask = np.array([[True], [False]])
+        cube = make_cube(np.ones((3, 2, 1)), nodata_mask=mask)
+        config = MfConfig(variant, cluster_count=1)
+        with pytest.raises(DomainError, match="fewer than 2 valid pixels"):
+            compute_stats(cube, make_absorption(3, np.full(3, 1e-5)), config)
+
+    @pytest.mark.parametrize("delta_min", [None, 0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf"])
+    def test_each_segment_matches_the_two_pass_oracle(self, rng, variant, gamma, delta_min):
+        cube = random_cube(rng, n_bands=5, lines=12, samples=10)
+        config = MfConfig(variant, cluster_count=3, shrinkage=gamma, delta_min=delta_min)
+        stats = compute_stats(cube, make_absorption(5, rng=rng), config)
+        assert stats.n_segments == (3 if variant == "ctmf" else 1)
+        pixels = cube.data.reshape(5, -1)
+        for s in range(stats.n_segments):
+            mu, cov = two_pass_stats(pixels[:, stats.segment_map.ravel() == s].T, gamma, delta_min)
+            close(stats.mu[s], mu, 1e-10)
+            close(stats.cov[s], cov, 1e-10)
+
+    @pytest.mark.parametrize("variant", ["cmf", "ctmf"])
+    def test_scaling_homogeneity(self, rng, variant):
         X = rng.random((50, 6)) * 10
-        mu1, cov1 = estimate_stats(X, gamma=0.0, delta_min=0.0)
-        mu2, cov2 = estimate_stats(3.0 * X, gamma=0.0, delta_min=0.0)
-        np.testing.assert_allclose(mu2, 3.0 * mu1, rtol=1e-13)
-        np.testing.assert_allclose(cov2, 9.0 * cov1, rtol=1e-12)
-
-    def test_shrinkage_mixes_toward_scaled_identity(self, rng):
-        X = rng.random((80, 5))
-        _, cov_raw = estimate_stats(X, gamma=0.0, delta_min=0.0)
-        gamma = 0.2
-        _, cov = estimate_stats(X, gamma=gamma)
-        trace_p = np.trace(cov_raw) / 5
-        delta = max(gamma * trace_p, 1e-8 * (trace_p + 1))
-        np.testing.assert_allclose(cov, (1 - gamma) * cov_raw + delta * np.eye(5), rtol=1e-12)
-
-    def test_single_pixel_rejected(self):
-        with pytest.raises(DomainError, match="at least 2"):
-            estimate_stats(np.ones((1, 3)))
+        config = MfConfig(variant, cluster_count=2, shrinkage=0.0, delta_min=0.0)
+        one, three = (compute_stats(*pixel_cube(a * X), config) for a in (1.0, 3.0))
+        np.testing.assert_array_equal(three.segment_map, one.segment_map)
+        np.testing.assert_allclose(three.mu, 3.0 * one.mu, rtol=1e-13)
+        np.testing.assert_allclose(three.cov, 9.0 * one.cov, rtol=1e-12)
 
 
 def plain_lloyd(X, k, seed, max_iter=100):
@@ -266,7 +293,7 @@ class TestKmeans:
         with pytest.raises(DomainError, match="distinct"):
             kmeans(X, 2, seed=0)
 
-    def test_cluster_pixels_splits_two_materials(self, rng):
+    def test_ctmf_splits_two_materials(self, rng):
         n_bands = 6
         desc = make_descriptor(n_bands=n_bands)
         rel = np.linspace(-0.5, 0.5, n_bands)
@@ -276,7 +303,8 @@ class TestKmeans:
         data[:, :, :3] = a[:, None, None]
         data[:, :, 3:] = b[:, None, None]
         cube = make_cube(data, descriptor=desc)
-        labels = cluster_pixels(cube, 2, seed=1, window=WINDOW)
+        config = MfConfig(variant="ctmf", cluster_count=2, seed=1)
+        labels = compute_stats(cube, make_absorption(n_bands, rng=rng), config).segment_map
         assert len(np.unique(labels[:, :3])) == 1
         assert len(np.unique(labels[:, 3:])) == 1
         assert labels[0, 0] != labels[0, 5]
@@ -294,10 +322,11 @@ class TestKmeans:
         # benchmark counters count these words in the provenance
         assert "pooled" not in provenance and "decontamination skipped" not in provenance
 
-    def test_cluster_pixels_fewer_pixels_than_k(self):
+    def test_ctmf_fewer_pixels_than_k(self, rng):
         cube = make_cube(np.random.default_rng(0).random((3, 1, 2)) + 1)
-        with pytest.raises(DomainError):
-            cluster_pixels(cube, 5, seed=0, window=WINDOW)
+        config = MfConfig(variant="ctmf", cluster_count=5)
+        with pytest.raises(DomainError, match="cannot form 5 clusters from 2 pixels"):
+            compute_stats(cube, make_absorption(3, rng=rng), config)
 
     def test_normalization_is_brightness_invariant(self, rng):
         X = rng.random((20, 5)) + 0.5
@@ -314,13 +343,18 @@ class TestKmeans:
         assert X.tobytes() == expected.tobytes()
 
 
-class TestMfScore:
-    def test_pixel_at_mean_is_zero(self, rng):
-        p = 4
-        cov = random_spd(rng, p)
-        mu = rng.random(p) * 10
-        t = -rng.random(p) * mu
-        assert mf_score(mu, mu, cov, t) == 0.0
+class TestWhiten:
+    """The filter q = cov^-1 t and its normalization t'q, which score (x - mu)'q / t'q."""
+
+    def test_pixel_at_mean_is_zero_and_opposite_pixels_opposite(self):
+        # exact sums: the mean is the middle pixel, and x - mu is exactly +-d or +-e
+        mu = np.array([10.0, 20.0, 30.0, 40.0])
+        d, e = np.array([0.5, -0.25, 1.0, -2.0]), np.array([1.0, 0.5, -0.5, 0.25])
+        pixels = np.stack([mu - d, mu - e, mu, mu + e, mu + d])
+        cube, absorption = pixel_cube(pixels)
+        delta = apply_mf(cube, absorption, MfConfig("cmf")).delta_x.ravel()
+        assert delta[2] == 0.0
+        assert delta[4] == -delta[0] != 0.0 and delta[3] == -delta[1] != 0.0
 
     def test_algebraic_identity_recovers_coefficient(self, rng):
         for c in (-1e3, 1.0, 1234.5, 1e4):
@@ -328,18 +362,22 @@ class TestMfScore:
             cov = random_spd(rng, p)
             mu = rng.random(p) * 10
             t = -rng.random(p) * mu
-            x = mu + c * t
-            assert mf_score(x, mu, cov, t) == pytest.approx(c, rel=1e-9)
+            q, denom = _whiten(cov[None], t[None])
+            assert (c * t) @ q[0] / denom[0] == pytest.approx(c, rel=1e-9)
 
     def test_hand_evaluated_identity_covariance(self):
-        score = mf_score(
-            np.array([3.0, 1.0]), np.zeros(2), np.eye(2), np.array([1.0, -1.0])
-        )
-        assert score == pytest.approx(1.0, rel=1e-14)
+        q, denom = _whiten(np.eye(2)[None], np.array([[1.0, -1.0]]))
+        np.testing.assert_array_equal(q, [[1.0, -1.0]])
+        np.testing.assert_array_equal(denom, [2.0])
+        assert np.array([3.0, 1.0]) @ q[0] / denom[0] == 1.0
 
     def test_zero_target_rejected(self):
         with pytest.raises(DomainError, match="degenerate"):
-            mf_score(np.ones(2), np.zeros(2), np.eye(2), np.zeros(2))
+            _whiten(np.eye(2)[None], np.zeros((1, 2)))
+
+    def test_non_spd_covariance_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="positive definite"):
+            _whiten(-np.eye(2)[None], np.ones((1, 2)))
 
 
 class TestApplyMf:
@@ -653,14 +691,6 @@ class TestRetrieveDeterminism:
         assert np.array_equal(f1.sigma_noise, f2.sigma_noise)
 
 
-class TestNumericalGuard:
-    def test_non_spd_covariance_is_numerical_error(self):
-        from plumeflux.errors import NumericalError
-
-        with pytest.raises(NumericalError, match="positive definite"):
-            mf_score(np.ones(2), np.zeros(2), -np.eye(2), np.array([1.0, 1.0]))
-
-
 class TestDecontaminatedZeroMean:
     def test_mean_over_kept_pixels_vanishes(self):
         from plumeflux.segmentation import robust_threshold
@@ -713,7 +743,7 @@ class TestColumnwiseAdaptation:
 
 
 def reference_retrieve(cube, absorption, config, n_sigma=3.0):
-    """Retrieval by gathering each segment's rows and calling ``estimate_stats``.
+    """Retrieval by gathering each segment's rows and fitting them in two passes.
 
     Takes the partition (segment map and estimation rows) from
     ``compute_stats`` and redoes everything after it one segment at a time:
@@ -724,7 +754,7 @@ def reference_retrieve(cube, absorption, config, n_sigma=3.0):
     seg = stats.segment_map.ravel()
 
     def fit(rows):
-        mu, cov = estimate_stats(Y[:, rows].T, config.shrinkage, config.delta_min)
+        mu, cov = two_pass_stats(Y[:, rows].T, config.shrinkage, config.delta_min)
         t = -absorption.k_band * mu
         q = np.linalg.solve(cov, t)
         return mu, cov, q, t @ q
@@ -853,12 +883,11 @@ class TestMomentsEngine:
             Xc = rows - rows.mean(axis=0)
             return Xc.T @ Xc / rows.shape[0]
 
-        _, cov = estimate_stats(X, gamma=0.0, delta_min=0.0)
-        np.testing.assert_allclose(cov, two_pass(X), rtol=1e-8)
+        full = _segment_moments(X.T, seg, 1)
+        np.testing.assert_allclose(unpacked(full[2][0], 6) / full[0][0], two_pass(X), rtol=1e-8)
         # downdate by 5 % of the rows, against a two-pass estimate of the rest
         out = rng.permutation(X.shape[0])[:100]
         keep = np.setdiff1d(np.arange(X.shape[0]), out)
-        full = _segment_moments(X.T, seg, 1)
         part = _segment_moments(X[out].T, seg[:100], 1)
         n, mean, m2 = _merge(full, part, sign=-1.0)
         assert n[0] == keep.size
@@ -900,9 +929,6 @@ class TestFloat32Slab:
         for name in ("segment_map", "mu", "cov", "q", "denom", "counts"):
             assert getattr(stats32, name).tobytes() == getattr(stats64, name).tobytes()
         assert field32.provenance == field64.provenance
-        if variant == "ctmf":
-            labels = (cluster_pixels(c, 3, seed=0, window=WINDOW) for c in (on_grid, disk))
-            assert np.array_equal(*labels)
 
 
 def traced_peak(fn, *args, **kwargs):

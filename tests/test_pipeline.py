@@ -370,6 +370,19 @@ class TestPipelineLevel2:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("gsd", ["inf", "nan"])
+    def test_non_finite_gsd_exits_3(self, tmp_path, capsys, gsd):
+        write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
+        enh, l2 = str(tmp_path / "enh"), str(tmp_path / "l2")
+        rc = main(["ingest-l2", "--enhancement", enh, "--gsd", gsd, "--output", l2])
+        assert rc == 3 and "gsd" in capsys.readouterr().err
+        assert not (tmp_path / "l2" / "ingest.json").exists()
+        cfg_path = write_config(tmp_path, input={"enhancement": enh, "gsd": float(gsd)})
+        assert f"gsd: .{gsd}" in cfg_path.read_text()
+        rc = main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+        assert rc == 3 and "gsd" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_all_zero_enhancement_empty_result(self, tmp_path):
         write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
         cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")})

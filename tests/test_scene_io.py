@@ -376,6 +376,34 @@ class TestDescriptorValidation:
             assert not getattr(d, name).flags.writeable
 
 
+class TestPlaceValidation:
+    """The containers take a gsd and origin under the header reader's rule."""
+
+    @pytest.mark.parametrize("gsd", [np.inf, np.nan, 0.0, -30.0])
+    def test_gsd_must_be_positive_and_finite(self, gsd):
+        with pytest.raises(DataError, match="gsd"):
+            SensorDescriptor("x", [2100.0, 2200.0], [10.0, 10.0], gsd)
+        with pytest.raises(DataError, match="gsd"):
+            make_cube(np.ones((3, 2, 2)), gsd=gsd)
+        with pytest.raises(DataError, match="gsd"):
+            EnhancementField(delta_x=np.ones((3, 3)), gsd=gsd)
+
+    @pytest.mark.parametrize(
+        "origin", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0), (0.0, np.nan)]
+    )
+    def test_origin_must_be_finite(self, origin):
+        with pytest.raises(DataError, match="origin"):
+            make_cube(np.ones((3, 2, 2)), origin=origin)
+        with pytest.raises(DataError, match="origin"):
+            EnhancementField(delta_x=np.ones((3, 3)), gsd=30.0, origin=origin)
+
+    def test_largest_finite_values_round_trip(self, tmp_path):
+        big = float(np.finfo(np.float64).max)
+        field = EnhancementField(delta_x=np.ones((2, 2)), gsd=big, origin=(-big, big))
+        write_raster(field.delta_x, tmp_path / "r", field.gsd, field.origin)
+        assert read_raster(tmp_path / "r")[2:] == (big, (-big, big))
+
+
 class TestRaster:
     def test_round_trip(self, tmp_path, rng):
         values = f32(rng.standard_normal((6, 4)) * 100)

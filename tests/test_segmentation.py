@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,18 +6,18 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from plumeflux import jsonfmt
 from plumeflux.errors import DomainError
 from plumeflux.scene_io import EnhancementField
 from plumeflux.segmentation import (
     PlumeMask,
     SegmentationParams,
-    _boundary_rings,
     _disk_op,
     _median,
+    _rings,
     area_to_pixels,
     connected_components,
     disk,
+    geojson_text,
     morphology,
     overlap_condition,
     plumes_to_geojson,
@@ -26,6 +27,10 @@ from plumeflux.segmentation import (
     segment_field,
     trace_polygon,
 )
+
+
+def dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def shoelace(ring):
@@ -428,7 +433,7 @@ class TestAgainstThePerCropWalk:
                 seen["edge"] += sum(p.touches_edge for p in got)
                 seen["pinch"] += sum(len({*map(tuple, p.polygon.tolist())}) < len(p.polygon) - 1 for p in got)
                 if k == trial % len(combos):  # the written bytes, one setting per mask in turn
-                    assert jsonfmt.dumps(plumes_to_geojson(got)) == jsonfmt.dumps(plumes_to_geojson(want))
+                    assert geojson_text(plumes_to_geojson(got)) == dumps(plumes_to_geojson(want))
         assert all(seen.values()), seen
 
     def test_dense_speckle_scene(self):
@@ -438,16 +443,7 @@ class TestAgainstThePerCropWalk:
             got = connected_components(m, 30.0, (1000.0, 2000.0), connectivity, 1)
             want = walk_components(m, 30.0, (1000.0, 2000.0), connectivity, 1)
             assert len(got) > 100
-            assert jsonfmt.dumps(plumes_to_geojson(got)) == jsonfmt.dumps(plumes_to_geojson(want))
-
-    def test_labelled_trace_equals_one_trace_per_label(self, rng):
-        for m in random_masks(rng, 60):
-            labels, n = scipy.ndimage.label(m)
-            got = trace_polygon(m, 30.0, (500.0, 900.0), labels=labels)
-            want = [trace_polygon(labels == k, 30.0, (500.0, 900.0)) for k in range(1, n + 1)]
-            assert [(o.tolist(), [h.tolist() for h in hs]) for o, hs in got] == [
-                (o.tolist(), [h.tolist() for h in hs]) for o, hs in want
-            ]
+            assert geojson_text(plumes_to_geojson(got)) == dumps(plumes_to_geojson(want))
 
     def test_components_trace_once_per_call(self, monkeypatch):
         import plumeflux.segmentation as seg
@@ -465,7 +461,11 @@ class TestBoundaryRings:
 
     @staticmethod
     def rings(rows):
-        return [r.tolist() for r in _boundary_rings(np.array(rows, dtype=bool))]
+        """Rings of a one-label mask, in ``_rings`` order."""
+        m = np.array(rows, dtype=bool)
+        pixel = np.flatnonzero(m)
+        x, y, ends, _ = _rings(m.shape, pixel, np.ones_like(pixel))
+        return [r.tolist() for r in np.split(np.column_stack([x, y]), ends)[:-1]]
 
     def test_square(self):
         assert self.rings([[1, 1], [1, 1]]) == [
@@ -481,14 +481,14 @@ class TestBoundaryRings:
     def test_one_pixel_hole(self):
         m = np.ones((3, 3), dtype=bool)
         m[1, 1] = False
-        outer, hole = _boundary_rings(m)
-        assert outer.tolist() == [
+        outer, hole = self.rings(m)
+        assert outer == [
             [0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [2, 3], [3, 3], [3, 2], [3, 1], [3, 0],
             [2, 0], [1, 0], [0, 0],
         ]
-        assert hole.tolist() == [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]
+        assert hole == [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]
         # northing-up metric frame: the outer ring counterclockwise, the hole clockwise
-        outer_m, holes_m = trace_polygon(m, 30.0, (0.0, 0.0))
+        ((outer_m, holes_m),) = trace_polygon(m, 30.0, (0.0, 0.0), m.astype(int))
         assert shoelace(outer_m) > 0 and shoelace(holes_m[0]) < 0
 
     def test_diagonal_pixels_form_one_ring_through_the_pinch(self):
@@ -525,7 +525,7 @@ class TestBoundaryRings:
     def test_rings_are_closed_unit_step_walks_over_every_boundary_edge(self, rng):
         for trial in range(40):
             m = rng.random((rng.integers(1, 14), rng.integers(1, 14))) > 0.5
-            rings = _boundary_rings(m)
+            rings = [np.array(r) for r in self.rings(m)]
             padded = np.pad(m, 1)
             sides = sum(
                 int((padded[1:-1, 1:-1] & ~np.roll(padded, shift, axis)[1:-1, 1:-1]).sum())
