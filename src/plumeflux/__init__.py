@@ -40,7 +40,6 @@ from .segmentation import (
     SegmentationParams,
     connected_components,
     morphology,
-    overlap_condition,
     plumes_to_geojson,
     robust_threshold,
     segment_field,

@@ -252,15 +252,17 @@ def run_pipeline(cfg: RunConfig, output_dir: Optional[Path] = None) -> dict:
     return report
 
 
-def match_plumes_across_runs(
-    runs: list[StageResult], iou_threshold: float = 0.3
-) -> tuple[list[dict], list[dict]]:
+_MATCH_IOU = 0.3  # the least pixel IoU at which plumes of two runs are paired
+
+
+def match_plumes_across_runs(runs: list[StageResult]) -> tuple[list[dict], list[dict]]:
     """Greedy IoU matching of plumes against the first run's plumes.
 
-    Pixel IoUs come from the runs' label rasters. Returns (groups, unmatched):
-    each group holds one member per run where a match of IoU >= threshold
-    exists, taken in order of decreasing IoU; plumes that match no group are
-    listed as unmatched with their run index.
+    Pixel IoUs come from the runs' label rasters, for the pairs that share a
+    pixel, so memory is bounded by the first run's plume pixels. Returns
+    (groups, unmatched): each group holds one member per run where a match of
+    IoU >= 0.3 exists, taken in order of decreasing IoU; plumes that match no
+    group are listed as unmatched with their run index.
     """
     if not runs:
         return [], []
@@ -273,16 +275,18 @@ def match_plumes_across_runs(
         plumes = runs[run_idx].plumes
         other = runs[run_idx].labels.ravel()[at].astype(np.intp)
         n_b = np.array([0] + [p.pixel_count for p in plumes])
-        # every (anchor, plume) pixel intersection from one count of label pairs; the
-        # anchor pixels that no plume of this run covers fall in column 0
-        inter = np.bincount(anchor * n_b.size + other, minlength=n_a.size * n_b.size)
-        inter = inter.reshape(n_a.size, n_b.size)[1:, 1:]
-        iou = inter / (n_a[1:, None] + n_b[None, 1:] - inter)
-        g, j = np.nonzero(iou >= iou_threshold)
-        order = np.lexsort((j, g, -iou[g, j]))
+        # every overlapping (anchor, plume) pair and its pixel intersection from one
+        # count of the label pairs on the anchor pixels that this run's plumes cover
+        shared = other > 0
+        pairs, inter = np.unique(anchor[shared] * n_b.size + other[shared], return_counts=True)
+        a, b = np.divmod(pairs, n_b.size)
+        iou = inter / (n_a[a] + n_b[b] - inter)
+        keep = iou >= _MATCH_IOU
+        a, b, iou = a[keep], b[keep], iou[keep]
+        order = np.lexsort((b, a, -iou))
         taken_groups: set[int] = set()
         taken_plumes: set[int] = set()
-        for g_idx, label in zip(g[order].tolist(), (j[order] + 1).tolist()):
+        for g_idx, label in zip((a[order] - 1).tolist(), b[order].tolist()):
             if g_idx in taken_groups or label in taken_plumes:
                 continue
             groups[g_idx]["members"].append((run_idx, label))

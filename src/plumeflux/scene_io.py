@@ -56,11 +56,18 @@ def _check_gsd(gsd: float) -> None:
         raise DataError(f"gsd must be positive and finite, got {gsd!r}")
 
 
-def _origin_floats(origin) -> tuple[float, float]:
-    """``origin`` as two floats, each finite as the header reader requires."""
-    easting, northing = float(origin[0]), float(origin[1])
+def _place(origin, gsd: float, lines: int, samples: int) -> tuple[float, float]:
+    """``origin`` as two floats, each finite as the header reader requires.
+
+    The scene's area and far corner at ``gsd`` must be finite too, so that no
+    plume area or polygon vertex overflows.
+    """
+    easting, northing, gsd = float(origin[0]), float(origin[1]), float(gsd)
     if not (math.isfinite(easting) and math.isfinite(northing)):
         raise DataError(f"origin must be finite, got {origin!r}")
+    extent = (lines * samples * gsd * gsd, easting + samples * gsd, northing - lines * gsd)
+    if not all(map(math.isfinite, extent)):
+        raise DataError(f"gsd {gsd!r} overflows the {lines}x{samples} scene's area or corner")
     return easting, northing
 
 
@@ -146,7 +153,7 @@ class RadianceCube:
             raise DataError("cube contains non-finite radiance outside nodata_mask")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nodata_mask", mask)
-        object.__setattr__(self, "origin", _origin_floats(self.origin))
+        object.__setattr__(self, "origin", _place(self.origin, self.gsd, lines, samples))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -187,7 +194,7 @@ class EnhancementField:
         object.__setattr__(self, "delta_x", delta)
         object.__setattr__(self, "nodata_mask", mask)
         object.__setattr__(self, "gsd", float(self.gsd))
-        object.__setattr__(self, "origin", _origin_floats(self.origin))
+        object.__setattr__(self, "origin", _place(self.origin, self.gsd, *delta.shape))
         for name in ("sigma_noise", "sigma_total"):
             layer = getattr(self, name)
             if layer is None:

@@ -314,42 +314,6 @@ def segment_field(
     return plumes, tau
 
 
-def overlap_condition(
-    field_a: EnhancementField, field_b: EnhancementField
-) -> tuple[EnhancementField, EnhancementField]:
-    """Crop both fields to the common footprint; no resampling.
-
-    Pixels whose centers fall outside the axis-aligned intersection are
-    dropped (the crop removes whole rows/columns, which is equivalent for
-    axis-aligned grids). The crops' layers are views that share the inputs' memory.
-    """
-
-    def footprint(f):
-        lines, samples = f.shape
-        e0, n0 = f.origin
-        return e0, e0 + samples * f.gsd, n0 - lines * f.gsd, n0  # e_lo, e_hi, n_lo, n_hi
-
-    ea0, ea1, na0, na1 = footprint(field_a)
-    eb0, eb1, nb0, nb1 = footprint(field_b)
-    e_lo, e_hi = max(ea0, eb0), min(ea1, eb1)
-    n_lo, n_hi = max(na0, nb0), min(na1, nb1)
-    if e_lo >= e_hi or n_lo >= n_hi:
-        raise DomainError("disjoint footprints")
-
-    def window(f):
-        lines, samples = f.shape
-        e0, n0 = f.origin
-        col_centers = e0 + (np.arange(samples) + 0.5) * f.gsd
-        row_centers = n0 - (np.arange(lines) + 0.5) * f.gsd
-        cols = np.flatnonzero((col_centers >= e_lo) & (col_centers <= e_hi))
-        rows = np.flatnonzero((row_centers >= n_lo) & (row_centers <= n_hi))
-        if cols.size == 0 or rows.size == 0:
-            raise DomainError("disjoint footprints")
-        return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-
-    return field_a.crop(window(field_a)), field_b.crop(window(field_b))
-
-
 def plumes_to_geojson(plumes: Sequence[PlumeMask]) -> dict:
     """GeoJSON-style FeatureCollection with coordinates in scene meters."""
     features = []

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,15 @@ class TestPipelineLevel2:
         assert rc == 3 and "gsd" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_overflowing_gsd_exits_3(self, tmp_path, capsys):
+        # 20 x 20 pixels at 1e160 m cover 4e322 m², more than a float holds
+        write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
+        enh, l2 = str(tmp_path / "enh"), str(tmp_path / "l2")
+        rc = main(["ingest-l2", "--enhancement", enh, "--gsd", "1e160", "--output", l2])
+        assert rc == 3 and "gsd" in capsys.readouterr().err
+        assert not (tmp_path / "l2" / "ingest.json").exists()
+        assert main(["ingest-l2", "--enhancement", enh, "--gsd", "1e150", "--output", l2]) == 0
+
     def test_all_zero_enhancement_empty_result(self, tmp_path):
         write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
         cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")})
@@ -599,7 +609,7 @@ class TestMulti:
         ]
         assert len(unmatched) == 2
 
-    def test_disjoint_plumes_match_only_without_a_threshold(self):
+    def test_disjoint_plumes_do_not_match(self):
         def run(*boxes):
             m = np.zeros((40, 60), dtype=bool)
             for box in boxes:
@@ -621,15 +631,8 @@ class TestMulti:
         members = {g["anchor_label"]: g["members"] for g in groups}
         assert members == {a0: [(0, a0), (1, b0)], a1: [(0, a1)], a2: [(0, a2)]}
         assert unmatched == [{"config_index": 1, "label_id": b1}]
-        # with no threshold, disjoint pairs still match, at IoU 0
-        groups, unmatched = match_plumes_across_runs(runs, iou_threshold=0.0)
-        members = {g["anchor_label"]: g["members"] for g in groups}
-        assert members[a0] == [(0, a0), (1, b0)]
-        assert sorted(len(m) for m in members.values()) == [1, 2, 2]
-        assert unmatched == []
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.7])
-    def test_matching_equals_a_full_mask_oracle(self, threshold):
+    def test_matching_equals_a_full_mask_oracle(self):
         rng = np.random.default_rng(41)
         shape = (48, 64)
 
@@ -653,7 +656,7 @@ class TestMulti:
                     for b in runs[r].plumes:
                         fa, fb = full(a), full(b)
                         iou = np.count_nonzero(fa & fb) / np.count_nonzero(fa | fb)
-                        if iou >= threshold:
+                        if iou >= 0.3:
                             pairs.append((-iou, g, b.label_id))
                 taken_g, taken_b = set(), set()
                 for _, g, label in sorted(pairs):
@@ -666,13 +669,39 @@ class TestMulti:
                     for b in runs[r].plumes
                     if b.label_id not in taken_b
                 ]
-            groups, unmatched = match_plumes_across_runs(runs, iou_threshold=threshold)
+            groups, unmatched = match_plumes_across_runs(runs)
             assert [g["anchor_label"] for g in groups] == [p.label_id for p in runs[0].plumes]
             assert [g["members"] for g in groups] == expected
             assert unmatched == expected_unmatched
             sizes.update(len(m) for m in expected)
             unmatched_count += len(unmatched)
         assert {2, 3} <= sizes and unmatched_count > 0
+
+    def test_matching_memory_is_bounded_by_the_anchor_pixels(self):
+        # 2 000 and 4 000 single-pixel plumes: one count per (anchor, plume) pair would
+        # take 2 001 x 4 001 x 8 bytes, 64 MB, four times the bound
+        spots = np.zeros((160, 200), dtype=bool)
+        spots[::2, ::2] = True
+        at = np.flatnonzero(spots)
+        masks = [np.zeros(spots.shape, dtype=bool) for _ in range(2)]
+        masks[0].flat[at[::4]] = True
+        masks[1].flat[at[::2]] = True
+        runs = [stage_of(m) for m in masks]
+        assert [len(r.plumes) for r in runs] == [2000, 4000]
+        tracemalloc.start()
+        try:
+            groups, unmatched = match_plumes_across_runs(runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        pixels = np.flatnonzero(runs[0].labels)
+        expected = zip(runs[0].labels.flat[pixels].tolist(), runs[1].labels.flat[pixels].tolist())
+        assert sorted((g["anchor_label"], g["members"][1][1]) for g in groups) == sorted(
+            (int(a), int(b)) for a, b in expected
+        )
+        assert all(len(g["members"]) == 2 for g in groups)
+        assert len(unmatched) == 2000
 
     def test_level2_product_is_ingested_once_per_run(self, tmp_path, rng, monkeypatch):
         values = rng.standard_normal((40, 40)) * 20

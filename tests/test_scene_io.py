@@ -16,6 +16,7 @@ from plumeflux.scene_io import (
     write_cube,
     write_raster,
 )
+from plumeflux.segmentation import SegmentationParams, segment_field
 
 from conftest import make_cube
 
@@ -399,9 +400,35 @@ class TestPlaceValidation:
 
     def test_largest_finite_values_round_trip(self, tmp_path):
         big = float(np.finfo(np.float64).max)
-        field = EnhancementField(delta_x=np.ones((2, 2)), gsd=big, origin=(-big, big))
-        write_raster(field.delta_x, tmp_path / "r", field.gsd, field.origin)
+        write_raster(np.ones((2, 2)), tmp_path / "r", big, (-big, big))
         assert read_raster(tmp_path / "r")[2:] == (big, (-big, big))
+        # the codec keeps them, but no container takes a scene that large
+        with pytest.raises(DataError, match="gsd"):
+            ingest_level2(tmp_path / "r")
+
+    @pytest.mark.parametrize("gsd", [1e160, 1e308])
+    def test_scene_area_must_be_finite(self, gsd):
+        with pytest.raises(DataError, match="gsd"):
+            make_cube(np.ones((3, 20, 20)), gsd=gsd)
+        with pytest.raises(DataError, match="gsd"):
+            EnhancementField(delta_x=np.ones((20, 20)), gsd=gsd)
+
+    def test_far_corner_must_be_finite(self):
+        # a scene with no lines has area 0, so only its far corner can overflow
+        EnhancementField(delta_x=np.ones((0, 20)), gsd=1e300)
+        with pytest.raises(DataError, match="gsd"):
+            EnhancementField(delta_x=np.ones((0, 20)), gsd=1e308)
+        with pytest.raises(DataError, match="gsd"):
+            EnhancementField(delta_x=np.ones((20, 0)), gsd=1e308)
+
+    def test_small_scene_at_a_huge_gsd_is_kept_finite(self):
+        values = np.zeros((20, 20))
+        values[5:12, 5:12] = 500.0
+        field = EnhancementField(delta_x=values, gsd=1e150, origin=(-1e150, 1e150))
+        assert make_cube(np.ones((3, 20, 20)), gsd=1e150).gsd == 1e150
+        (plume,), _ = segment_field(field, SegmentationParams(min_area_m2=0.0))
+        assert plume.area_m2 == 49 * 1e300
+        assert np.isfinite(plume.polygon).all()
 
 
 class TestRaster:
@@ -549,6 +576,24 @@ class TestEnhancementFieldInvariants:
         out = field.replace(sigma_total=total_sigma(field.sigma_noise, 4.0))
         assert np.array_equal(out.sigma_total, np.sqrt(noise**2 + 4.0**2))
         np.testing.assert_allclose(out.sigma_total**2, out.sigma_noise**2 + 16.0, rtol=1e-15)
+
+    def test_crop_cuts_every_layer_and_moves_the_origin(self, rng):
+        values = rng.random((10, 10))
+        mask = values > 0.9
+        field = EnhancementField(
+            delta_x=values,
+            gsd=30.0,
+            origin=(100.0, 300.0),
+            sigma_noise=values,
+            sigma_total=values + 1,
+            nodata_mask=mask,
+        )
+        crop = field.crop((slice(2, 7), slice(5, 10)))
+        assert crop.shape == (5, 5) and crop.origin == (250.0, 240.0) and crop.gsd == 30.0
+        np.testing.assert_array_equal(crop.delta_x, values[2:7, 5:])
+        np.testing.assert_array_equal(crop.sigma_noise, values[2:7, 5:])
+        np.testing.assert_array_equal(crop.sigma_total, values[2:7, 5:] + 1)
+        np.testing.assert_array_equal(crop.nodata_mask, mask[2:7, 5:])
 
 
 class TestEffectiveGsd:

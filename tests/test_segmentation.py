@@ -19,7 +19,6 @@ from plumeflux.segmentation import (
     disk,
     geojson_text,
     morphology,
-    overlap_condition,
     plumes_to_geojson,
     radius_to_pixels,
     robust_sigma,
@@ -569,47 +568,6 @@ class TestSegmentField:
         assert plumes and not covered[8, 8]
 
 
-class TestOverlapCondition:
-    def make_field(self, lines, samples, origin, gsd=30.0):
-        rng = np.random.default_rng(lines * 100 + samples)
-        return EnhancementField(
-            delta_x=rng.random((lines, samples)), gsd=gsd, origin=origin
-        )
-
-    def test_identical_footprints_unchanged(self):
-        a = self.make_field(10, 10, (0.0, 300.0))
-        b = self.make_field(10, 10, (0.0, 300.0))
-        a2, b2 = overlap_condition(a, b)
-        np.testing.assert_array_equal(a2.delta_x, a.delta_x)
-        np.testing.assert_array_equal(b2.delta_x, b.delta_x)
-        assert a2.origin == a.origin
-
-    def test_half_overlap_hand_geometry(self):
-        # A covers easting [0,300], B [150,450]; both 10x10 at 30 m
-        a = self.make_field(10, 10, (0.0, 300.0))
-        b = self.make_field(10, 10, (150.0, 300.0))
-        a2, b2 = overlap_condition(a, b)
-        assert a2.shape == (10, 5) and b2.shape == (10, 5)
-        np.testing.assert_array_equal(a2.delta_x, a.delta_x[:, 5:])
-        np.testing.assert_array_equal(b2.delta_x, b.delta_x[:, :5])
-        assert a2.origin == (150.0, 300.0)
-        assert b2.origin == (150.0, 300.0)
-
-    def test_disjoint_raises(self):
-        a = self.make_field(5, 5, (0.0, 150.0))
-        b = self.make_field(5, 5, (1000.0, 150.0))
-        with pytest.raises(DomainError, match="disjoint"):
-            overlap_condition(a, b)
-
-    def test_sigma_layers_cropped_alongside(self):
-        a = self.make_field(10, 10, (0.0, 300.0))
-        a = a.replace(sigma_noise=np.abs(a.delta_x), sigma_total=np.abs(a.delta_x) + 1)
-        b = self.make_field(10, 10, (150.0, 300.0))
-        a2, _ = overlap_condition(a, b)
-        np.testing.assert_array_equal(a2.sigma_noise, a.sigma_noise[:, 5:])
-        np.testing.assert_array_equal(a2.sigma_total, a.sigma_total[:, 5:])
-
-
 class TestGeojsonExport:
     def test_feature_properties_and_ring_closure(self):
         m = np.zeros((4, 4), dtype=bool)
@@ -625,21 +583,3 @@ class TestGeojsonExport:
         assert ring[0] == ring[-1]
         assert shoelace(np.array(ring)) > 0  # exterior counterclockwise
 
-
-class TestOverlapAcrossSensors:
-    def test_different_gsd_no_resampling(self):
-        # A: 10x10 at 30 m from (0, 300); B: 8x8 at 45 m from (150, 300).
-        # intersection easting [150, 300], northing [0, 300];
-        # A keeps its 5 rightmost columns, B keeps 7 rows x 3 columns.
-        a = EnhancementField(
-            delta_x=np.arange(100.0).reshape(10, 10), gsd=30.0, origin=(0.0, 300.0)
-        )
-        b = EnhancementField(
-            delta_x=np.arange(64.0).reshape(8, 8), gsd=45.0, origin=(150.0, 300.0)
-        )
-        a2, b2 = overlap_condition(a, b)
-        assert a2.shape == (10, 5) and a2.origin == (150.0, 300.0)
-        assert b2.shape == (7, 3) and b2.origin == (150.0, 300.0)
-        np.testing.assert_array_equal(a2.delta_x, a.delta_x[:, 5:])
-        np.testing.assert_array_equal(b2.delta_x, b.delta_x[:7, :3])
-        assert a2.gsd == 30.0 and b2.gsd == 45.0  # grids untouched
