@@ -59,18 +59,43 @@ def spectral_angle(spectra: np.ndarray, reference: np.ndarray) -> np.ndarray:
     arccos loses precision. Norms take ``np.linalg.norm``'s arithmetic.
     """
     spectra = np.asarray(spectra, dtype=np.result_type(spectra, 1.0))
+    out, norms = np.empty(spectra.shape[0]), np.empty(spectra.shape[0], dtype=spectra.dtype)
+    return _angles(spectra, reference, out, np.empty_like(spectra), norms, np.empty(out.size, dtype=bool))
+
+
+def _angles(spectra, reference, out, sq, norms, ok):
+    """``spectral_angle`` into ``out``; ``sq`` (the spectra's shape and dtype), ``norms`` and ``ok`` are scratch.
+
+    ``norms`` may be ``out`` for float64 spectra. Allocates nothing of the
+    spectra's size unless a row has zero norm.
+    """
     ref_norm = float(np.linalg.norm(reference))
-    sq = np.multiply(spectra, spectra)
-    norms = np.sqrt(np.add.reduce(sq, axis=-1))
-    out = np.full(spectra.shape[0], np.pi)
-    ok = (norms > 0) & (ref_norm > 0)
+    np.sqrt(np.add.reduce(np.multiply(spectra, spectra, out=sq), axis=-1, out=norms), out=norms)
+    np.greater(norms, 0, out=ok)
+    ok &= ref_norm > 0
     if not ok.any():
+        out.fill(np.pi)
         return out
-    unit = np.divide(spectra, norms[:, None], out=sq) if ok.all() else spectra[ok] / norms[ok, None]
+    if ok.all():
+        unit, chord = np.divide(spectra, norms[:, None], out=sq), norms
+    else:
+        unit = spectra[ok] / norms[ok, None]
+        chord = np.empty(unit.shape[0], dtype=unit.dtype)
     unit -= reference / ref_norm
-    chord = np.sqrt(np.add.reduce(np.multiply(unit, unit, out=unit), axis=-1))
-    out[ok] = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    np.sqrt(np.add.reduce(np.multiply(unit, unit, out=unit), axis=-1, out=chord), out=chord)
+    np.divide(chord, 2.0, out=chord)
+    np.multiply(2.0, np.arcsin(np.clip(chord, 0.0, 1.0, out=chord), out=chord), out=chord)
+    if chord is not out:
+        out.fill(np.pi)
+        out[ok] = chord
     return out
+
+
+def _unit_mean(rows, means, zero):
+    """``normalized_features(rows, out=rows)``, with ``means`` and ``zero`` (one per row) as scratch."""
+    rows.mean(axis=-1, out=means)
+    np.copyto(means, 1.0, where=np.equal(means, 0.0, out=zero))
+    return np.divide(rows, means[:, None], out=rows)
 
 
 def match_background(
@@ -111,15 +136,27 @@ def match_background(
     reference = normalized_features(reference.mean(axis=0))
     cand, step = np.flatnonzero(candidates), kernels._PIXEL_CHUNK
     angles = np.empty(cand.size)
-    gather = np.empty((bands.size, min(step, cand.size)), dtype=planes.dtype)
-    buf = np.empty(gather.shape[::-1])
-    for lo in range(0, cand.size, step):
-        chunk = cand[lo : lo + step]
-        for i, b in enumerate(bands):  # each take reads one contiguous band plane
-            np.take(planes[b], chunk, out=gather[i, : chunk.size])
-        rows = buf[: chunk.size]
-        rows[...] = gather[:, : chunk.size].T
-        angles[lo : lo + step] = spectral_angle(normalized_features(rows, out=rows), reference)
+    starts = range(0, cand.size, step)
+
+    def score(run, gather, buf, sq, means, flags):
+        for lo in starts[run]:
+            chunk = cand[lo : lo + step]
+            n = chunk.size
+            for i, b in enumerate(bands):  # each take reads one contiguous band plane
+                np.take(planes[b], chunk, out=gather[i, :n], mode="clip")
+            rows = buf[:n]
+            rows[...] = gather[:, :n].T
+            _unit_mean(rows, means[:n], flags[:n])
+            out = angles[lo : lo + n]
+            _angles(rows, reference, out, sq[:n], out, flags[:n])
+
+    size = min(step, cand.size)
+    kernels.in_parallel(
+        lambda args: score(*args),
+        [(r, np.empty((bands.size, size), dtype=planes.dtype), np.empty((size, bands.size)),
+          np.empty((size, bands.size)), np.empty(size), np.empty(size, dtype=bool))
+         for r in kernels.runs([min(step, cand.size - lo) for lo in starts])],
+    )
 
     # the n_select lowest angles, ties in flat index, so (line, sample), order:
     # sort only the angles up to the k-th lowest (NaN sorts last in both)

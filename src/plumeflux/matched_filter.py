@@ -349,13 +349,16 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
 
     Chunks of about _CHUNK_BYTES follow ``order``, the stable argsort of ``seg``
     (made here when not given), so a segment is one block of each chunk it
-    spans. A chunk is gathered in the slab's dtype; each block is widened on its
-    own, centred on its own mean and merged into the totals a group of segments
-    at a time. Given ``total``, the blocks merge into it in place; sign=-1
-    downdates it.
+    spans. A chunk is gathered in the slab's dtype into one buffer, its bands
+    split across the workers; its blocks then go to the workers in runs of
+    about equal pixel count, and each block is widened on its own, in its
+    run's buffer, and centred on its own mean. The calling thread merges the
+    blocks into the totals in order, a group of segments at a time. Given
+    ``total``, the blocks merge into it in place; sign=-1 downdates it.
     """
     p = Y.shape[0]
     rows, cols = np.tril_indices(p)
+    tril = rows * p + cols  # the lower triangle's positions in a flat (p, p) matrix
     if total is None:
         total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, rows.size)))
     if order is None:
@@ -366,10 +369,14 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
     # equal chunks, each at most about _CHUNK_BYTES
     n_chunks = max(1, -(-n_valid * p * 8 // _CHUNK_BYTES))
     step = max(1, -(-n_valid // n_chunks))
-    square = np.empty((p, p))  # one block's M2, before packing
+    gathered = np.empty(p * min(step, n_valid), dtype=Y.dtype)
+    band_runs = kernels.runs(np.ones(p))
     for lo in range(bounds[0], bounds[-1], step):
         hi = min(lo + step, bounds[-1])
-        block = np.take(Y, order[lo:hi], axis=1)
+        block = gathered[: p * (hi - lo)].reshape(p, hi - lo)  # C-ordered, so each band run is too
+        kernels.in_parallel(
+            lambda b: np.take(Y[b], order[lo:hi], axis=1, out=block[b], mode="clip"), band_runs
+        )
         edge = np.clip(bounds, lo, hi) - lo  # segment s's block is edge[s] : edge[s + 1]
         ids = np.flatnonzero(np.diff(edge))
         first, counts = edge[ids], edge[ids + 1] - edge[ids]
@@ -379,15 +386,23 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
             group = slice(g, g + _MERGE_GROUP)
             n = counts[group].astype(np.float64)
             means, m2 = np.empty((n.size, p)), np.empty((n.size, rows.size))
-            for j, (b, c) in enumerate(zip(first[group].tolist(), counts[group].tolist())):
-                B = block[:, b : b + c].astype(np.float64, copy=False)
-                means[j] = np.add.reduce(B, axis=1) / c
-                B -= means[j][:, None]
-                m2[j] = np.matmul(B, B.T, out=square)[rows, cols]
+
+            def block_moments(run, wide, square):
+                for j, b, c in zip(range(run.start, run.stop), first[group][run].tolist(),
+                                   counts[group][run].tolist()):
+                    B = wide[: p * c].reshape(p, c)
+                    np.copyto(B, block[:, b : b + c])  # widened to float64
+                    means[j] = np.add.reduce(B, axis=1) / c
+                    B -= means[j][:, None]
+                    np.take(np.matmul(B, B.T, out=square), tril, out=m2[j], mode="clip")
+
+            kernels.in_parallel(
+                lambda args: block_moments(*args),
+                [(r, np.empty(p * int(n[r].max())), np.empty((p, p))) for r in kernels.runs(n)],
+            )
             merged = _merge(tuple(x[ids[group]] for x in total), (n, means, m2), sign)
             for x, v in zip(total, merged):
                 x[ids[group]] = v
-        block = B = None  # free this chunk before the next one is gathered
     return total
 
 

@@ -103,18 +103,26 @@ def robust_threshold(values: np.ndarray, n_sigma: float) -> float:
     return med + n_sigma * sigma
 
 
+def _pixels(value: float, what: str) -> float:
+    """A scale in pixels, which must be finite: a tiny GSD can push it past the float range."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not a finite number of pixels at this gsd")
+    return value
+
+
 def radius_to_pixels(radius_m: float, gsd: float) -> int:
     """Round a metric radius to whole pixels (half-up), floored at 0."""
     if gsd <= 0:
         raise DomainError("gsd must be positive")
-    return max(0, int(math.floor(radius_m / gsd + 0.5)))
+    return max(0, int(math.floor(_pixels(radius_m / gsd, f"radius {radius_m:g} m") + 0.5)))
 
 
 def area_to_pixels(area_m2: float, gsd: float) -> int:
     """Smallest pixel count whose footprint reaches the metric area."""
     if gsd <= 0:
         raise DomainError("gsd must be positive")
-    return int(math.ceil(area_m2 / (gsd * gsd) - 1e-9))
+    # divided twice: gsd * gsd underflows to 0 below gsd 1e-162
+    return int(math.ceil(_pixels(area_m2 / gsd / gsd, f"area {area_m2:g} m2") - 1e-9))
 
 
 def disk(radius_px: int) -> np.ndarray:
@@ -136,6 +144,8 @@ def _disk_op(mask: np.ndarray, r: int, dilate: bool) -> np.ndarray:
     """
     combine = np.logical_or if dilate else np.logical_and
     lines = mask.shape[0]
+    # a disk this wide already covers the whole mask from every pixel
+    r = min(r, lines + mask.shape[1])
     out = np.full(mask.shape, not dilate)
     run = np.array(mask, dtype=bool)
     width = 0

@@ -393,6 +393,14 @@ class TestPipelineLevel2:
         assert not (tmp_path / "l2" / "ingest.json").exists()
         assert main(["ingest-l2", "--enhancement", enh, "--gsd", "1e150", "--output", l2]) == 0
 
+    def test_tiny_gsd_exits_3(self, tmp_path, capsys):
+        # at 1e-200 m the minimum plume area is more pixels than a float holds
+        write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
+        cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh"), "gsd": 1e-200})
+        rc = main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+        assert rc == 3 and "finite number of pixels" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_all_zero_enhancement_empty_result(self, tmp_path):
         write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
         cfg_path = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")})

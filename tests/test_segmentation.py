@@ -226,6 +226,17 @@ class TestScaleToPixels:
     def test_area(self, area, gsd, expected):
         assert area_to_pixels(area, gsd) == expected
 
+    def test_tiny_gsd_scales_raise_domain_error(self):
+        # gsd * gsd underflows to 0 and area / gsd overflows; both must exit 3, not crash
+        for area, gsd in ((1000.0, 1e-200), (1e300, 1e-10)):
+            with pytest.raises(DomainError, match="finite"):
+                area_to_pixels(area, gsd)
+        with pytest.raises(DomainError, match="finite"):
+            radius_to_pixels(1e300, 1e-10)
+        # a tiny gsd whose counts stay finite gives exact whole pixels
+        assert area_to_pixels(1000.0, 1e-100) == math.ceil(1000.0 / 1e-100 / 1e-100)
+        assert radius_to_pixels(90.0, 1e-200) == math.floor(90.0 / 1e-200 + 0.5)
+
     def test_disk_is_euclidean(self):
         np.testing.assert_array_equal(
             disk(1), np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -252,6 +263,19 @@ class TestDiskOp:
             for fill in (0.0, 0.05, 0.5, 0.95, 1.0):  # all-False and all-True included
                 m = rng.random(shape) < fill
                 np.testing.assert_array_equal(_disk_op(m, r, dilate), scipy_disk_op(m, r, dilate))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (3, 19)])
+    def test_huge_radius_covers_the_whole_mask(self, rng, shape):
+        # a disk of radius lines + samples reaches every pixel from every pixel,
+        # so any larger one gives the same result without building it
+        for fill in (0.0, 0.3, 1.0):
+            m = rng.random(shape) < fill
+            wide = sum(shape)
+            for dilate, whole in ((True, m.any()), (False, m.all())):
+                expected = scipy_disk_op(m, wide, dilate)
+                assert np.all(expected == whole)
+                for r in (wide, wide + 1, 10**300):
+                    np.testing.assert_array_equal(_disk_op(m, r, dilate), expected)
 
     def test_input_left_unchanged(self, rng):
         m = rng.random((9, 9)) > 0.5
@@ -553,6 +577,18 @@ class TestSegmentField:
             (p.label_id, p.window, p.mask.tobytes()) for p in p2
         ]
         assert tau2 == pytest.approx(a * tau1 + b, rel=1e-12)
+
+    def test_tiny_gsd_is_a_domain_error(self, rng):
+        # the 90 m close radius is 9e201 pixels at 1e-200 m, and the minimum
+        # area does not fit a float: a DomainError, not a numpy size error
+        values = rng.standard_normal((20, 20))
+        values[4, 4] = values[15, 12] = 100.0
+        field = EnhancementField(delta_x=values, gsd=1e-200)
+        with pytest.raises(DomainError, match="finite"):
+            segment_field(field, SegmentationParams())
+        # morphology with the clamped disk closes the two pixels into the whole scene
+        plumes, _ = segment_field(field, SegmentationParams(min_area_m2=0.0))
+        assert [p.mask.sum() for p in plumes] == [400]
 
     def test_nodata_never_in_plumes(self, rng):
         values = rng.standard_normal((20, 20)) * 10
