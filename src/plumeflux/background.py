@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .matched_filter import normalized_features
+from .matched_filter import normalized_features, unit_mean_rows
 from .scene_io import EnhancementField, RadianceCube
 from .segmentation import _disk_op, radius_to_pixels, robust_sigma
 from .signature import BandAbsorption
@@ -91,13 +91,6 @@ def _angles(spectra, reference, out, sq, norms, ok):
     return out
 
 
-def _unit_mean(rows, means, zero):
-    """``normalized_features(rows, out=rows)``, with ``means`` and ``zero`` (one per row) as scratch."""
-    rows.mean(axis=-1, out=means)
-    np.copyto(means, 1.0, where=np.equal(means, 0.0, out=zero))
-    return np.divide(rows, means[:, None], out=rows)
-
-
 def match_background(
     cube: RadianceCube,
     absorption: BandAbsorption,
@@ -136,26 +129,25 @@ def match_background(
     reference = normalized_features(reference.mean(axis=0))
     cand, step = np.flatnonzero(candidates), kernels._PIXEL_CHUNK
     angles = np.empty(cand.size)
-    starts = range(0, cand.size, step)
 
-    def score(run, gather, buf, sq, means, flags):
-        for lo in starts[run]:
+    def score(starts, gather, buf, sq, means, flags):
+        for lo in starts:
             chunk = cand[lo : lo + step]
             n = chunk.size
             for i, b in enumerate(bands):  # each take reads one contiguous band plane
                 np.take(planes[b], chunk, out=gather[i, :n], mode="clip")
             rows = buf[:n]
             rows[...] = gather[:, :n].T
-            _unit_mean(rows, means[:n], flags[:n])
+            unit_mean_rows(rows, means[:n], flags[:n])
             out = angles[lo : lo + n]
             _angles(rows, reference, out, sq[:n], out, flags[:n])
 
     size = min(step, cand.size)
     kernels.in_parallel(
         lambda args: score(*args),
-        [(r, np.empty((bands.size, size), dtype=planes.dtype), np.empty((size, bands.size)),
+        [(starts, np.empty((bands.size, size), dtype=planes.dtype), np.empty((size, bands.size)),
           np.empty((size, bands.size)), np.empty(size), np.empty(size, dtype=bool))
-         for r in kernels.runs([min(step, cand.size - lo) for lo in starts])],
+         for starts in kernels.chunk_runs(cand.size, step)],
     )
 
     # the n_select lowest angles, ties in flat index, so (line, sample), order:

@@ -1,4 +1,4 @@
-"""Hot per-pixel kernels, written in numpy, and the thread pool of the slab passes.
+"""Hot per-pixel kernels, written in numpy, and the thread pool of the whole-scene passes.
 
 The matched filter, its noise propagation, and the k-means steps are the
 only loops that touch every pixel of a scene, so they are the only code
@@ -7,8 +7,9 @@ pixel chunks, band by band, with per-segment tables looked up by each
 pixel's segment (-1: nodata, which scores 0); the k-means kernels take
 float64 (pixels, bands) arrays.
 
-The slab passes (these sweeps, the moments pass and the background match)
-split their chunks into ``runs``, one per CPU, and hand them to
+The whole-scene passes (these sweeps, the moments pass, the background
+match, the ctmf feature build, and the k-means seeding, label, bound and sum
+steps) split their chunks into ``runs``, one per CPU, and hand them to
 ``in_parallel``. A run gets every buffer it writes from the calling thread,
 so pool threads allocate nothing large, and each element is computed by the
 same operations as in one run; the outputs do not depend on the CPU count.
@@ -70,6 +71,12 @@ def runs(sizes) -> list[slice]:
     cuts = np.searchsorted(ends, ends[-1] * np.arange(1, n) / n) + 1
     edges = np.unique(np.concatenate([[0], np.minimum(cuts, ends.size), [ends.size]]))
     return [slice(a, b) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+
+
+def chunk_runs(n: int, step: int) -> list[range]:
+    """The starts of ``step``-item chunks of n items, split into ``runs``: one range of starts per run."""
+    starts = range(0, n, step)
+    return [starts[r] for r in runs([min(step, n - lo) for lo in starts])]
 
 
 class _Pool:
@@ -153,7 +160,6 @@ def _sweep(Y, segment_map, out, *tables):
     column = segment_map.max(axis=0) if segment_map.ndim == 2 else None
     by_column = column is not None and bool(np.all((segment_map == column) | (segment_map < 0)))
     step = max(1, _PIXEL_CHUNK // column.size) * column.size if by_column else _PIXEL_CHUNK
-    starts = range(0, seg.size, step)
     size = min(step, seg.size)
     if by_column:
         tables = [np.ascontiguousarray(t[column].T) for t in tables]  # (bands, samples)
@@ -176,8 +182,8 @@ def _sweep(Y, segment_map, out, *tables):
             acc = acc.reshape(-1, column.size) if by_column else acc
             yield acc, term[: acc.size].reshape(acc.shape), bands(lo, acc.shape, gathered)
 
-    return [run(starts[r], np.empty(size), None if by_column else np.empty((len(tables), size)))
-            for r in runs([min(step, seg.size - lo) for lo in starts])]
+    return [run(starts, np.empty(size), None if by_column else np.empty((len(tables), size)))
+            for starts in chunk_runs(seg.size, step)]
 
 
 def mf_scores(Y, segment_map, mu, q, denom):
@@ -230,53 +236,103 @@ def assign_labels(X, centers, rows=None):
     nearest and the second-nearest center (inf when there is one center).
     Rows go through in chunks of ``label_step`` rows, so rows ``c*step`` to
     ``(c+1)*step`` of X give the same values in every call with the same
-    centers; a subset of rows may round differently in the last bits.
+    centers: the full pass splits into runs of whole chunks. A subset of rows
+    may round differently in the last bits, so it goes through in chunks of
+    a quarter of ``label_step`` rows, which give up to four workers a share
+    of a subset one ``label_step`` long.
     """
     n = X.shape[0] if rows is None else rows.size
     labels = np.empty(n, dtype=np.int64)
     d1, d2 = np.empty(n), np.empty(n)
-    step = label_step(*centers.shape)
+    k, p = centers.shape
+    step = label_step(k, p)
+    if rows is not None:
+        step = max(1, step // 4)
     c2 = np.einsum("kj,kj->k", centers, centers)
-    # one reused buffer for gathered rows; mode="clip" lets take write into it unbuffered
-    gathered = None if rows is None else np.empty((min(step, n), X.shape[1]))
-    for start in range(0, n, step):
-        if rows is None:
-            block = X[start : start + step]
-        else:
-            at = rows[start : start + step]
-            block = np.take(X, at, axis=0, out=gathered[: at.size], mode="clip")
-        d = block @ centers.T
-        d *= -2.0
-        d += c2
-        d += np.einsum("ij,ij->i", block, block)[:, None]
-        labels[start : start + step] = np.argmin(d, axis=1)
-        # two smallest per row, one column at a time (a row reduction over k is slow)
-        m1, m2 = d1[start : start + step], d2[start : start + step]
-        m1[:], m2[:] = d[:, 0], np.inf
-        for col in d.T[1:]:
-            np.minimum(m2, np.maximum(m1, col), out=m2)
-            np.minimum(m1, col, out=m1)
+
+    def label(part):
+        starts, d, x2, t, gathered = part
+        for lo in starts:
+            hi = min(lo + step, n)
+            block = X[lo:hi]
+            if rows is not None:  # mode="clip" lets take write into the gather buffer unbuffered
+                block = np.take(X, rows[lo:hi], axis=0, out=gathered[: hi - lo], mode="clip")
+            dist = np.matmul(block, centers.T, out=d[: hi - lo])
+            dist *= -2.0
+            dist += c2
+            dist += np.einsum("ij,ij->i", block, block, out=x2[: hi - lo])[:, None]
+            np.argmin(dist, axis=1, out=labels[lo:hi])
+            # two smallest per row, one column at a time (a row reduction over k is slow)
+            m1, m2 = d1[lo:hi], d2[lo:hi]
+            m1[:], m2[:] = dist[:, 0], np.inf
+            for col in dist.T[1:]:
+                np.minimum(m2, np.maximum(m1, col, out=t[: hi - lo]), out=m2)
+                np.minimum(m1, col, out=m1)
+
+    size = min(step, n)
+    in_parallel(label, [(starts, np.empty((size, k)), np.empty(size), np.empty(size),
+                         None if rows is None else np.empty((size, p)))
+                        for starts in chunk_runs(n, step)])
     return labels, d1, d2
 
 
 def cluster_sums(X, labels, k):
     """Per-label feature sums and member counts.
 
-    One sparse one-hot product: each sum adds its rows in row order, as a
-    weighted ``bincount`` per column does, so the sums are bit-identical to it.
+    A sparse one-hot product: each sum adds its rows in row order, as a
+    weighted ``bincount`` per column does, so the sums are bit-identical to
+    it. The clusters split into ``runs`` by size, and each run adds its rows
+    into its own rows of the result. One cluster's sum is one chain of
+    additions and never splits, so a dominant cluster bounds the speed-up.
     """
-    import scipy.sparse  # here, so runs without k-means never load it
+    # csr_array @ X's kernel, which adds into a given array; imported here,
+    # so runs without k-means never load scipy.sparse
+    from scipy.sparse import _sparsetools
 
-    n = X.shape[0]
-    onehot = scipy.sparse.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
-    return onehot @ X, np.bincount(labels, minlength=k).astype(np.int64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, p = X.shape
+    flat = X.ravel()
+    counts = np.bincount(labels, minlength=k).astype(np.int64)
+    # the CSR row of each cluster: its rows in order (a stable radix sort for k <= 65536)
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    ones = np.ones(n)
+    sums = np.zeros((k, p))
+
+    def add(r):
+        _sparsetools.csr_matvecs(r.stop - r.start, n, p, indptr[r.start : r.stop + 1], order, ones,
+                                 flat, sums[r].ravel())
+
+    in_parallel(add, runs(counts))
+    return sums, counts
 
 
-def min_sqdist_update(X, center, d2):
-    """In-place d2 = min(d2, ||x - center||^2) per row; used by k-means++."""
-    for lo in range(0, X.shape[0], 4096):  # rows per chunk; bounds the difference array
-        diff = X[lo : lo + 4096] - center
-        np.minimum(d2[lo : lo + 4096], np.einsum("ij,ij->i", diff, diff), out=d2[lo : lo + 4096])
+_DIST_ROWS = 2048  # rows per chunk of min_sqdist_update; bounds each run's difference array
+
+
+def min_sqdist_update(X, centers, d2, labels=None):
+    """In-place d2 = min(d2, ||x - c||^2) per row x of X, in chunks of ``_DIST_ROWS`` rows.
+
+    The center c is ``centers`` itself, one row (the k-means++ seeding), or
+    with ``labels`` the row's own ``centers[label]`` (the empty-cluster reseed).
+    Each row's value is computed alone, so the chunks do not change it.
+    """
+    n, p = X.shape
+    step = _DIST_ROWS
+
+    def update(part):
+        starts, diff, sq = part
+        for lo in starts:
+            x, d = X[lo : lo + step], d2[lo : lo + step]
+            t = diff[: x.shape[0]]
+            if labels is not None:
+                np.subtract(x, np.take(centers, labels[lo : lo + step], axis=0, out=t, mode="clip"), out=t)
+            else:
+                np.subtract(x, centers, out=t)
+            np.minimum(d, np.einsum("ij,ij->i", t, t, out=sq[: x.shape[0]]), out=d)
+
+    size = min(step, n)
+    in_parallel(update, [(starts, np.empty((size, p)), np.empty(size)) for starts in chunk_runs(n, step)])
     return d2
 
 

@@ -195,7 +195,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.nd
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # move each empty center onto the point farthest from its center
-            dist = np.einsum("ij,ij->i", X - centers[labels], X - centers[labels])
+            dist = kernels.min_sqdist_update(X, centers, np.full(n, np.inf), labels)
             for m in empty:
                 far = int(np.argmax(dist))
                 centers[m] = X[far]
@@ -238,6 +238,7 @@ class _BoundedLabels:
         eps = np.finfo(np.float64).eps
         self.rel = max(_MARGIN, 64 * (X.shape[1] + 3) * eps)
         self.grow = 1.0 + 4 * (X.shape[1] + 4) * eps
+        self.scratch, self.flag = np.empty(X.shape[0]), np.empty(X.shape[0], dtype=bool)
 
     @staticmethod
     def _bounds(d1: np.ndarray, d2: np.ndarray, pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,15 +261,27 @@ class _BoundedLabels:
         diff = centers - old
         move = np.sqrt(np.einsum("kj,kj->k", diff, diff)) * grow
         first, second = np.argsort(move)[:-3:-1]
-        self.upper += move[labels]
-        self.upper *= grow
-        self.lower -= np.where(labels == first, move[second], move[first])
-        self.lower /= grow
         gaps = centers[:, None, :] - centers[None, :, :]
         gaps = np.sqrt(np.einsum("ijk,ijk->ij", gaps, gaps))
         np.fill_diagonal(gaps, np.inf)
         half = gaps.min(axis=1) / (2.0 * grow)
-        rows = np.flatnonzero(self.upper > np.maximum(self.lower, half[labels]))
+
+        def bound(starts):
+            # widen the bounds by the moves and flag the rows they cannot settle
+            for lo in starts:
+                at = slice(lo, lo + kernels._PIXEL_CHUNK)
+                own, t, flag = labels[at], self.scratch[at], self.flag[at]
+                up, low = self.upper[at], self.lower[at]
+                up += np.take(move, own, out=t, mode="clip")
+                up *= grow
+                t[:] = move[first]
+                np.copyto(t, move[second], where=np.equal(own, first, out=flag))
+                low -= t
+                low /= grow
+                np.greater(up, np.maximum(low, np.take(half, own, out=t, mode="clip"), out=t), out=flag)
+
+        kernels.in_parallel(bound, kernels.chunk_runs(labels.size, kernels._PIXEL_CHUNK))
+        rows = np.flatnonzero(self.flag)
         labels = labels.copy()
         if rows.size == 0:
             return labels
@@ -298,6 +311,42 @@ def normalized_features(X: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     means = X.mean(axis=-1, keepdims=True)
     safe = np.where(means != 0.0, means, 1.0)
     return np.divide(X, safe, out=out)
+
+
+def unit_mean_rows(rows: np.ndarray, means: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """``normalized_features(rows, out=rows)``, with ``means`` and ``zero`` (one per row) as scratch."""
+    rows.mean(axis=-1, out=means)
+    np.copyto(means, 1.0, where=np.equal(means, 0.0, out=zero))
+    return np.divide(rows, means[:, None], out=rows)
+
+
+_FEATURE_CHUNK = 2048  # pixels per chunk of the ctmf feature build; keeps a chunk in cache
+
+
+def _cluster_features(Y: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """``normalized_features(Y[:, pixels].astype(np.float64).T)``, filled in pixel runs.
+
+    Each chunk is gathered band-major, then written pixel-major into the
+    output and scaled there, so each mean sums a contiguous row of bands, as
+    that expression's does: the bytes are the same.
+    """
+    p, n = Y.shape[0], pixels.size
+    feats = np.empty((n, p))
+    step = _FEATURE_CHUNK
+
+    def fill(part):
+        starts, raw, means, zero = part
+        for lo in starts:
+            at = pixels[lo : lo + step]
+            rows = feats[lo : lo + at.size]
+            # a flat buffer, so the (p, m) view stays C-contiguous and take writes in place
+            np.copyto(rows, np.take(Y, at, axis=1, out=raw[: p * at.size].reshape(p, -1), mode="clip").T)
+            unit_mean_rows(rows, means[: at.size], zero[: at.size])
+
+    size = min(step, n)
+    kernels.in_parallel(fill, [(starts, np.empty(p * size, Y.dtype), np.empty(size),
+                                np.empty(size, dtype=bool)) for starts in kernels.chunk_runs(n, step)])
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +481,7 @@ def _build_partition(
         return np.where(valid, 0, -1).astype(np.int64), [range(1)], [[]]
 
     if config.variant == "ctmf":
-        feats = Y[:, valid.ravel()].astype(np.float64).T
-        feats = normalized_features(feats, out=feats)  # in place: no second feature copy
+        feats = _cluster_features(Y, np.flatnonzero(valid))
         labels, _, converged = kmeans(feats, config.cluster_count, config.seed)
         flags = [] if converged else ["k-means stopped at its max_iter cap before a fixpoint"]
         # merge clusters that cannot support a p-band covariance into the
@@ -442,7 +490,7 @@ def _build_partition(
             uniq, counts = np.unique(labels, return_counts=True)
             if uniq.size == 1 or counts.min() >= p + 1:
                 break
-            centroids = np.stack([feats[labels == u].mean(axis=0) for u in uniq])
+            centroids = kernels.cluster_sums(feats, labels, config.cluster_count)[0][uniq] / counts[:, None]
             small = uniq[int(np.argmin(counts))]
             src = int(np.flatnonzero(uniq == small)[0])
             d = np.einsum("ij,ij->i", centroids - centroids[src], centroids - centroids[src])

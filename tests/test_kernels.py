@@ -131,6 +131,16 @@ class TestKernelContracts:
         expected = np.stack([np.bincount(labels, weights=x, minlength=k) for x in X.T], axis=1)
         assert sums.tobytes() == expected.tobytes()
 
+    def test_cluster_sums_over_counts_are_the_cluster_means(self, rng):
+        # the ctmf merge takes its pooled-cluster centroids from one cluster_sums pass
+        X = rng.random((5000, 72)) * 20
+        labels = rng.integers(0, 8, size=5000)
+        labels[labels == 3] = 5  # an empty cluster
+        sums, counts = kernels.cluster_sums(X, labels, 8)
+        uniq = np.unique(labels)
+        expected = np.stack([X[labels == u].mean(axis=0) for u in uniq])
+        assert (sums[uniq] / counts[uniq, None]).tobytes() == expected.tobytes()
+
     def test_min_sqdist_update(self, workload):
         X, _, _, _, _, _, centers, _, _ = workload
         d2 = np.full(X.shape[0], 11.0)
@@ -147,6 +157,11 @@ class TestKernelContracts:
         expected = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
         kernels.min_sqdist_update(X, center, d2)
         assert d2.tobytes() == expected.tobytes()
+
+    def test_min_sqdist_update_to_each_rows_own_center(self, workload):
+        X, _, _, _, _, _, centers, labels, _ = workload
+        d2 = kernels.min_sqdist_update(X, centers, np.full(X.shape[0], np.inf), labels)
+        assert d2.tobytes() == np.einsum("ij,ij->i", X - centers[labels], X - centers[labels]).tobytes()
 
 
 class TestBackendSelection:

@@ -1,10 +1,10 @@
-"""The slab passes on the worker threads: the same bytes on any number of them.
+"""The whole-scene passes on the worker threads: the same bytes on any number of them.
 
-The moments pass, the two kernel sweeps and the background match split their
-chunks across ``kernels.workers()`` threads. These tests set that count and
-compare every output bit for bit; a tiny GIL switch interval makes the
-threads interleave, so a buffer shared between two runs shows up as changed
-bytes.
+The moments pass, the two kernel sweeps, the background match, the ctmf
+feature build and the k-means steps split their chunks across
+``kernels.workers()`` threads. These tests set that count and compare every
+output bit for bit; a tiny GIL switch interval makes the threads interleave,
+so a buffer shared between two runs shows up as changed bytes.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ import plumeflux as pf
 from plumeflux import kernels, matched_filter
 from plumeflux.background import match_background
 from plumeflux.config import load_config
-from plumeflux.matched_filter import MfConfig, retrieve
+from plumeflux.matched_filter import MfConfig, kmeans, normalized_features, retrieve
 from plumeflux.pipeline import run_pipeline
 from plumeflux.scene_io import write_cube
 from plumeflux.signature import band_absorption, load_bundled_table
@@ -96,6 +96,107 @@ class TestWorkerCount:
         assert outputs(cube, variant, 2, monkeypatch) == outputs(cube, variant, 1, monkeypatch)
 
 
+def features(cube):
+    """The ctmf features of ``cube``'s valid pixels, and their old form: a gather, then a normalisation."""
+    Y = matched_filter._window_slab(cube, np.arange(cube.data.shape[0]))
+    valid = ~cube.nodata_mask.ravel()
+    return matched_filter._cluster_features(Y, np.flatnonzero(valid)), normalized_features(
+        Y[:, valid].astype(np.float64).T)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks small enough that each k-means pass over ``scene()``'s 8 222 pixels has some per thread."""
+    monkeypatch.setattr(kernels, "label_step", lambda k, p: 500)
+    monkeypatch.setattr(kernels, "_DIST_ROWS", 700)
+    monkeypatch.setattr(kernels, "_PIXEL_CHUNK", 1000)
+    monkeypatch.setattr(matched_filter, "_FEATURE_CHUNK", 900)
+
+
+class TestKmeansWorkers:
+    @staticmethod
+    def same_on_any_workers(X, k, seed, monkeypatch):
+        """kmeans's labels, step count and convergence, checked equal on 1, 2 and 3 threads."""
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "workers", lambda: workers)
+            labels, steps, converged = kmeans(X, k, seed)
+            results.append((labels.tobytes(), steps, converged))
+        assert results[1] == results[0] and results[2] == results[0]
+        return results[0]
+
+    def test_kernels(self, monkeypatch, interleaved, small_chunks):
+        # every value of the k-means kernels, a row subset's distances included
+        X = features(scene())[0]
+        centers = X[:: X.shape[0] // 6][:6]
+        labels = kernels.assign_labels(X, centers)[0]
+        rows = np.flatnonzero(np.random.default_rng(0).random(X.shape[0]) < 0.6)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "workers", lambda: workers)
+            values = (*kernels.assign_labels(X, centers), *kernels.assign_labels(X, centers, rows),
+                      *kernels.cluster_sums(X, labels, 6),
+                      kernels.min_sqdist_update(X, centers[0], np.full(X.shape[0], np.inf)),
+                      kernels.min_sqdist_update(X, centers, np.full(X.shape[0], np.inf), labels))
+            results.append([v.tobytes() for v in values])
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_bound_update(self, monkeypatch, interleaved, small_chunks):
+        X = features(scene())[0]
+        old = X[:: X.shape[0] // 6][:6]
+        centers = old + 0.002 * np.random.default_rng(1).standard_normal(old.shape)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "workers", lambda: workers)
+            lloyd = matched_filter._BoundedLabels(X)
+            labels = lloyd.moved(lloyd.full(old), old, centers)
+            results.append([v.tobytes() for v in (labels, lloyd.upper, lloyd.lower, lloyd.flag)])
+        assert results[1] == results[0] and results[2] == results[0]
+        assert 0 < np.frombuffer(results[0][3], dtype=bool).sum() < X.shape[0]
+
+    @pytest.mark.parametrize("float32", [True, False])
+    def test_features_equal_the_normalized_gather(self, monkeypatch, interleaved, small_chunks, float32):
+        cube = scene(float32)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "workers", lambda: workers)
+            feats, expected = features(cube)
+            assert feats.flags.c_contiguous and feats.tobytes() == expected.tobytes()
+
+    def test_scene(self, monkeypatch, interleaved, small_chunks):
+        assert self.same_on_any_workers(features(scene())[0], 6, 0, monkeypatch)[1] > 2
+
+    def test_near_tie_reruns(self, monkeypatch, interleaved, small_chunks):
+        # a wide margin puts many recomputed rows inside it, so whole chunks run again
+        monkeypatch.setattr(matched_filter, "_MARGIN", 0.05)
+        assign, reruns = kernels.assign_labels, []
+
+        def recording(X, centers, rows=None):
+            reruns.append(rows is None and X.shape[0] == 500)
+            return assign(X, centers, rows)
+
+        monkeypatch.setattr(kernels, "assign_labels", recording)
+        self.same_on_any_workers(features(scene())[0], 6, 0, monkeypatch)
+        assert sum(reruns) > 3
+
+    def test_empty_cluster(self, monkeypatch, interleaved):
+        # the points of TestKmeansMatchesPlainLloyd's empty-cluster case, in 2-row chunks
+        monkeypatch.setattr(kernels, "label_step", lambda k, p: 2)
+        monkeypatch.setattr(kernels, "_DIST_ROWS", 2)
+        monkeypatch.setattr(kernels, "_PIXEL_CHUNK", 2)
+        X = np.array([-2.5939996354485495, -4.865790190975382, -2.089178026314915,
+                      0.834278274770828, 0.3074876332250506, -11.49807768747803,
+                      -2.370933443626862, -3.052909875050551])[:, None]
+        update, reseeds = kernels.min_sqdist_update, []
+
+        def recording(X, centers, d2, labels=None):
+            reseeds.append(labels is not None)
+            return update(X, centers, d2, labels)
+
+        monkeypatch.setattr(kernels, "min_sqdist_update", recording)
+        self.same_on_any_workers(X, 4, 49829, monkeypatch)
+        assert any(reseeds)
+
+
 class TestRuns:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_runs_cover_the_items_in_order(self, monkeypatch, workers):
@@ -157,6 +258,6 @@ def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
         run_pipeline(load_config(tmp_path / "run.yaml"), tmp_path / variant)
     names = {name for name, _ in calls}
     assert {"kernels.mf_scores", "kernels.noise_variance", "background.match_background",
-            "segmentation.robust_threshold", "kernels.assign_labels"} <= names
+            "segmentation.robust_threshold", "kernels.assign_labels", "kernels.cluster_sums"} <= names
     assert {ident for _, ident in calls} == {threading.get_ident()}
     assert any(t.name == "plumeflux-slab" for t in threading.enumerate())
