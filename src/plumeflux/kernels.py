@@ -8,11 +8,13 @@ pixel's segment (-1: nodata, which scores 0); the k-means kernels take
 float64 (pixels, bands) arrays.
 
 The whole-scene passes (these sweeps, the moments pass, the background
-match, the ctmf feature build, and the k-means seeding, label, bound and sum
-steps) split their chunks into ``runs``, one per CPU, and hand them to
-``in_parallel``. A run gets every buffer it writes from the calling thread,
-so pool threads allocate nothing large, and each element is computed by the
-same operations as in one run; the outputs do not depend on the CPU count.
+match, the ctmf feature build, and the k-means seeding, label and bound
+steps) and the k-means sums (over every row in a first step, then over the
+rows that changed cluster) split their work into ``runs``, one per CPU, and
+hand them to ``in_parallel``. A run gets every buffer it writes from the
+calling thread, so pool threads allocate nothing large, and each element is
+computed by the same operations as in one run; the outputs do not depend on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -40,6 +42,27 @@ def _blas_threads_setter():
         return lambda n: n
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
     return set_threads
+
+
+@functools.cache
+def _heap_trimmer():
+    """glibc's ``malloc_trim``, which returns the heap's free pages to the system; a no-op elsewhere."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim  # the process's own symbols, the C library's among them
+    except (AttributeError, OSError, TypeError):  # another C library, or no process handle (Windows)
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def trim_heap() -> None:
+    """Return the free memory at the top and inside the heap to the system (glibc ``malloc_trim(0)``).
+
+    glibc gives back a heap's free top only once it exceeds its trim threshold,
+    so a large free block under a small live one stays resident, and the next
+    scene's arrays stack on top of it.
+    """
+    _heap_trimmer()(0)
 
 
 @contextmanager
@@ -276,14 +299,17 @@ def assign_labels(X, centers, rows=None):
     return labels, d1, d2
 
 
-def cluster_sums(X, labels, k):
-    """Per-label feature sums and member counts.
+def cluster_sums(X, labels, k, rows=None):
+    """Per-label feature sums and member counts of the rows of X, or of the rows X[rows].
 
     A sparse one-hot product: each sum adds its rows in row order, as a
     weighted ``bincount`` per column does, so the sums are bit-identical to
-    it. The clusters split into ``runs`` by size, and each run adds its rows
-    into its own rows of the result. One cluster's sum is one chain of
-    additions and never splits, so a dominant cluster bounds the speed-up.
+    it. With ``rows``, ``labels[i]`` labels row ``rows[i]``, which may repeat,
+    and the product reads those rows in place: the values are those of
+    ``cluster_sums(X[rows], labels, k)``. The clusters split into ``runs``
+    by size, and each run adds its rows into its own rows of the result. One
+    cluster's sum is one chain of additions and never splits, so a dominant
+    cluster bounds the speed-up.
     """
     # csr_array @ X's kernel, which adds into a given array; imported here,
     # so runs without k-means never load scipy.sparse
@@ -295,8 +321,13 @@ def cluster_sums(X, labels, k):
     counts = np.bincount(labels, minlength=k).astype(np.int64)
     # the CSR row of each cluster: its rows in order (a stable radix sort for k <= 65536)
     order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    if rows is not None:  # the C kernel reads X at these indices unchecked
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape != labels.shape or (rows.size and not 0 <= rows.min() <= rows.max() < n):
+            raise IndexError("cluster_sums: rows must be one index into X per label")
+        order = rows[order]
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    ones = np.ones(n)
+    ones = np.ones(order.size)
     sums = np.zeros((k, p))
 
     def add(r):

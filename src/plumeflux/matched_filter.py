@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,8 @@ class MfConfig:
             raise ConfigError("contamination_iterations must be >= 0")
         if not self.window[0] < self.window[1]:
             raise ConfigError("window must be (low, high) with low < high")
+        if self.delta_min is not None and not 0.0 <= self.delta_min < math.inf:
+            raise ConfigError("mf.delta_min must be unset, or finite and >= 0")
 
     def label(self) -> str:
         parts = [self.variant]
@@ -113,6 +115,16 @@ class BackgroundStats:
         return out
 
 
+@cache
+def _unpack_index(p: int) -> np.ndarray:
+    """Read-only index of each entry of a flat (p, p) symmetric matrix into its packed lower triangle."""
+    row, col = np.indices((p, p))
+    hi, lo = np.maximum(row, col), np.minimum(row, col)
+    index = (hi * (hi + 1) // 2 + lo).ravel()  # np.tril_indices order: row by row
+    index.flags.writeable = False
+    return index
+
+
 def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[float]) -> np.ndarray:
     """Shrinkage-regularized covariance of each segment from its count and packed M2.
 
@@ -122,9 +134,7 @@ def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[flo
     including the all-identical-pixels case where S is exactly zero.
     """
     p = (math.isqrt(8 * m2.shape[-1] + 1) - 1) // 2
-    rows, cols = np.tril_indices(p)  # the lower triangle, row >= col
-    cov = np.empty((n.size, p, p))
-    cov[:, rows, cols] = cov[:, cols, rows] = m2 / n[:, None]
+    cov = np.take(m2 / n[:, None], _unpack_index(p), axis=1).reshape(n.size, p, p)
     trace_p = np.trace(cov, axis1=1, axis2=2) / cov.shape[-1]
     floor = 1e-8 * (trace_p + 1.0) if delta_min is None else float(delta_min)
     cov *= 1.0 - gamma
@@ -166,7 +176,11 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.nd
     Returns the labels, the number of Lloyd steps taken (at most ``max_iter``)
     and whether the last one reached a fixpoint. Each step's labels equal a
     full ``kernels.assign_labels`` pass; ``_BoundedLabels`` only skips the
-    rows whose label provably stays.
+    rows whose label provably stays. The cluster sums and counts carry over
+    from step to step: the first step, and the first after an empty-cluster
+    reseed, sum every row, and every other step adds and removes only the
+    rows whose label changed. So each step makes one ``kernels.cluster_sums``
+    call, and its centers differ from fresh row-order sums by rounding only.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -190,8 +204,18 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.nd
 
     lloyd = _BoundedLabels(X)
     labels = lloyd.full(centers)
+    fresh = True  # sum every row: the first step, and the first after a reseed
     for step in range(1, max_iter + 1):
-        sums, counts = kernels.cluster_sums(X, labels, k)
+        if fresh:
+            sums, counts = kernels.cluster_sums(X, labels, k)
+        else:
+            # the rows that changed cluster, each twice: under its new label,
+            # to add, and under k + its old label, to subtract
+            moved = lloyd.changed
+            delta, shift = kernels.cluster_sums(X, np.concatenate([labels[moved], k + lloyd.was]),
+                                                2 * k, rows=np.concatenate([moved, moved]))
+            sums += delta[:k] - delta[k:]
+            counts += shift[:k] - shift[k:]
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # move each empty center onto the point farthest from its center
@@ -200,13 +224,13 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.nd
                 far = int(np.argmax(dist))
                 centers[m] = X[far]
                 dist[far] = -1.0
-            labels = lloyd.full(centers)
+            labels, fresh = lloyd.full(centers), True
             continue
         old, centers = centers, sums / counts[:, None]
-        new_labels = lloyd.moved(labels, old, centers)
-        if np.array_equal(new_labels, labels):
+        lloyd.moved(labels, old, centers)
+        if lloyd.changed.size == 0:
             return labels, step, True
-        labels = new_labels
+        fresh = False
     return labels, max_iter, False
 
 
@@ -254,9 +278,14 @@ class _BoundedLabels:
         return labels
 
     def moved(self, labels: np.ndarray, old: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Labels after the centers moved from ``old``, equal to ``full(centers)``'s."""
+        """Labels after the centers moved from ``old``, equal to ``full(centers)``'s.
+
+        Writes them into ``labels`` and returns it. ``changed`` then holds
+        the rows whose label changed, ascending, and ``was`` their labels
+        before.
+        """
         if np.einsum("kj,kj->k", centers, centers).max() > 4.0 * self.c2:
-            return self.full(centers)
+            return self._settle(labels, np.arange(labels.size), self.full(centers))
         grow = self.grow
         diff = centers - old
         move = np.sqrt(np.einsum("kj,kj->k", diff, diff)) * grow
@@ -282,9 +311,8 @@ class _BoundedLabels:
 
         kernels.in_parallel(bound, kernels.chunk_runs(labels.size, kernels._PIXEL_CHUNK))
         rows = np.flatnonzero(self.flag)
-        labels = labels.copy()
         if rows.size == 0:
-            return labels
+            return self._settle(labels, rows, labels[rows])
         new, d1, d2 = kernels.assign_labels(self.X, centers, rows)
         # a subset of rows can round differently from the full pass, which
         # matters only inside the margin: such rows take the values of a
@@ -297,8 +325,15 @@ class _BoundedLabels:
             at = rows[sel] - c * step
             chunk = kernels.assign_labels(self.X[c * step : (c + 1) * step], centers)
             new[sel], d1[sel], d2[sel] = (v[at] for v in chunk)
-        labels[rows] = new
         self.upper[rows], self.lower[rows] = self._bounds(d1, d2, self.pad[rows])
+        return self._settle(labels, rows, new)
+
+    def _settle(self, labels: np.ndarray, rows: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """Write ``new``, the labels of ``rows``, into ``labels``, noting the rows that changed."""
+        switch = new != labels[rows]
+        self.changed = rows[switch]
+        self.was = labels[self.changed]
+        labels[self.changed] = new[switch]
         return labels
 
 
@@ -481,6 +516,10 @@ def _build_partition(
         return np.where(valid, 0, -1).astype(np.int64), [range(1)], [[]]
 
     if config.variant == "ctmf":
+        # the (pixels, bands) float64 features would stack on the heap that
+        # a previous retrieval freed and glibc kept; only here, because a
+        # trim before every retrieval made cwcmf runs about 3 % slower
+        kernels.trim_heap()
         feats = _cluster_features(Y, np.flatnonzero(valid))
         labels, _, converged = kmeans(feats, config.cluster_count, config.seed)
         flags = [] if converged else ["k-means stopped at its max_iter cap before a fixpoint"]

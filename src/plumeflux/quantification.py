@@ -35,6 +35,9 @@ class GasConstants:
     gas_constant: float = 8.314462618  # J/(mol K)
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"constants.{key} must be finite")
         if min(self.molar_mass, self.temperature, self.pressure, self.gas_constant) < 0 or (
             self.temperature == 0 or self.pressure == 0 or self.gas_constant == 0
         ):

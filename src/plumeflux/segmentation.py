@@ -29,6 +29,9 @@ class SegmentationParams:
     connectivity: int = 8
 
     def __post_init__(self):
+        for key in ("n_sigma", "close_radius_m", "open_radius_m", "min_area_m2"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"segmentation.{key} must be finite")
         if self.n_sigma <= 0:
             raise ConfigError("n_sigma must be positive")
         if self.close_radius_m < 0 or self.open_radius_m < 0 or self.min_area_m2 < 0:

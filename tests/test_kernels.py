@@ -141,6 +141,12 @@ class TestKernelContracts:
         expected = np.stack([X[labels == u].mean(axis=0) for u in uniq])
         assert (sums[uniq] / counts[uniq, None]).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rows", [[0, 40], [0, -1], [1]])
+    def test_cluster_sums_rejects_a_row_index_outside_x_or_the_labels(self, rng, rows):
+        # the C kernel reads X at these rows unchecked
+        with pytest.raises(IndexError, match="one index into X per label"):
+            kernels.cluster_sums(rng.random((40, 3)), np.array([0, 1]), 2, rows=np.array(rows))
+
     def test_min_sqdist_update(self, workload):
         X, _, _, _, _, _, centers, _, _ = workload
         d2 = np.full(X.shape[0], 11.0)
@@ -196,3 +202,19 @@ class TestOneBlasThread:
         with pytest.raises(ValueError), kernels.one_blas_thread():
             raise ValueError
         assert _blas_threads() == before
+
+
+class TestTrimHeap:
+    def test_glibc_trim_or_a_no_op(self, monkeypatch):
+        kernels.trim_heap()  # glibc's malloc_trim(0) where the C library has one
+
+        class NoTrim:  # a C library without malloc_trim
+            pass
+
+        monkeypatch.setattr(kernels.ctypes, "CDLL", lambda name: NoTrim())
+        kernels._heap_trimmer.cache_clear()
+        try:
+            assert kernels._heap_trimmer()(0) == 0
+            kernels.trim_heap()
+        finally:
+            kernels._heap_trimmer.cache_clear()

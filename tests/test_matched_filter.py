@@ -167,6 +167,18 @@ def blobs(rng, n, p, k):
     return centers[rng.integers(0, k, size=n)] + rng.standard_normal((n, p))
 
 
+def overlapping_blobs():
+    """20 000 x 8 points around 8 centers closer than the noise: 53 Lloyd steps from seed 0."""
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.0, 2.0, size=(8, 8))[rng.integers(0, 8, size=20_000)] + rng.standard_normal((20_000, 8))
+
+
+# points on which one Lloyd step of k = 4 from seed 49829 empties a cluster
+EMPTY_CLUSTER = np.array([-2.5939996354485495, -4.865790190975382, -2.089178026314915,
+                          0.834278274770828, 0.3074876332250506, -11.49807768747803,
+                          -2.370933443626862, -3.052909875050551])[:, None]
+
+
 class TestKmeansMatchesPlainLloyd:
     """Bounded k-means gives the labels, step count and convergence of plain Lloyd."""
 
@@ -228,6 +240,51 @@ class TestKmeansMatchesPlainLloyd:
         X = blobs(rng, 800, 4, 6)
         self.check(X, 6, seed=1, max_iter=2)
         assert kmeans(X, 6, seed=1, max_iter=2)[1:] == (2, False)
+
+    def test_overlapping_blobs(self):
+        # dozens of steps, most of which move a few rows: the running sums carry far
+        self.check(overlapping_blobs(), 8, seed=0)
+
+    @pytest.fixture
+    def sums_calls(self, monkeypatch):
+        """The row index of each cluster_sums call (None: every row)."""
+        calls, sums = [], kernels.cluster_sums
+
+        def recording(X, labels, k, rows=None):
+            calls.append(rows)
+            return sums(X, labels, k, rows)
+
+        monkeypatch.setattr(kernels, "cluster_sums", recording)
+        return calls
+
+    def test_running_sums_stay_within_rounding_of_fresh_sums(self, monkeypatch, sums_calls):
+        X, k = overlapping_blobs(), 8
+        seen, moved = [], matched_filter._BoundedLabels.moved
+
+        def recording(self, labels, old, centers):
+            seen.append(centers.copy())
+            return moved(self, labels, old, centers)
+
+        monkeypatch.setattr(matched_filter._BoundedLabels, "moved", recording)
+        labels, steps, converged = kmeans(X, k, seed=0)
+        assert converged and steps > 30
+        assert sums_calls[0] is None and all(r is not None for r in sums_calls[1:])
+        assert np.median([r.size for r in sums_calls[1:]]) < 0.05 * X.shape[0]  # each moved row twice
+        # at the fixpoint, the last centers are the running sums of the final labels over
+        # their counts; per coordinate they lie within 4 steps eps sum|x| of a fresh sum
+        sums, counts = kernels.cluster_sums(X, labels, k)
+        bound = 4 * steps * np.finfo(np.float64).eps * kernels.cluster_sums(np.abs(X), labels, k)[0]
+        assert np.all(np.abs(seen[-1] * counts[:, None] - sums) <= bound)
+
+    @pytest.mark.parametrize("case", ["overlapping blobs", "empty cluster"])
+    def test_one_cluster_sums_call_per_step(self, sums_calls, case):
+        # perfbench counts the steps (and a stop at the cap) by these calls; every row is
+        # summed in the first step and in the first after an empty-cluster reseed
+        X, k, seed = (overlapping_blobs(), 8, 0) if case == "overlapping blobs" else (EMPTY_CLUSTER, 4, 49829)
+        steps = kmeans(X, k, seed)[1]
+        assert len(sums_calls) == steps
+        full = [rows is None for rows in sums_calls]
+        assert full[0] and sum(full) == 1 + plain_lloyd(X, k, seed)[3]
 
     def test_near_tie_fallback_reruns_whole_chunks(self, rng, monkeypatch, passes):
         # a wide margin puts many recomputed rows inside it, and small chunks
@@ -1086,8 +1143,8 @@ class TestSegmentOrderPass:
         data[:, :, 7] = data[:, :1, 7]  # column 7, in the second group, is constant
         cube = make_cube(data, descriptor=cube.descriptor)
         absorption = make_absorption(8, rng=rng)
-        # no shrinkage and a negative floor leave its zero covariance unregularized
-        singular = MfConfig(variant="cwcmf", shrinkage=0.0, delta_min=-1.0)
+        # no shrinkage and a zero floor leave its zero covariance unregularized
+        singular = MfConfig(variant="cwcmf", shrinkage=0.0, delta_min=0.0)
         with pytest.raises(NumericalError, match="positive definite"):
             compute_stats(cube, absorption, singular)
         stats = compute_stats(cube, absorption, MfConfig(variant="cwcmf"))

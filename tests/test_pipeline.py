@@ -187,6 +187,40 @@ class TestConfig:
         assert main(["pipeline", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
         assert f"error: background.{key} must be" in capsys.readouterr().err
 
+    @staticmethod
+    def rejects(tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=message.replace(".", r"\.")):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["molar_mass", "temperature", "pressure", "gas_constant"])
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_gas_constant_is_a_config_error(self, tmp_path, key, value):
+        self.rejects(tmp_path, f"constants: {{{key}: {value}}}", f"constants.{key} must be finite")
+
+    @pytest.mark.parametrize("key", ["n_sigma", "close_radius_m", "open_radius_m", "min_area_m2"])
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_segmentation_value_is_a_config_error(self, tmp_path, key, value):
+        self.rejects(tmp_path, f"segmentation: {{{key}: {value}}}", f"segmentation.{key} must be finite")
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-1"])
+    def test_delta_min_is_unset_or_finite_and_non_negative(self, tmp_path, value):
+        self.rejects(tmp_path, f"mf: {{delta_min: {value}}}", "mf.delta_min must be unset, or finite and >= 0")
+        path = tmp_path / "run.yaml"
+        for text, expected in (("mf: {delta_min: 0}", 0.0), ("mf: {delta_min: null}", None)):
+            path.write_text(text + "\n")
+            assert load_config(path).mf[0].delta_min == expected
+
+    @pytest.mark.parametrize("text", ["segmentation: {n_sigma: .nan}", "constants: {temperature: .nan}",
+                                      "mf: {delta_min: .nan}"])
+    def test_cli_rejects_a_yaml_nan(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        assert main(["pipeline", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {text.split(':')[0]}." in err and "finite" in err and "Traceback" not in err
+
     def test_background_range_ends_load(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"background": {"n_select": 1, "buffer_m": 0, "min_sample": 0}}))

@@ -141,6 +141,20 @@ class TestKmeansWorkers:
             results.append([v.tobytes() for v in values])
         assert results[1] == results[0] and results[2] == results[0]
 
+    def test_cluster_sums_of_a_row_index(self, monkeypatch, interleaved):
+        # kmeans's running-sum step: each moved row twice, under its new label and k + its old
+        X = features(scene())[0]
+        rng = np.random.default_rng(2)
+        moved = np.flatnonzero(rng.random(X.shape[0]) < 0.1)
+        rows, labels = np.concatenate([moved, moved]), rng.integers(0, 12, size=2 * moved.size)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "workers", lambda: workers)
+            in_place = [v.tobytes() for v in kernels.cluster_sums(X, labels, 12, rows=rows)]
+            assert in_place == [v.tobytes() for v in kernels.cluster_sums(X[rows], labels, 12)]
+            results.append(in_place)
+        assert results[1] == results[0] and results[2] == results[0]
+
     def test_bound_update(self, monkeypatch, interleaved, small_chunks):
         X = features(scene())[0]
         old = X[:: X.shape[0] // 6][:6]
