@@ -8,13 +8,12 @@ pixel's segment (-1: nodata, which scores 0); the k-means kernels take
 float64 (pixels, bands) arrays.
 
 The whole-scene passes (these sweeps, the moments pass, the background
-match, the ctmf feature build, and the k-means seeding, label and bound
-steps) and the k-means sums (over every row in a first step, then over the
-rows that changed cluster) split their work into ``runs``, one per CPU, and
-hand them to ``in_parallel``. A run gets every buffer it writes from the
-calling thread, so pool threads allocate nothing large, and each element is
-computed by the same operations as in one run; the outputs do not depend on
-the CPU count.
+match, the ctmf feature build, the k-means steps, the cube's payload read and
+finite check), the k-means sums and the filters (in runs of merge groups)
+split their work into ``runs``, one per CPU, and hand them to
+``in_parallel``. A run gets every buffer it writes from the calling thread,
+so pool threads allocate nothing large, and each element is computed by the
+same operations as in one run; the outputs do not depend on the CPU count.
 """
 
 from __future__ import annotations

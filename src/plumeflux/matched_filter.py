@@ -15,6 +15,7 @@ from functools import cache, reduce
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import kernels
 from .errors import ConfigError, DataError, DomainError, NumericalError
@@ -102,7 +103,7 @@ class BackgroundStats:
 
     @property
     def cov(self) -> np.ndarray:
-        return _shrink(self.fit[0], self.fit[2], self.shrinkage, self.delta_min)
+        return _shrink(self.fit[2] / self.fit[0][:, None], self.shrinkage, self.delta_min)
 
     @property
     def n_segments(self) -> int:
@@ -125,16 +126,17 @@ def _unpack_index(p: int) -> np.ndarray:
     return index
 
 
-def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[float]) -> np.ndarray:
-    """Shrinkage-regularized covariance of each segment from its count and packed M2.
+def _shrink(s: np.ndarray, gamma: float, delta_min: Optional[float], out=None) -> np.ndarray:
+    """Shrinkage-regularized covariance of each segment from its packed S = M2 / n, into ``out`` if given.
 
-    cov = (1 - gamma) * S + delta * I with S = M2 / n, the divisor-N sample
+    cov = (1 - gamma) * S + delta * I with S the divisor-N sample
     covariance, and delta = max(gamma * trace(S)/p, floor). The default floor
     1e-8 * (trace(S)/p + 1) keeps the matrix SPD across radiance scales,
     including the all-identical-pixels case where S is exactly zero.
     """
-    p = (math.isqrt(8 * m2.shape[-1] + 1) - 1) // 2
-    cov = np.take(m2 / n[:, None], _unpack_index(p), axis=1).reshape(n.size, p, p)
+    k, p = s.shape[0], (math.isqrt(8 * s.shape[-1] + 1) - 1) // 2
+    flat = None if out is None else out.reshape(k, p * p)  # mode="clip": take writes there unbuffered
+    cov = np.take(s, _unpack_index(p), axis=1, out=flat, mode="clip").reshape(k, p, p)
     trace_p = np.trace(cov, axis1=1, axis2=2) / cov.shape[-1]
     floor = 1e-8 * (trace_p + 1.0) if delta_min is None else float(delta_min)
     cov *= 1.0 - gamma
@@ -142,15 +144,16 @@ def _shrink(n: np.ndarray, m2: np.ndarray, gamma: float, delta_min: Optional[flo
     return cov
 
 
-def _whiten(cov: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q = cov^-1 t and t'q of each segment in a stack: batched Cholesky, then LAPACK potrs."""
+def _whiten(cov: np.ndarray, t: np.ndarray, chol=None) -> tuple[np.ndarray, np.ndarray]:
+    """q = cov^-1 t and t'q of each segment in a stack: batched Cholesky (into ``chol``), then potrs."""
     import scipy.linalg  # here, so runs without a retrieval never load it
 
     if not np.all(np.any(t != 0.0, axis=-1)):
         raise DomainError("degenerate target spectrum")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+    try:  # np.linalg.cholesky's kernel, same bytes; it flags a matrix that is not SPD as invalid
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            chol = _umath_linalg.cholesky_lo(cov, out=chol, signature="d->d")
+    except FloatingPointError as exc:
         raise NumericalError(
             "covariance not positive definite after regularization (bug signal)"
         ) from exc
@@ -490,13 +493,31 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
     return total
 
 
-def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig) -> tuple:
-    """Each segment's (t, q, denom) from its moments, whitening a group of segments at a time."""
+def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig, segments=None) -> tuple:
+    """The (t, q, denom) of every segment, or of ``segments`` in their order, from the moments.
+
+    Runs of merge groups go to the workers, each with a stack and a factor
+    buffer made here: one group is gathered at a time, never the whole stack.
+    """
     n, mu, m2 = moments
-    t = target_spectrum(absorption.k_band, mu)
-    groups = [slice(g, g + _MERGE_GROUP) for g in range(0, n.size, _MERGE_GROUP)]
-    shrunk = (_shrink(n[g], m2[g], config.shrinkage, config.delta_min) for g in groups)
-    q, denom = (np.concatenate(v) for v in zip(*map(_whiten, shrunk, (t[g] for g in groups))))
+    t = target_spectrum(absorption.k_band, mu if segments is None else mu[segments])
+    segments = np.arange(n.size) if segments is None else segments
+    q, denom = np.empty_like(t), np.empty(segments.size)
+
+    def whiten(starts, cov, chol):
+        for lo in starts:
+            at = segments[lo : lo + _MERGE_GROUP]
+            k = at.size
+            # S = M2 / n, packed in the factor's buffer, which the factor overwrites after
+            s = np.take(m2, at, axis=0, out=chol.ravel()[: k * m2.shape[1]].reshape(k, -1), mode="clip")
+            s /= n[at][:, None]
+            shrunk = _shrink(s, config.shrinkage, config.delta_min, out=cov[:k])
+            q[lo : lo + k], denom[lo : lo + k] = _whiten(shrunk, t[lo : lo + k], chol[:k])
+
+    size, p = min(_MERGE_GROUP, segments.size), t.shape[1]
+    kernels.in_parallel(lambda args: whiten(*args), [
+        (starts, np.empty((size, p, p)), np.empty((size, p, p)))
+        for starts in kernels.chunk_runs(segments.size, _MERGE_GROUP)])
     return t, q, denom
 
 
@@ -590,7 +611,9 @@ def compute_stats(
     return BackgroundStats(
         segment_map=seg_map,
         band_indices=band_indices,
-        estimation_rows=[np.sort(np.concatenate([rows[i] for i in m])) for m in members],
+        # a segment's own rows are ascending already; a pool's are its members' merged
+        estimation_rows=[rows[m[0]] if len(m) == 1 else np.sort(np.concatenate([rows[i] for i in m]))
+                         for m in members],
         moments=moments,
         fit=moments,
         shrinkage=config.shrinkage, delta_min=config.delta_min,
@@ -638,29 +661,40 @@ def decontaminate(
     again from their full moments; a segment whose exclusion would leave
     fewer than 2 pixels keeps its previous statistics and is flagged in the
     provenance. ``stats`` is left unchanged, and returned at 0 rounds.
+
+    A round refits only the segments that lost a row in it: one that lost
+    none has its full moments, so it takes the filter of ``stats`` when that
+    is their fit (``stats.fit is stats.moments``, as from ``compute_stats``);
+    otherwise every segment that is not skipped is refit.
     """
     Y = _window_slab(cube, stats.band_indices)
     skip_flag = "decontamination skipped (segment emptied)"
     current = stats
     for _ in range(config.contamination_iterations):
         delta = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)
-        kept = [delta[r] <= robust_threshold(delta[r], n_sigma) for r in stats.estimation_rows]
+        kept = [(d := delta[r]) <= robust_threshold(d, n_sigma) for r in stats.estimation_rows]
+        del delta  # freed before the round's filters
         n_kept = np.array([np.count_nonzero(k) for k in kept])
         skipped = n_kept < 2
         # downdate one copy of the full moments in place by the excluded rows;
         # tau is at least the median, so they are at most half of a segment's rows
         refit = np.flatnonzero(~skipped)
         excluded = [stats.estimation_rows[s][~kept[s]] for s in refit]
-        labels = np.repeat(refit, [r.size for r in excluded])
+        lost = np.array([r.size for r in excluded], dtype=np.int64)
+        labels = np.repeat(refit, lost)
         rows = np.concatenate([np.zeros(0, dtype=np.int64), *excluded])
         moments = tuple(x.copy() for x in stats.moments)
         _segment_moments(Y[:, rows], labels, len(kept), total=moments, sign=-1.0)
-        for x, held in zip(moments, current.fit):
+        filters = tuple(x.copy() for x in (stats.t, stats.q, stats.denom))
+        for x, held in zip(moments + filters, current.fit + (current.t, current.q, current.denom)):
             x[skipped] = held[skipped]
-        t, q, denom = _filters(moments, absorption, config)
+        if stats.fit is stats.moments:  # the others keep their full moments, and stats' filter
+            refit = refit[lost > 0]
+        for x, v in zip(filters, _filters(moments, absorption, config, refit)):
+            x[refit] = v
         flags = [f + [skip_flag] if sk and skip_flag not in f else list(f)
                  for sk, f in zip(skipped, current.flags)]
-        current = replace(current, fit=moments, t=t, q=q, denom=denom, flags=flags)
+        current = replace(current, fit=moments, t=filters[0], q=filters[1], denom=filters[2], flags=flags)
     return current
 
 

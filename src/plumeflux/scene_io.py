@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -27,6 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, DataError, DomainError
 
 NODATA = -9999.0
@@ -122,6 +124,20 @@ class SensorDescriptor:
         return self.noise_a is not None and self.noise_c is not None
 
 
+def _finite(data: np.ndarray) -> np.ndarray:
+    """Per (line, sample), whether ``data`` is finite in every band; a run of bands per worker."""
+    def run(part):
+        bands, acc, scratch = part
+        acc[...] = True
+        for band in data[bands]:
+            acc &= np.isfinite(band, out=scratch)
+        return acc
+
+    parts = [(bands, np.empty(data.shape[1:], bool), np.empty(data.shape[1:], bool))
+             for bands in kernels.runs(np.ones(data.shape[0]))]
+    return reduce(np.logical_and, kernels.in_parallel(run, parts))
+
+
 @dataclass(frozen=True)
 class RadianceCube:
     """Calibrated at-sensor radiance, stored band-major: data[band, line, sample].
@@ -149,7 +165,7 @@ class RadianceCube:
         if bands < 2 or lines < 1 or samples < 1:
             raise DataError("cube must have at least 2 bands and 1x1 pixels")
         mask = _frozen(self.nodata_mask, bool, (lines, samples), "nodata_mask")
-        if not np.all(reduce(np.logical_and, map(np.isfinite, data)) | mask):
+        if not np.all(_finite(data) | mask):
             raise DataError("cube contains non-finite radiance outside nodata_mask")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nodata_mask", mask)
@@ -267,6 +283,24 @@ def dataset_paths(path: Union[str, Path]) -> tuple[Path, Path]:
     return Path(f"{base}.hdr"), Path(f"{base}.bin")
 
 
+def _read_payload(path: Path, out: np.ndarray, offset: int) -> None:
+    """Fill (bands, pixels) ``out`` from ``path`` at ``offset`` with ``os.preadv``, a run of bands per worker."""
+    fd = os.open(path, os.O_RDONLY)
+
+    def fill(run):
+        view, at = memoryview(out[run]).cast("B"), offset + run.start * out[0].nbytes
+        while view.nbytes:  # a read may come up short
+            got = os.preadv(fd, [view], at)
+            if got == 0:
+                raise DataError(f"payload {path} ended {view.nbytes} bytes early")
+            view, at = view[got:], at + got
+
+    try:
+        kernels.in_parallel(fill, kernels.runs(np.ones(out.shape[0])))
+    finally:
+        os.close(fd)
+
+
 def _read_bsq(
     path: Union[str, Path], required: tuple[str, ...], bands: Optional[int] = None, window=None
 ) -> tuple[dict, np.ndarray, np.ndarray, slice]:
@@ -327,8 +361,8 @@ def _read_bsq(
     if size != expected:
         raise DataError(f"payload {bin_path} has {size} bytes, expected {expected}")
     plane = shape[1] * shape[2]
-    data = np.fromfile(bin_path, "<f4", count * plane, offset=4 * first * plane)
-    data.shape = (count, *shape[1:])  # in place: a reshaped view would not own its memory
+    data = np.empty((count, *shape[1:]), dtype="<f4")
+    _read_payload(bin_path, data.reshape(count, plane), 4 * first * plane)
     # the pixels that hold the sentinel in band 0, narrowed band by band
     at = np.flatnonzero(data[0] == NODATA)
     for band in data[1:]:

@@ -9,12 +9,13 @@ same radiometric noise model the retrieval propagates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import ConfigError, DataError, DomainError
 from .quantification import GasConstants, integrate_ime
 from .scene_io import EnhancementField, RadianceCube, SensorDescriptor
 from .signature import BandAbsorption, transmittance
@@ -213,6 +214,12 @@ class SimParams:
     column_gain_amplitude: float = 0.0
     plume: Optional[SyntheticPlumeSpec] = None
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("band_start_nm", "band_stop_nm", "fwhm_nm", "gsd_m", "noise_a", "noise_c",
+                    "column_gain_amplitude", "endmember_levels", "endmember_tilts"):
+            if not all(math.isfinite(v) for v in np.ravel(getattr(self, key)) if v is not None):
+                raise ConfigError(f"simulate.{key} must be finite")
 
     def descriptor(self) -> SensorDescriptor:
         centers = np.linspace(self.band_start_nm, self.band_stop_nm, self.n_bands)

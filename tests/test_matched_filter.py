@@ -1128,12 +1128,30 @@ class TestSegmentOrderPass:
         n, mu, m2 = stats.moments
         for s in range(n.size):
             one = slice(s, s + 1)
-            cov = matched_filter._shrink(n[one], m2[one], config.shrinkage, config.delta_min)[0]
+            cov = matched_filter._shrink(m2[one] / n[one, None], config.shrinkage, config.delta_min)[0]
             ts = target_spectrum(absorption.k_band, mu[s])
             qs = scipy.linalg.cho_solve((np.linalg.cholesky(cov), True), ts)
             assert t[s].tobytes() == ts.tobytes()
             assert q[s].tobytes() == qs.tobytes()
             assert denom[s] == float(ts @ qs)
+
+    def test_filters_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # 3 groups of 4 columns: one run, or three (more runs than this host may have CPUs)
+        monkeypatch.setattr(matched_filter, "_MERGE_GROUP", 4)
+        rng = np.random.default_rng(99)
+        cube = engine_cube(rng, nodata=True)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant="cwcmf")
+        moments = compute_stats(cube, absorption, config).moments
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "workers", lambda: workers)
+            runs.append([x.tobytes() for x in matched_filter._filters(moments, absorption, config)])
+            runs.append([x.tobytes() for x in matched_filter._filters(moments, absorption, config,
+                                                                      np.array([8, 2, 5, 0, 7]))])
+        assert runs[0] == runs[2] == runs[4] and runs[1] == runs[3] == runs[5]
+        assert runs[1] == [b"".join(x[i * len(x) // 9 : (i + 1) * len(x) // 9] for i in (8, 2, 5, 0, 7))
+                           for x in runs[0]]
 
     def test_filters_keep_every_error(self, monkeypatch):
         monkeypatch.setattr(matched_filter, "_MERGE_GROUP", 4)
@@ -1155,6 +1173,111 @@ class TestSegmentOrderPass:
         mu[5, 2] = np.nan
         with pytest.raises(DataError, match="background mean must be finite"):
             matched_filter._filters((n, mu, m2), absorption, MfConfig(variant="cwcmf"))
+
+
+def recorded_refits(monkeypatch):
+    """The segments each ``_filters`` call fits, as a list; None stands for every segment."""
+    calls = []
+    original = matched_filter._filters
+
+    def recording(moments, absorption, config, segments=None):
+        calls.append(None if segments is None else segments.tolist())
+        return original(moments, absorption, config, segments)
+
+    monkeypatch.setattr(matched_filter, "_filters", recording)
+    return calls
+
+
+def assert_fully_refit(out, absorption, config):
+    """The oracle: a full ``_filters`` of the round's moments gives every segment's filter, byte for byte."""
+    for name, full in zip(("t", "q", "denom"), matched_filter._filters(out.fit, absorption, config)):
+        assert getattr(out, name).tobytes() == full.tobytes(), name
+
+
+class TestRefitChangedSegments:
+    # engine_cube scenes where each n_sigma leaves a mix of segments that lose
+    # rows and segments that keep them all (or, below zero, are skipped)
+    @staticmethod
+    def scene(seed):
+        rng = np.random.default_rng(seed)
+        return engine_cube(rng, nodata=True), make_absorption(8, rng=rng)
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_only_the_segments_that_lost_a_row_are_refit(self, monkeypatch, rounds):
+        cube, absorption = self.scene(91)
+        config = MfConfig(variant="cwcmf", contamination_iterations=rounds)
+        stats = compute_stats(cube, absorption, config)
+        calls = recorded_refits(monkeypatch)
+        out = decontaminate(cube, absorption, config, stats, n_sigma=2.0)
+        lost = np.flatnonzero(out.counts < stats.counts)
+        assert 0 < lost.size < stats.n_segments and len(calls) == rounds
+        assert calls[-1] == lost.tolist()
+        assert_fully_refit(out, absorption, config)
+        kept = np.setdiff1d(np.arange(stats.n_segments), lost)
+        for name in ("t", "q", "denom"):
+            assert getattr(out, name)[kept].tobytes() == getattr(stats, name)[kept].tobytes()
+
+    def test_a_segment_that_loses_no_row_in_round_two_gets_the_filter_of_stats(self):
+        cube, absorption = self.scene(94)
+        one = MfConfig(variant="cwcmf", contamination_iterations=1)
+        two = dataclasses.replace(one, contamination_iterations=2)
+        stats = compute_stats(cube, absorption, one)
+        first = decontaminate(cube, absorption, one, stats, n_sigma=3.0)
+        out = decontaminate(cube, absorption, two, stats, n_sigma=3.0)
+        # segment 4 lost rows in round 1 only
+        assert first.counts[4] < stats.counts[4] and out.counts[4] == stats.counts[4]
+        for name in ("t", "q", "denom"):
+            assert getattr(out, name)[4].tobytes() == getattr(stats, name)[4].tobytes()
+            assert getattr(out, name)[4].tobytes() != getattr(first, name)[4].tobytes()
+        assert_fully_refit(out, absorption, two)
+
+    def test_decontaminated_stats_are_refit_in_full(self, monkeypatch):
+        # their filters are not those of their full moments, so no segment keeps one
+        cube, absorption = self.scene(91)
+        config = MfConfig(variant="cwcmf", contamination_iterations=1)
+        first = decontaminate(cube, absorption, config, compute_stats(cube, absorption, config), n_sigma=2.0)
+        assert first.fit is not first.moments
+        calls = recorded_refits(monkeypatch)
+        out = decontaminate(cube, absorption, config, first, n_sigma=2.0)
+        assert calls == [list(range(first.n_segments))]
+        assert_fully_refit(out, absorption, config)
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_a_skipped_segment_keeps_the_last_filter_and_is_not_refit(self, monkeypatch, rounds):
+        cube, absorption = self.scene(92)
+        config = MfConfig(variant="cwcmf", contamination_iterations=rounds)
+        stats = compute_stats(cube, absorption, config)
+        last = decontaminate(cube, absorption, dataclasses.replace(config, contamination_iterations=rounds - 1),
+                             stats, n_sigma=-1.5)
+        calls = recorded_refits(monkeypatch)
+        out = decontaminate(cube, absorption, config, stats, n_sigma=-1.5)
+        flagged = [s for s, f in enumerate(out.flags) if "decontamination skipped (segment emptied)" in f]
+        # below zero every segment loses rows, so the last round refit all but its skipped ones
+        held = np.setdiff1d(np.arange(stats.n_segments), calls[-1])
+        assert held.size and set(held) <= set(flagged) and (rounds == 2 or held.tolist() == [2, 8])
+        for x, y in zip(out.fit + (out.t, out.q, out.denom), last.fit + (last.t, last.q, last.denom)):
+            assert x[held].tobytes() == y[held].tobytes()
+        # in round 2, segments 4-6 keep round 1's filters, not those of stats
+        assert rounds == 1 or out.q[held].tobytes() != stats.q[held].tobytes()
+        assert_fully_refit(out, absorption, config)
+
+
+class TestEstimationRows:
+    @pytest.mark.parametrize("variant,nodata", [("cwcmf", False), ("cwcmf", True), ("ctmf", True)])
+    def test_rows_equal_the_sorted_concatenation_of_the_members(self, variant, nodata):
+        rng = np.random.default_rng(101)
+        cube = engine_cube(rng, nodata=nodata)
+        absorption = make_absorption(8, rng=rng)
+        config = MfConfig(variant=variant, cluster_count=3)
+        stats = compute_stats(cube, absorption, config)
+        Y = _window_slab(cube, absorption.band_indices)
+        _, members, _ = matched_filter._build_partition(cube, config, Y)
+        assert any(len(m) > 1 for m in members) == (variant == "cwcmf" and nodata)
+        seg = stats.segment_map.ravel()
+        own = [np.flatnonzero(seg == s) for s in range(len(members))]
+        for rows, m in zip(stats.estimation_rows, members):
+            expected = np.sort(np.concatenate([own[i] for i in m]))
+            assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
 
 
 def full_merge(a, b, sign):

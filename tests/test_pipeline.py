@@ -221,6 +221,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"error: {text.split(':')[0]}." in err and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["band_start_nm", "band_stop_nm", "fwhm_nm", "gsd_m", "noise_a",
+                                     "noise_c", "column_gain_amplitude"])
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_simulate_value_is_a_config_error(self, tmp_path, key, value):
+        self.rejects(tmp_path, f"simulate: {{{key}: {value}}}", f"simulate.{key} must be finite")
+
+    @pytest.mark.parametrize("key", ["endmember_levels", "endmember_tilts"])
+    def test_non_finite_endmember_value_is_a_config_error(self, tmp_path, key):
+        self.rejects(tmp_path, f"simulate: {{{key}: [1.0, -.inf]}}", f"simulate.{key} must be finite")
+
+    def test_cli_simulate_rejects_a_yaml_nan_and_writes_no_cube(self, tmp_path, capsys):
+        # a nan band start used to give a cube of nan wavelengths, which pipeline refused
+        path = tmp_path / "bad.yaml"
+        path.write_text("simulate: {band_start_nm: .nan}\n")
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: simulate.band_start_nm must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_background_range_ends_load(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"background": {"n_select": 1, "buffer_m": 0, "min_sample": 0}}))

@@ -1,8 +1,10 @@
+import os
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from plumeflux import kernels
 from plumeflux.errors import ConfigError, DataError, DomainError
 from plumeflux.scene_io import (
     NODATA,
@@ -314,6 +316,74 @@ class TestFloat32WindowRead:
             tracemalloc.stop()
         assert cube.data.nbytes == slab_bytes
         assert peak <= 1.3 * slab_bytes
+
+
+class TestPooledRead:
+    # 40 bands over 2000-2550 nm: the 2100-2450 nm window starts after band 0
+    WINDOW = (2100.0, 2450.0)
+
+    @staticmethod
+    def write(tmp_path, rng):
+        data = f32(rng.random((40, 9, 11)) + 1.0)
+        data[:, 2, 3] = NODATA
+        data[:, 5, :] = NODATA
+        desc = SensorDescriptor("x", np.linspace(2000.0, 2550.0, 40), np.full(40, 10.0), 30.0)
+        write_cube(make_cube(data, descriptor=desc), tmp_path / "c")
+        inside = np.flatnonzero((desc.band_centers >= 2100.0) & (desc.band_centers <= 2450.0))
+        return inside[0], inside.size
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_equal_fromfile(self, tmp_path, rng, monkeypatch, workers):
+        first, count = self.write(tmp_path, rng)
+        offsets = []
+        preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, at: offsets.append(at) or preadv(fd, bufs, at))
+        monkeypatch.setattr(kernels, "workers", lambda: workers)
+        back = read_cube(tmp_path / "c", window=self.WINDOW)
+        raw = np.fromfile(tmp_path / "c.bin", "<f4", count * 99, offset=4 * first * 99).reshape(count, 9, 11)
+        nodata = np.all(raw == NODATA, axis=0)
+        assert first > 0 and nodata.sum() == 11 + 1
+        assert np.array_equal(back.nodata_mask, nodata)
+        assert back.data.tobytes() == np.where(nodata, np.float32(0.0), raw).tobytes()
+        # one read per run of bands, each at its run's first band
+        assert sorted(offsets) == [4 * 99 * (first + r.start) for r in kernels.runs(np.ones(count))]
+        assert len(offsets) == workers
+
+    def test_short_reads_complete(self, tmp_path, rng, monkeypatch):
+        self.write(tmp_path, rng)
+        whole = read_cube(tmp_path / "c", window=self.WINDOW)
+        preadv, calls = os.preadv, []
+
+        def short(fd, bufs, at):  # at most 13 bytes a call, so reads end inside a float
+            calls.append(at)
+            return preadv(fd, [memoryview(bufs[0])[:13]], at)
+
+        monkeypatch.setattr(os, "preadv", short)
+        monkeypatch.setattr(kernels, "workers", lambda: 2)
+        back = read_cube(tmp_path / "c", window=self.WINDOW)
+        assert back.data.tobytes() == whole.data.tobytes()
+        assert np.array_equal(back.nodata_mask, whole.nodata_mask)
+        runs = kernels.runs(np.ones(whole.data.shape[0]))
+        assert len(runs) == 2 and len(calls) == sum(-(-whole.data[r].nbytes // 13) for r in runs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_finite_check_covers_every_run_of_bands(self, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "workers", lambda: workers)
+        mask = np.zeros((3, 4), dtype=bool)
+        mask[1, 2] = True
+        for band in range(7):
+            data = np.ones((7, 3, 4))
+            data[band, 1, 2] = np.nan  # under nodata
+            make_cube(data, nodata_mask=mask)
+            data[band, 2, 0] = np.inf
+            with pytest.raises(DataError, match="non-finite radiance outside nodata_mask"):
+                make_cube(data, nodata_mask=mask)
+
+    def test_a_read_of_zero_bytes_is_data_error(self, tmp_path, rng, monkeypatch):
+        self.write(tmp_path, rng)
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, at: 0)
+        with pytest.raises(DataError, match=r"payload .*c\.bin ended \d+ bytes early"):
+            read_cube(tmp_path / "c", window=self.WINDOW)
 
 
 class TestHeaderValues:
