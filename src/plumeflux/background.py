@@ -127,28 +127,21 @@ def match_background(
     # arithmetic; a row's angle does not depend on the chunk it is scored in
     reference = planes.T[np.ix_((plume_mask & valid).ravel(), bands)].astype(np.float64)
     reference = normalized_features(reference.mean(axis=0))
-    cand, step = np.flatnonzero(candidates), kernels._PIXEL_CHUNK
+    cand = np.flatnonzero(candidates)
     angles = np.empty(cand.size)
 
-    def score(starts, gather, buf, sq, means, flags):
-        for lo in starts:
-            chunk = cand[lo : lo + step]
-            n = chunk.size
-            for i, b in enumerate(bands):  # each take reads one contiguous band plane
-                np.take(planes[b], chunk, out=gather[i, :n], mode="clip")
-            rows = buf[:n]
-            rows[...] = gather[:, :n].T
-            unit_mean_rows(rows, means[:n], flags[:n])
-            out = angles[lo : lo + n]
-            _angles(rows, reference, out, sq[:n], out, flags[:n])
+    def score(lo, hi, gather, rows, sq, means, flags):
+        chunk, planar = cand[lo:hi], gather.reshape(bands.size, -1)
+        for i, b in enumerate(bands):  # each take reads one contiguous band plane
+            np.take(planes[b], chunk, out=planar[i], mode="clip")
+        rows[...] = planar.T
+        unit_mean_rows(rows, means, flags)
+        out = angles[lo:hi]  # one object, so _angles sees that its norms are out
+        _angles(rows, reference, out, sq, out, flags)
 
-    size = min(step, cand.size)
-    kernels.in_parallel(
-        lambda args: score(*args),
-        [(starts, np.empty((bands.size, size), dtype=planes.dtype), np.empty((size, bands.size)),
-          np.empty((size, bands.size)), np.empty(size), np.empty(size, dtype=bool))
-         for starts in kernels.chunk_runs(cand.size, step)],
-    )
+    kernels.in_chunks(score, cand.size, kernels._PIXEL_CHUNK, lambda size: [
+        np.empty((size, bands.size), dtype=planes.dtype), np.empty((size, bands.size)),
+        np.empty((size, bands.size)), np.empty(size), np.empty(size, dtype=bool)])
 
     # the n_select lowest angles, ties in flat index, so (line, sample), order:
     # sort only the angles up to the k-th lowest (NaN sorts last in both)

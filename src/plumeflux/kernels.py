@@ -7,13 +7,14 @@ pixel chunks, band by band, with per-segment tables looked up by each
 pixel's segment (-1: nodata, which scores 0); the k-means kernels take
 float64 (pixels, bands) arrays.
 
-The whole-scene passes (these sweeps, the moments pass, the background
-match, the ctmf feature build, the k-means steps, the cube's payload read and
-finite check), the k-means sums and the filters (in runs of merge groups)
-split their work into ``runs``, one per CPU, and hand them to
-``in_parallel``. A run gets every buffer it writes from the calling thread,
-so pool threads allocate nothing large, and each element is computed by the
-same operations as in one run; the outputs do not depend on the CPU count.
+The whole-scene passes split their work into ``runs``, one per CPU, and
+hand them to ``in_parallel``. The fixed-step passes (these sweeps, the
+k-means label, distance and bound steps, the ctmf feature build, the
+filters and the background match) go through ``in_chunks``; the passes
+that split by weight (the moments pass, the k-means sums, the cube's payload
+read and finite check) call ``in_parallel`` with their own runs. Each
+element is computed by the same operations as in one run, so the outputs do
+not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -95,17 +96,15 @@ def runs(sizes) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
 
 
-def chunk_runs(n: int, step: int) -> list[range]:
-    """The starts of ``step``-item chunks of n items, split into ``runs``: one range of starts per run."""
-    starts = range(0, n, step)
-    return [starts[r] for r in runs([min(step, n - lo) for lo in starts])]
-
-
 class _Pool:
     """Daemon threads that run the parts handed to them, each with OpenBLAS pinned to itself.
 
-    Not ``concurrent.futures``: importing it (and ``logging``) takes 5 ms and
-    0.6 MB of Python objects, either at import or inside the first pass.
+    A ``concurrent.futures.ThreadPoolExecutor`` with the same initializer
+    would serve as well: scipy.linalg, scipy.sparse and scipy.ndimage import
+    it (and ``logging``) anyway, and used as ``in_parallel`` uses this pool,
+    the first part inline, it took about the same time per two-part call
+    (27 against 25 us on a 2-CPU host). The inline first part is what
+    counts: an executor that ran both parts on its threads took 38-53 us.
     """
 
     def __init__(self, threads: int):
@@ -161,51 +160,65 @@ def in_parallel(fn, parts) -> list:
     return first + [value for _, value in slots]
 
 
+def in_chunks(fn, n: int, step: int, scratch) -> None:
+    """``fn(lo, hi, *buffers)`` for each ``step``-item chunk [lo, hi) of n items, the chunks in ``runs``.
+
+    Each run gets one set of buffers, ``scratch(min(step, n))``, made on the
+    calling thread, so pool threads allocate nothing large; a chunk gets each
+    buffer cut to its first ``hi - lo`` rows. The chunks of a run go in order
+    on one thread (``in_parallel``). The chunk edges depend on ``step`` only,
+    so a pass whose chunks each compute their own elements gives the same
+    bytes on any number of CPUs.
+    """
+    starts = range(0, n, step)
+
+    def run(part):
+        chunks, buffers = part
+        for lo in chunks:
+            hi = min(lo + step, n)
+            fn(lo, hi, *(b[: hi - lo] for b in buffers))
+
+    sizes = [min(step, n - lo) for lo in starts]
+    in_parallel(run, [(starts[r], scratch(min(step, n))) for r in runs(sizes)])
+
+
 def _padded(table, fill=0.0):
     """Per-segment table with an entry for segment -1 appended."""
     return np.concatenate([table, np.full((1,) + table.shape[1:], fill)])
 
 
-def _sweep(Y, segment_map, out, *tables):
-    """The slab's pixel chunks in contiguous ``runs``, one per worker.
+def _sweep(Y, segment_map, out, kernel, *tables):
+    """``kernel(acc, term, bands)`` on each pixel chunk of the slab, through ``in_chunks``.
 
-    A run yields (acc, term, bands) per chunk: ``acc`` is the chunk's view of
-    ``out``, ``term`` a scratch array of its shape, and ``bands`` yields each
-    band's values with every table's entries for the chunk's pixels. The
-    tables are ``_padded`` (segments + 1, bands). When every valid pixel of a
-    2-D map carries its column's segment (a column partition, as in cmf and
-    cwcmf), a chunk is whole lines, the values are (lines, samples) and an
-    entry is its column's table row, broadcast; any other map gathers the
-    entries pixel by pixel. Each run has its own scratch, made here.
+    ``acc`` is the chunk's view of ``out``, ``term`` a scratch array of its
+    shape, and ``bands`` yields each band's values with every table's
+    entries for the chunk's pixels. The tables are ``_padded`` (segments + 1,
+    bands). When every valid pixel of a 2-D map carries its column's segment
+    (a column partition, as in cmf and cwcmf), a chunk is whole lines, the
+    values are (lines, samples) and an entry is its column's table row,
+    broadcast; any other map gathers the entries pixel by pixel, each table
+    into its own buffer.
     """
     seg = segment_map.ravel()
     column = segment_map.max(axis=0) if segment_map.ndim == 2 else None
     by_column = column is not None and bool(np.all((segment_map == column) | (segment_map < 0)))
     step = max(1, _PIXEL_CHUNK // column.size) * column.size if by_column else _PIXEL_CHUNK
-    size = min(step, seg.size)
-    if by_column:
-        tables = [np.ascontiguousarray(t[column].T) for t in tables]  # (bands, samples)
+    # per band: each column's entry (bands, samples), or every segment's to gather from
+    tables = [np.ascontiguousarray((t[column] if by_column else t).T) for t in tables]
 
-        def bands(lo, shape, gathered):
-            for b, y in enumerate(Y[:, lo : lo + step]):
-                yield (y.reshape(shape), *(t[b] for t in tables))
-    else:
-        tables = [np.ascontiguousarray(t.T) for t in tables]  # (bands, segments + 1)
+    def chunk(lo, hi, term, *gathered):
+        acc, ys = out[lo:hi], Y[:, lo:hi]
+        if by_column:
+            acc = acc.reshape(-1, column.size)
+            bands = ((y.reshape(acc.shape), *(t[b] for t in tables)) for b, y in enumerate(ys))
+        else:
+            s = seg[lo:hi]
+            bands = ((y, *(np.take(t[b], s, out=w, mode="wrap") for t, w in zip(tables, gathered)))
+                     for b, y in enumerate(ys))
+        kernel(acc, term.reshape(acc.shape), bands)
 
-        def bands(lo, shape, gathered):
-            s = seg[lo : lo + step]
-            for b, y in enumerate(Y[:, lo : lo + step]):
-                yield (y, *(np.take(t[b], s, out=w[: s.size], mode="wrap")
-                            for t, w in zip(tables, gathered)))
-
-    def run(starts, term, gathered):
-        for lo in starts:
-            acc = out[lo : lo + step]
-            acc = acc.reshape(-1, column.size) if by_column else acc
-            yield acc, term[: acc.size].reshape(acc.shape), bands(lo, acc.shape, gathered)
-
-    return [run(starts, np.empty(size), None if by_column else np.empty((len(tables), size)))
-            for starts in chunk_runs(seg.size, step)]
+    buffers = 1 if by_column else 1 + len(tables)  # the term, and one gather per table
+    in_chunks(chunk, seg.size, step, lambda size: [np.empty(size) for _ in range(buffers)])
 
 
 def mf_scores(Y, segment_map, mu, q, denom):
@@ -217,13 +230,12 @@ def mf_scores(Y, segment_map, mu, q, denom):
     seg = segment_map.ravel()
     out = np.zeros(seg.size)
 
-    def score(chunks):
-        for acc, t, bands in chunks:
-            for y, m, w in bands:
-                np.subtract(y, m, out=t)
-                acc += np.multiply(t, w, out=t)
+    def score(acc, t, bands):
+        for y, m, w in bands:
+            np.subtract(y, m, out=t)
+            acc += np.multiply(t, w, out=t)
 
-    in_parallel(score, _sweep(Y, segment_map, out, _padded(mu), _padded(q)))
+    _sweep(Y, segment_map, out, score, _padded(mu), _padded(q))
     out /= _padded(denom, 1.0)[seg]
     out[seg < 0] = 0.0
     return out
@@ -234,12 +246,11 @@ def noise_variance(Y, segment_map, a, c, q, denom):
     seg = segment_map.ravel()
     out = np.zeros(seg.size)
 
-    def spread(chunks):
-        for acc, t, bands in chunks:
-            for y, w in bands:
-                acc += np.multiply(np.maximum(y, 0.0, out=t), w, out=t)
+    def spread(acc, t, bands):
+        for y, w in bands:
+            acc += np.multiply(np.maximum(y, 0.0, out=t), w, out=t)
 
-    in_parallel(spread, _sweep(Y, segment_map, out, _padded(a * q * q)))
+    _sweep(Y, segment_map, out, spread, _padded(a * q * q))
     out += _padded(q * q @ c)[seg]
     out /= _padded(denom * denom, 1.0)[seg]
     out[seg < 0] = 0.0
@@ -272,29 +283,24 @@ def assign_labels(X, centers, rows=None):
         step = max(1, step // 4)
     c2 = np.einsum("kj,kj->k", centers, centers)
 
-    def label(part):
-        starts, d, x2, t, gathered = part
-        for lo in starts:
-            hi = min(lo + step, n)
-            block = X[lo:hi]
-            if rows is not None:  # mode="clip" lets take write into the gather buffer unbuffered
-                block = np.take(X, rows[lo:hi], axis=0, out=gathered[: hi - lo], mode="clip")
-            dist = np.matmul(block, centers.T, out=d[: hi - lo])
-            dist *= -2.0
-            dist += c2
-            dist += np.einsum("ij,ij->i", block, block, out=x2[: hi - lo])[:, None]
-            np.argmin(dist, axis=1, out=labels[lo:hi])
-            # two smallest per row, one column at a time (a row reduction over k is slow)
-            m1, m2 = d1[lo:hi], d2[lo:hi]
-            m1[:], m2[:] = dist[:, 0], np.inf
-            for col in dist.T[1:]:
-                np.minimum(m2, np.maximum(m1, col, out=t[: hi - lo]), out=m2)
-                np.minimum(m1, col, out=m1)
+    def label(lo, hi, d, x2, t, gathered=None):
+        block = X[lo:hi]
+        if rows is not None:  # mode="clip" lets take write into the gather buffer unbuffered
+            block = np.take(X, rows[lo:hi], axis=0, out=gathered, mode="clip")
+        dist = np.matmul(block, centers.T, out=d)
+        dist *= -2.0
+        dist += c2
+        dist += np.einsum("ij,ij->i", block, block, out=x2)[:, None]
+        np.argmin(dist, axis=1, out=labels[lo:hi])
+        # two smallest per row, one column at a time (a row reduction over k is slow)
+        m1, m2 = d1[lo:hi], d2[lo:hi]
+        m1[:], m2[:] = dist[:, 0], np.inf
+        for col in dist.T[1:]:
+            np.minimum(m2, np.maximum(m1, col, out=t), out=m2)
+            np.minimum(m1, col, out=m1)
 
-    size = min(step, n)
-    in_parallel(label, [(starts, np.empty((size, k)), np.empty(size), np.empty(size),
-                         None if rows is None else np.empty((size, p)))
-                        for starts in chunk_runs(n, step)])
+    in_chunks(label, n, step, lambda size: [np.empty((size, k)), np.empty(size), np.empty(size)]
+              + ([] if rows is None else [np.empty((size, p))]))
     return labels, d1, d2
 
 
@@ -348,21 +354,16 @@ def min_sqdist_update(X, centers, d2, labels=None):
     Each row's value is computed alone, so the chunks do not change it.
     """
     n, p = X.shape
-    step = _DIST_ROWS
 
-    def update(part):
-        starts, diff, sq = part
-        for lo in starts:
-            x, d = X[lo : lo + step], d2[lo : lo + step]
-            t = diff[: x.shape[0]]
-            if labels is not None:
-                np.subtract(x, np.take(centers, labels[lo : lo + step], axis=0, out=t, mode="clip"), out=t)
-            else:
-                np.subtract(x, centers, out=t)
-            np.minimum(d, np.einsum("ij,ij->i", t, t, out=sq[: x.shape[0]]), out=d)
+    def update(lo, hi, t, sq):
+        x, d = X[lo:hi], d2[lo:hi]
+        if labels is not None:
+            np.subtract(x, np.take(centers, labels[lo:hi], axis=0, out=t, mode="clip"), out=t)
+        else:
+            np.subtract(x, centers, out=t)
+        np.minimum(d, np.einsum("ij,ij->i", t, t, out=sq), out=d)
 
-    size = min(step, n)
-    in_parallel(update, [(starts, np.empty((size, p)), np.empty(size)) for starts in chunk_runs(n, step)])
+    in_chunks(update, n, _DIST_ROWS, lambda size: (np.empty((size, p)), np.empty(size)))
     return d2
 
 

@@ -265,7 +265,7 @@ class _BoundedLabels:
         eps = np.finfo(np.float64).eps
         self.rel = max(_MARGIN, 64 * (X.shape[1] + 3) * eps)
         self.grow = 1.0 + 4 * (X.shape[1] + 4) * eps
-        self.scratch, self.flag = np.empty(X.shape[0]), np.empty(X.shape[0], dtype=bool)
+        self.flag = np.empty(X.shape[0], dtype=bool)  # the rows the bounds cannot settle
 
     @staticmethod
     def _bounds(d1: np.ndarray, d2: np.ndarray, pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,21 +298,19 @@ class _BoundedLabels:
         np.fill_diagonal(gaps, np.inf)
         half = gaps.min(axis=1) / (2.0 * grow)
 
-        def bound(starts):
+        def bound(lo, hi, t):
             # widen the bounds by the moves and flag the rows they cannot settle
-            for lo in starts:
-                at = slice(lo, lo + kernels._PIXEL_CHUNK)
-                own, t, flag = labels[at], self.scratch[at], self.flag[at]
-                up, low = self.upper[at], self.lower[at]
-                up += np.take(move, own, out=t, mode="clip")
-                up *= grow
-                t[:] = move[first]
-                np.copyto(t, move[second], where=np.equal(own, first, out=flag))
-                low -= t
-                low /= grow
-                np.greater(up, np.maximum(low, np.take(half, own, out=t, mode="clip"), out=t), out=flag)
+            own, flag = labels[lo:hi], self.flag[lo:hi]
+            up, low = self.upper[lo:hi], self.lower[lo:hi]
+            up += np.take(move, own, out=t, mode="clip")
+            up *= grow
+            t[:] = move[first]
+            np.copyto(t, move[second], where=np.equal(own, first, out=flag))
+            low -= t
+            low /= grow
+            np.greater(up, np.maximum(low, np.take(half, own, out=t, mode="clip"), out=t), out=flag)
 
-        kernels.in_parallel(bound, kernels.chunk_runs(labels.size, kernels._PIXEL_CHUNK))
+        kernels.in_chunks(bound, labels.size, kernels._PIXEL_CHUNK, lambda size: [np.empty(size)])
         rows = np.flatnonzero(self.flag)
         if rows.size == 0:
             return self._settle(labels, rows, labels[rows])
@@ -370,20 +368,15 @@ def _cluster_features(Y: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     """
     p, n = Y.shape[0], pixels.size
     feats = np.empty((n, p))
-    step = _FEATURE_CHUNK
 
-    def fill(part):
-        starts, raw, means, zero = part
-        for lo in starts:
-            at = pixels[lo : lo + step]
-            rows = feats[lo : lo + at.size]
-            # a flat buffer, so the (p, m) view stays C-contiguous and take writes in place
-            np.copyto(rows, np.take(Y, at, axis=1, out=raw[: p * at.size].reshape(p, -1), mode="clip").T)
-            unit_mean_rows(rows, means[: at.size], zero[: at.size])
+    def fill(lo, hi, raw, means, zero):
+        rows = feats[lo:hi]
+        # raw is (m, p) and C-contiguous, so its (p, m) view is too and take writes in place
+        np.copyto(rows, np.take(Y, pixels[lo:hi], axis=1, out=raw.reshape(p, -1), mode="clip").T)
+        unit_mean_rows(rows, means, zero)
 
-    size = min(step, n)
-    kernels.in_parallel(fill, [(starts, np.empty(p * size, Y.dtype), np.empty(size),
-                                np.empty(size, dtype=bool)) for starts in kernels.chunk_runs(n, step)])
+    kernels.in_chunks(fill, n, _FEATURE_CHUNK, lambda size: [
+        np.empty((size, p), Y.dtype), np.empty(size), np.empty(size, dtype=bool)])
     return feats
 
 
@@ -496,28 +489,25 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
 def _filters(moments: tuple, absorption: BandAbsorption, config: MfConfig, segments=None) -> tuple:
     """The (t, q, denom) of every segment, or of ``segments`` in their order, from the moments.
 
-    Runs of merge groups go to the workers, each with a stack and a factor
-    buffer made here: one group is gathered at a time, never the whole stack.
+    The merge groups go through ``kernels.in_chunks``, each run with a stack
+    and a factor buffer: one group is gathered at a time, never the whole stack.
     """
     n, mu, m2 = moments
     t = target_spectrum(absorption.k_band, mu if segments is None else mu[segments])
     segments = np.arange(n.size) if segments is None else segments
     q, denom = np.empty_like(t), np.empty(segments.size)
 
-    def whiten(starts, cov, chol):
-        for lo in starts:
-            at = segments[lo : lo + _MERGE_GROUP]
-            k = at.size
-            # S = M2 / n, packed in the factor's buffer, which the factor overwrites after
-            s = np.take(m2, at, axis=0, out=chol.ravel()[: k * m2.shape[1]].reshape(k, -1), mode="clip")
-            s /= n[at][:, None]
-            shrunk = _shrink(s, config.shrinkage, config.delta_min, out=cov[:k])
-            q[lo : lo + k], denom[lo : lo + k] = _whiten(shrunk, t[lo : lo + k], chol[:k])
+    def whiten(lo, hi, cov, chol):
+        at = segments[lo:hi]
+        # S = M2 / n, packed in the factor's buffer, which the factor overwrites after
+        s = np.take(m2, at, axis=0, out=chol.ravel()[: at.size * m2.shape[1]].reshape(at.size, -1), mode="clip")
+        s /= n[at][:, None]
+        shrunk = _shrink(s, config.shrinkage, config.delta_min, out=cov)
+        q[lo:hi], denom[lo:hi] = _whiten(shrunk, t[lo:hi], chol)
 
-    size, p = min(_MERGE_GROUP, segments.size), t.shape[1]
-    kernels.in_parallel(lambda args: whiten(*args), [
-        (starts, np.empty((size, p, p)), np.empty((size, p, p)))
-        for starts in kernels.chunk_runs(segments.size, _MERGE_GROUP)])
+    p = t.shape[1]
+    kernels.in_chunks(whiten, segments.size, _MERGE_GROUP,
+                      lambda size: (np.empty((size, p, p)), np.empty((size, p, p))))
     return t, q, denom
 
 

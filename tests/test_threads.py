@@ -221,6 +221,37 @@ class TestRuns:
             assert [i for r in runs for i in range(r.start, r.stop)] == list(range(len(sizes)))
         assert len(kernels.runs([1] * 16)) == min(workers, 16)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_in_chunks_hands_each_run_its_chunks_and_buffers(self, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "workers", lambda: workers)
+        step = 4
+        for n in (0, 1, step - 1, step, 5 * step + 3):
+            made, calls = [], []
+
+            def scratch(size):
+                made.append((size, np.empty(size), np.empty((size, 3))))
+                return made[-1][1:]
+
+            def fn(lo, hi, a, b):
+                calls.append((lo, hi, a, b))
+
+            kernels.in_chunks(fn, n, step, scratch)
+            if n == 0:
+                assert made == [] and calls == []
+                continue
+            # every chunk once, each of step items but the last
+            assert sorted((lo, hi) for lo, hi, _, _ in calls) == [(lo, min(lo + step, n))
+                                                                  for lo in range(0, n, step)]
+            assert 1 <= len(made) <= workers and all(size == min(step, n) for size, _, _ in made)
+            # each buffer is its run's buffer cut to the chunk's hi - lo leading rows
+            for lo, hi, a, b in calls:
+                assert a.shape == (hi - lo,) and b.shape == (hi - lo, 3)
+            runs = [[(lo, hi) for lo, hi, a, b in calls if a.base is run_a and b.base is run_b]
+                    for _, run_a, run_b in made]
+            # the runs, in the order their buffers were made, cover range(n) in order
+            assert [i for run in runs for lo, hi in run for i in range(lo, hi)] == list(range(n))
+            assert all(run for run in runs)
+
     def test_a_failing_part_is_raised_after_every_part_ended(self, monkeypatch):
         monkeypatch.setattr(kernels, "workers", lambda: 2)
         ended = []
