@@ -66,8 +66,8 @@ def spectral_angle(spectra: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def _angles(spectra, reference, out, sq, norms, ok):
     """``spectral_angle`` into ``out``; ``sq`` (the spectra's shape and dtype), ``norms`` and ``ok`` are scratch.
 
-    ``norms`` may be ``out`` for float64 spectra. Allocates nothing of the
-    spectra's size unless a row has zero norm.
+    ``norms`` may share ``out``'s memory for float64 spectra. Allocates
+    nothing of the spectra's size unless a row has zero norm.
     """
     ref_norm = float(np.linalg.norm(reference))
     np.sqrt(np.add.reduce(np.multiply(spectra, spectra, out=sq), axis=-1, out=norms), out=norms)
@@ -85,7 +85,9 @@ def _angles(spectra, reference, out, sq, norms, ok):
     np.sqrt(np.add.reduce(np.multiply(unit, unit, out=unit), axis=-1, out=chord), out=chord)
     np.divide(chord, 2.0, out=chord)
     np.multiply(2.0, np.arcsin(np.clip(chord, 0.0, 1.0, out=chord), out=chord), out=chord)
-    if chord is not out:
+    if ok.all():  # chord is norms, which may share out's memory: copyto allows that
+        np.copyto(out, chord)
+    else:
         out.fill(np.pi)
         out[ok] = chord
     return out
@@ -136,7 +138,7 @@ def match_background(
             np.take(planes[b], chunk, out=planar[i], mode="clip")
         rows[...] = planar.T
         unit_mean_rows(rows, means, flags)
-        out = angles[lo:hi]  # one object, so _angles sees that its norms are out
+        out = angles[lo:hi]  # float64 rows, so the norms go into out
         _angles(rows, reference, out, sq, out, flags)
 
     kernels.in_chunks(score, cand.size, kernels._PIXEL_CHUNK, lambda size: [

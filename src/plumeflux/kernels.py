@@ -19,11 +19,9 @@ not depend on the CPU count.
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import functools
 import os
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -96,48 +94,13 @@ def runs(sizes) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
 
 
-class _Pool:
-    """Daemon threads that run the parts handed to them, each with OpenBLAS pinned to itself.
-
-    A ``concurrent.futures.ThreadPoolExecutor`` with the same initializer
-    would serve as well: scipy.linalg, scipy.sparse and scipy.ndimage import
-    it (and ``logging``) anyway, and used as ``in_parallel`` uses this pool,
-    the first part inline, it took about the same time per two-part call
-    (27 against 25 us on a 2-CPU host). The inline first part is what
-    counts: an executor that ran both parts on its threads took 38-53 us.
-    """
-
-    def __init__(self, threads: int):
-        self.tasks, self.ready = collections.deque(), threading.Semaphore(0)
-        for _ in range(threads):
-            threading.Thread(target=self._serve, name="plumeflux-slab", daemon=True).start()
-
-    def submit(self, fn, part, done) -> list:
-        """Hand ``fn(part)`` to a thread: its [ok, result or exception], set before ``done`` is released."""
-        slot = [False, None]
-        self.tasks.append((fn, part, slot, done))
-        self.ready.release()
-        return slot
-
-    def _serve(self) -> None:
-        _blas_threads_setter()(1)
-        while True:
-            self.ready.acquire()
-            self._run(*self.tasks.popleft())  # holds no part's buffers once it returns
-
-    @staticmethod
-    def _run(fn, part, slot, done) -> None:
-        try:
-            slot[:] = True, fn(part)
-        except BaseException as exc:  # raised again on the calling thread
-            slot[1] = exc
-        done.release()
-
-
 @functools.cache
-def _pool(threads: int, pid: int) -> _Pool:
+def _executor(threads: int, pid: int):
     """The pool, made on first use; a forked child (another ``pid``) makes its own."""
-    return _Pool(threads)
+    from concurrent.futures import ThreadPoolExecutor  # here: importing plumeflux loads neither it nor logging
+
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="plumeflux-slab",
+                              initializer=_blas_threads_setter(), initargs=(1,))
 
 
 def in_parallel(fn, parts) -> list:
@@ -147,17 +110,13 @@ def in_parallel(fn, parts) -> list:
     with one CPU, the one part runs inline. Every part has ended when this
     returns or raises.
     """
-    done = threading.Semaphore(0)
-    slots = [_pool(max(1, workers() - 1), os.getpid()).submit(fn, part, done) for part in parts[1:]]
+    rest = [_executor(max(1, workers() - 1), os.getpid()).submit(fn, part) for part in parts[1:]]
     try:
         first = [fn(part) for part in parts[:1]]
     finally:
-        for _ in slots:
-            done.acquire()
-    for ok, value in slots:
-        if not ok:
-            raise value
-    return first + [value for _, value in slots]
+        for future in rest:  # one at a time: a wait() on the set took half as long again a call
+            future.exception()
+    return first + [future.result() for future in rest]
 
 
 def in_chunks(fn, n: int, step: int, scratch) -> None:

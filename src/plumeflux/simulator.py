@@ -33,6 +33,9 @@ class SyntheticPlumeSpec:
     truth_mask_fraction: float = 0.01
 
     def __post_init__(self):
+        for key in ("center", "peak_delta_x", "sigma_along_m", "sigma_across_m", "orientation_rad"):
+            if not all(math.isfinite(v) for v in np.ravel(getattr(self, key))):
+                raise ConfigError(f"simulate.plume.{key} must be finite")
         if self.peak_delta_x < 0:
             raise DomainError("peak_delta_x must be non-negative")
         if self.sigma_along_m <= 0 or self.sigma_across_m <= 0:

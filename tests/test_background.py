@@ -4,6 +4,7 @@ import scipy.ndimage
 
 from plumeflux import kernels
 from plumeflux.background import (
+    _angles,
     clutter_sigma,
     continuum_bands,
     match_background,
@@ -166,6 +167,19 @@ class TestSpectralAngleArithmetic:
             assert angles.tobytes() == norm_form_angle(rows, ref).tobytes()
         assert np.all(spectral_angle(with_zeros, reference)[[0, 17, 499]] == np.pi)
         assert np.all(spectral_angle(spectra, np.zeros(25)) == np.pi)
+
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_norms_may_be_another_view_of_out(self, rng, zero_row):
+        # the norms share the angles' memory without being the same object
+        spectra = rng.random((6, 5)) + 0.1
+        if zero_row:
+            spectra[2] = 0.0
+        reference = rng.random(5) + 0.1
+        buf = np.empty(6)
+        angles = _angles(spectra, reference, buf[0:6], np.empty_like(spectra), buf[0:6],
+                         np.empty(6, dtype=bool))
+        assert angles.tobytes() == spectral_angle(spectra, reference).tobytes()
+        assert np.all(angles < np.pi) != zero_row
 
 
 class TestClutterSigma:

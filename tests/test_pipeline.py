@@ -227,6 +227,15 @@ class TestConfig:
     def test_non_finite_simulate_value_is_a_config_error(self, tmp_path, key, value):
         self.rejects(tmp_path, f"simulate: {{{key}: {value}}}", f"simulate.{key} must be finite")
 
+    @pytest.mark.parametrize("key", ["center", "peak_delta_x", "sigma_along_m", "sigma_across_m",
+                                     "orientation_rad"])
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_plume_value_is_a_config_error(self, tmp_path, key, value):
+        # peak_delta_x has no default; center takes one non-finite entry
+        plume = {"peak_delta_x": "900.0", key: f"[48, {value}]" if key == "center" else value}
+        text = ", ".join(f"{k}: {v}" for k, v in plume.items())
+        self.rejects(tmp_path, f"simulate: {{plume: {{{text}}}}}", f"simulate.plume.{key} must be finite")
+
     @pytest.mark.parametrize("key", ["endmember_levels", "endmember_tilts"])
     def test_non_finite_endmember_value_is_a_config_error(self, tmp_path, key):
         self.rejects(tmp_path, f"simulate: {{{key}: [1.0, -.inf]}}", f"simulate.{key} must be finite")
@@ -513,7 +522,8 @@ class TestPipelineLevel2:
             "from plumeflux.pipeline import run_pipeline",
             f"cfg = load_config({str(cfg_path)!r})",
             "loaded = lambda: [m for m in ('scipy.linalg', 'scipy.ndimage') if m in sys.modules]",
-            "print(loaded())",
+            # the pool's concurrent.futures (and its logging) load on first use only
+            "print(loaded(), [m for m in ('concurrent.futures', 'logging') if m in sys.modules])",
             f"report = run_pipeline(cfg, Path({str(tmp_path / 'out')!r}))",
             "print(loaded(), report['plume_count'])",
         ])
@@ -521,7 +531,7 @@ class TestPipelineLevel2:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == ["[]", "['scipy.ndimage'] 1"]
+        assert run.stdout.splitlines() == ["[] []", "['scipy.ndimage'] 1"]
 
     def test_write_plumes_returns_the_written_raster(self, tmp_path, rng):
         values = rng.standard_normal((40, 50)) * 20

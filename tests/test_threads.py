@@ -8,7 +8,10 @@ so a buffer shared between two runs shows up as changed bytes.
 """
 
 import dataclasses
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -268,6 +271,32 @@ class TestRuns:
         assert ended == [0]
         assert kernels.in_parallel(lambda i: i * i, [3, 4]) == [9, 16]
 
+    def test_a_forked_child_makes_its_own_pool(self):
+        # the child inherits the parent's pool but none of its threads; in a fresh
+        # interpreter, so the test process never forks, and the child is killed
+        # by SIGALRM if it waits on a pool that has no threads
+        script = textwrap.dedent("""
+            import os, signal
+            from plumeflux import kernels
+            kernels.workers = lambda: 2
+            assert kernels.in_parallel(abs, [-1, -2]) == [1, 2]
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                ok = False
+                try:
+                    ok = kernels.in_parallel(abs, [-3, -4]) == [3, 4]
+                finally:
+                    os._exit(0 if ok else 1)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            assert kernels.in_parallel(abs, [-5, -6]) == [5, 6]
+        """)
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+
 
 def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     # the benchmark's per-layer spans assume one thread: nothing it traces may
@@ -305,4 +334,4 @@ def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     assert {"kernels.mf_scores", "kernels.noise_variance", "background.match_background",
             "segmentation.robust_threshold", "kernels.assign_labels", "kernels.cluster_sums"} <= names
     assert {ident for _, ident in calls} == {threading.get_ident()}
-    assert any(t.name == "plumeflux-slab" for t in threading.enumerate())
+    assert any(t.name.startswith("plumeflux-slab") for t in threading.enumerate())
