@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .config import default_config_yaml, load_config
 from .errors import ConfigError, PlumefluxError
@@ -73,16 +73,9 @@ def cmd_simulate(args) -> int:
     if truth is not None:
         write_raster(truth.delta_x_true, out / "truth_delta_x", cube.gsd, cube.origin)
         write_raster(truth.mask.astype(float), out / "truth_mask", cube.gsd, cube.origin)
-        doc["plume"] = {
-            "center": list(truth.spec.center),
-            "peak_delta_x_ppmm": truth.spec.peak_delta_x,
-            "sigma_along_m": truth.spec.sigma_along_m,
-            "sigma_across_m": truth.spec.sigma_across_m,
-            "orientation_rad": truth.spec.orientation_rad,
-            "truth_mask_fraction": truth.spec.truth_mask_fraction,
-            "truth_mask_pixels": int(truth.mask.sum()),
-            "ime_true_kg": truth.ime_true_kg,
-        }
+        plume = doc["plume"] = dataclasses.asdict(truth.spec)
+        plume["peak_delta_x_ppmm"] = plume.pop("peak_delta_x")
+        plume.update(truth_mask_pixels=int(truth.mask.sum()), ime_true_kg=truth.ime_true_kg)
     write_report(doc, out / "truth.json")
     print(f"wrote synthetic scene to {out}")
     return 0
@@ -130,13 +123,7 @@ def cmd_quantify(args) -> int:
         cfg = load_config(args.config, seed_override=args.seed)
         wind = cfg.wind
     if args.u10 is not None:
-        wind = WindConfig(
-            u10=args.u10,
-            sigma_u10=args.sigma_u10,
-            beta0=args.beta0,
-            beta1=args.beta1,
-            sigma_method=args.sigma_method,
-        )
+        wind = WindConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(WindConfig)})
     if wind is None:
         raise ConfigError("quantify needs a wind section in --config or --u10 on the command line")
     out = quantify_only(args.ime_kg, args.sigma_ime_kg, args.area_m2, wind)
@@ -217,16 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ime-kg", type=float, required=True, dest="ime_kg")
     p.add_argument("--sigma-ime-kg", type=float, default=None, dest="sigma_ime_kg")
     p.add_argument("--area-m2", type=float, required=True, dest="area_m2")
-    p.add_argument("--u10", type=float, default=None)
-    p.add_argument("--sigma-u10", type=float, default=WindConfig.sigma_u10, dest="sigma_u10")
-    p.add_argument("--beta0", type=float, default=WindConfig.beta0)
-    p.add_argument("--beta1", type=float, default=WindConfig.beta1)
-    p.add_argument(
-        "--sigma-method",
-        choices=SIGMA_METHODS,
-        default=WindConfig.sigma_method,
-        dest="sigma_method",
-    )
+    hints = get_type_hints(WindConfig)
+    for f in dataclasses.fields(WindConfig):  # the wind keys; one with no default is unset
+        default = None if f.default is dataclasses.MISSING else f.default
+        choices = SIGMA_METHODS if hints[f.name] is str else None  # the one text key
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=hints[f.name], default=default,
+                       choices=choices, dest=f.name)
     p.set_defaults(func=cmd_quantify)
 
     p = sub.add_parser("pipeline", help="full chain: ingest to report")

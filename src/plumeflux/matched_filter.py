@@ -43,13 +43,15 @@ class MfConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown matched-filter variant {self.variant!r}")
         if self.cluster_count < 1:
-            raise ConfigError("cluster_count must be >= 1")
+            raise ConfigError("mf.cluster_count must be >= 1")
         if not 0.0 <= self.shrinkage < 1.0:
-            raise ConfigError("shrinkage must be in [0, 1)")
+            raise ConfigError("mf.shrinkage must be in [0, 1)")
         if self.contamination_iterations < 0:
-            raise ConfigError("contamination_iterations must be >= 0")
+            raise ConfigError("mf.contamination_iterations must be >= 0")
+        if not all(map(math.isfinite, self.window)):
+            raise ConfigError("mf.window must be finite")
         if not self.window[0] < self.window[1]:
-            raise ConfigError("window must be (low, high) with low < high")
+            raise ConfigError("mf.window must be (low, high) with low < high")
         if self.delta_min is not None and not 0.0 <= self.delta_min < math.inf:
             raise ConfigError("mf.delta_min must be unset, or finite and >= 0")
 

@@ -24,7 +24,7 @@ from .background import clutter_sigma, match_background, total_sigma
 from .config import RunConfig, config_echo
 from .errors import ConfigError, DataError, DomainError
 from .matched_filter import MfConfig, retrieve
-from .quantification import PlumeRecord, quantify, quantify_plume
+from .quantification import quantify, quantify_plume
 from .scene_io import (
     EnhancementField,
     RadianceCube,
@@ -51,31 +51,12 @@ from .signature import (
 CLUTTER_INDEPENDENCE_NOTE = (
     "clutter treated as spatially uncorrelated when aggregating to sigma(IME)"
 )
-_PLUME_KEYS = ("label_id", "pixel_count", "area_m2", "touches_edge")  # report keys of the mask
 Scene = Union[RadianceCube, EnhancementField]  # a level-1 cube or a level-2 product
 
 
 def _f32grid(a: np.ndarray) -> np.ndarray:
     """Snap a layer to the float32 grid it will occupy on disk."""
     return a.astype(np.float32).astype(np.float64)
-
-
-def record_to_dict(record: PlumeRecord, plume: dict) -> dict:
-    """A plume's report entry: the caller's values of ``_PLUME_KEYS``, then the record's."""
-    return {
-        **plume,
-        "ime_kg": record.ime_kg,
-        "sigma_ime_kg": record.sigma_ime_kg,
-        "length_m": record.length_m,
-        "u_eff_m_per_s": record.u_eff,
-        "sigma_u_eff_m_per_s": record.sigma_u_eff,
-        "flux_t_per_h": record.flux_t_per_h,
-        "flux_kg_per_s": record.flux_kg_per_s,
-        "sigma_flux_t_per_h": record.sigma_flux_t_per_h,
-        "sigma_flux_wind_t_per_h": record.sigma_flux_wind_t_per_h,
-        "sigma_flux_ime_t_per_h": record.sigma_flux_ime_t_per_h,
-        "assumptions": list(record.assumptions),
-    }
 
 
 @dataclass
@@ -205,10 +186,8 @@ def run_stage(
         "threshold_ppmm": tau,
         "background": background,
         "plume_count": len(plumes),
-        "plumes": [
-            record_to_dict(r, {k: getattr(p, k) for k in _PLUME_KEYS})
-            for p, r in zip(plumes, records)
-        ],
+        # a plume's entry is its record, the assumptions as a list as in the JSON text
+        "plumes": [{**vars(r), "assumptions": list(r.assumptions)} for r in records],
         "assumption_flags": sorted(set(flags)),
         "timings_s": timings,
     }
@@ -371,4 +350,4 @@ def quantify_only(
     if sigma_ime_kg is not None and not 0 <= sigma_ime_kg < math.inf:
         raise DomainError("sigma_ime_kg must be finite and non-negative")
     record = quantify(ime_kg, sigma_ime_kg, area_m2, wind)
-    return record_to_dict(record, {**dict.fromkeys(_PLUME_KEYS), "area_m2": area_m2})
+    return {**vars(record), "assumptions": list(record.assumptions)}

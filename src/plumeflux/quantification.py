@@ -10,7 +10,7 @@ wind-driven uncertainty terms combine in quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,18 +67,25 @@ class WindConfig:
 
 @dataclass(frozen=True)
 class PlumeRecord:
-    """Quantified plume: mass, length scale, wind, flux, and error budget."""
+    """Quantified plume: mass, length scale, wind, flux, and error budget.
+
+    The fields are the plume's report keys; the mask's three are None without a plume mask.
+    """
 
     ime_kg: float
+    area_m2: float
     length_m: float
-    u_eff: float
-    sigma_u_eff: float
+    u_eff_m_per_s: float
+    sigma_u_eff_m_per_s: float
     flux_t_per_h: float
     flux_kg_per_s: float
     sigma_flux_wind_t_per_h: float
     sigma_ime_kg: Optional[float] = None
     sigma_flux_ime_t_per_h: Optional[float] = None
     sigma_flux_t_per_h: Optional[float] = None
+    label_id: Optional[int] = None
+    pixel_count: Optional[int] = None
+    touches_edge: Optional[bool] = None
     assumptions: tuple[str, ...] = ()
 
 
@@ -178,16 +185,18 @@ def quantify(
     sigma_ime_kg: Optional[float],
     area_m2: float,
     wind: WindConfig,
-    extra_assumptions: tuple[str, ...] = (),
+    plume: Optional[PlumeMask] = None,
 ) -> PlumeRecord:
-    """Assemble a full record from aggregated quantities (no rasters needed)."""
+    """Assemble a full record from aggregated quantities (no rasters needed)
+    and the plume mask they come from, if any."""
     length = plume_length(area_m2)
     u_eff, sigma_u, wind_flags = effective_wind(wind)
     q = flux(ime_kg, length, u_eff)
     total, sigma_wind, sigma_ime_term = flux_uncertainty(
         ime_kg, sigma_ime_kg, length, u_eff, sigma_u
     )
-    assumptions = list(extra_assumptions) + list(wind_flags)
+    edge = plume is not None and plume.touches_edge
+    assumptions = (["plume touches the scene edge"] if edge else []) + list(wind_flags)
     assumptions.append(f"sigma(U_eff) method: {wind.sigma_method}")
     if sigma_ime_kg is None:
         assumptions.append("sigma(IME) unavailable: flux uncertainty reports the wind term only")
@@ -195,15 +204,19 @@ def quantify(
         assumptions.append("sigma(IME) assumes per-pixel independence (root-sum-square)")
     return PlumeRecord(
         ime_kg=ime_kg,
+        area_m2=area_m2,
         sigma_ime_kg=sigma_ime_kg,
         length_m=length,
-        u_eff=u_eff,
-        sigma_u_eff=sigma_u,
+        u_eff_m_per_s=u_eff,
+        sigma_u_eff_m_per_s=sigma_u,
         flux_t_per_h=q,
         flux_kg_per_s=u_eff * ime_kg / length,
         sigma_flux_t_per_h=total,
         sigma_flux_wind_t_per_h=sigma_wind,
         sigma_flux_ime_t_per_h=sigma_ime_term,
+        label_id=None if plume is None else plume.label_id,
+        pixel_count=None if plume is None else plume.pixel_count,
+        touches_edge=None if plume is None else plume.touches_edge,
         assumptions=tuple(assumptions),
     )
 
@@ -216,5 +229,4 @@ def quantify_plume(
 ) -> PlumeRecord:
     """Quantify one segmented plume from the field's enhancement and sigma layers."""
     ime, sigma_ime = integrate_ime(field.crop(plume.window), plume.mask, constants)
-    extra = ("plume touches the scene edge",) if plume.touches_edge else ()
-    return quantify(ime, sigma_ime, plume.area_m2, wind, extra_assumptions=extra)
+    return quantify(ime, sigma_ime, plume.area_m2, wind, plume)

@@ -37,11 +37,12 @@ class SyntheticPlumeSpec:
             if not all(math.isfinite(v) for v in np.ravel(getattr(self, key))):
                 raise ConfigError(f"simulate.plume.{key} must be finite")
         if self.peak_delta_x < 0:
-            raise DomainError("peak_delta_x must be non-negative")
-        if self.sigma_along_m <= 0 or self.sigma_across_m <= 0:
-            raise DomainError("plume sigmas must be positive")
+            raise ConfigError("simulate.plume.peak_delta_x must be non-negative")
+        for key in ("sigma_along_m", "sigma_across_m"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"simulate.plume.{key} must be positive")
         if not 0.0 < self.truth_mask_fraction < 1.0:
-            raise DomainError("truth_mask_fraction must be in (0, 1)")
+            raise ConfigError("simulate.plume.truth_mask_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,22 @@ class SimParams:
                     "column_gain_amplitude", "endmember_levels", "endmember_tilts"):
             if not all(math.isfinite(v) for v in np.ravel(getattr(self, key)) if v is not None):
                 raise ConfigError(f"simulate.{key} must be finite")
+        for key, least in (("lines", 1), ("samples", 1), ("n_bands", 2)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"simulate.{key} must be >= {least}")
+        if not self.band_start_nm < self.band_stop_nm:
+            raise ConfigError("simulate.band_start_nm must be below simulate.band_stop_nm")
+        for key in ("fwhm_nm", "gsd_m"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"simulate.{key} must be positive")
+        for key in ("noise_a", "noise_c"):
+            if (getattr(self, key) or 0.0) < 0:
+                raise ConfigError(f"simulate.{key} must be non-negative")
+        if self.plume is not None and not (
+            0 <= self.plume.center[0] < self.lines and 0 <= self.plume.center[1] < self.samples
+        ):
+            raise ConfigError(f"simulate.plume.center {self.plume.center} is outside the "
+                              f"{self.lines}x{self.samples} scene")
 
     def descriptor(self) -> SensorDescriptor:
         centers = np.linspace(self.band_start_nm, self.band_stop_nm, self.n_bands)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -191,8 +192,9 @@ class TestConfig:
     def rejects(tmp_path, text, message):
         path = tmp_path / "bad.yaml"
         path.write_text(text + "\n")
-        with pytest.raises(ConfigError, match=message.replace(".", r"\.")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("key", ["molar_mass", "temperature", "pressure", "gas_constant"])
     @pytest.mark.parametrize("value", [".nan", ".inf"])
@@ -235,6 +237,52 @@ class TestConfig:
         plume = {"peak_delta_x": "900.0", key: f"[48, {value}]" if key == "center" else value}
         text = ", ".join(f"{k}: {v}" for k, v in plume.items())
         self.rejects(tmp_path, f"simulate: {{plume: {{{text}}}}}", f"simulate.plume.{key} must be finite")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("simulate: {plume: {peak_delta_x: -1.0}}",
+             "simulate.plume.peak_delta_x must be non-negative"),
+            ("simulate: {plume: {peak_delta_x: 900.0, sigma_along_m: 0.0}}",
+             "simulate.plume.sigma_along_m must be positive"),
+            ("simulate: {plume: {peak_delta_x: 900.0, sigma_across_m: -5.0}}",
+             "simulate.plume.sigma_across_m must be positive"),
+            ("simulate: {plume: {peak_delta_x: 900.0, truth_mask_fraction: .nan}}",
+             "simulate.plume.truth_mask_fraction must be in (0, 1)"),
+            ("simulate: {plume: {peak_delta_x: 900.0, truth_mask_fraction: 1.0}}",
+             "simulate.plume.truth_mask_fraction must be in (0, 1)"),
+            ("simulate: {plume: {peak_delta_x: 900.0, center: [500, 48]}}",
+             "simulate.plume.center (500.0, 48.0) is outside the 96x96 scene"),
+            ("simulate: {samples: 40, plume: {peak_delta_x: 900.0, center: [48, 40]}}",
+             "simulate.plume.center (48.0, 40.0) is outside the 96x40 scene"),
+            ("simulate: {lines: 0}", "simulate.lines must be >= 1"),
+            ("simulate: {samples: 0}", "simulate.samples must be >= 1"),
+            ("simulate: {n_bands: 1}", "simulate.n_bands must be >= 2"),
+            ("simulate: {band_start_nm: 2500.0}",
+             "simulate.band_start_nm must be below simulate.band_stop_nm"),
+            ("simulate: {band_stop_nm: 2100.0}",
+             "simulate.band_start_nm must be below simulate.band_stop_nm"),
+            ("simulate: {fwhm_nm: -1.0}", "simulate.fwhm_nm must be positive"),
+            ("simulate: {gsd_m: 0.0}", "simulate.gsd_m must be positive"),
+            ("simulate: {noise_a: -1.0}", "simulate.noise_a must be non-negative"),
+            ("simulate: {noise_c: -1.0}", "simulate.noise_c must be non-negative"),
+            ("mf: {window: [2100, .inf]}", "mf.window must be finite"),
+            ("mf: {window: [-.inf, 2450]}", "mf.window must be finite"),
+            ("mf: {window: [.nan, 2450]}", "mf.window must be finite"),
+            ("mf: {window: [2450, 2100]}", "mf.window must be (low, high) with low < high"),
+            ("mf: {cluster_count: 0}", "mf.cluster_count must be >= 1"),
+            ("mf: {shrinkage: 1.0}", "mf.shrinkage must be in [0, 1)"),
+            ("mf: {contamination_iterations: -1}", "mf.contamination_iterations must be >= 0"),
+        ],
+    )
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, text, message):
+        self.rejects(tmp_path, text, message)
+
+    def test_negative_mixing_smoothness_loads(self, tmp_path):
+        # a negative blur radius blurs as 0 does
+        path = tmp_path / "run.yaml"
+        path.write_text("simulate: {mixing_smoothness_px: -1}\n")
+        assert load_config(path).simulate.mixing_smoothness_px == -1
 
     @pytest.mark.parametrize("key", ["endmember_levels", "endmember_tilts"])
     def test_non_finite_endmember_value_is_a_config_error(self, tmp_path, key):
@@ -315,6 +363,13 @@ class TestPipelineLevel1:
         assert plume["area_m2"] == plume["pixel_count"] * 900.0
         assert report["background"]["source"] == "matched"
         assert report["background"]["selected_count"] >= 100
+
+    def test_plume_entry_keys_are_the_record_fields(self, tmp_path):
+        write_scene(tmp_path, seed=5)
+        run_pipeline(load_config(write_config(tmp_path)), tmp_path / "out")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        fields = {f.name for f in dataclasses.fields(pf.PlumeRecord)}
+        assert report["plumes"] and all(set(p) == fields for p in report["plumes"])
 
     def test_outputs_written_and_consistent(self, tmp_path):
         write_scene(tmp_path, seed=5)
@@ -833,6 +888,10 @@ class TestCli:
         assert main(["simulate", "--config", str(sim_cfg), "--output", str(tmp_path / "scene")]) == 0
         truth = json.loads((tmp_path / "scene" / "truth.json").read_text())
         assert truth["plume"]["ime_true_kg"] > 0
+        # the plume block is the spec, its peak under the unit-suffixed name
+        spec = {f.name for f in dataclasses.fields(pf.SyntheticPlumeSpec)} - {"peak_delta_x"}
+        assert set(truth["plume"]) == spec | {"peak_delta_x_ppmm", "truth_mask_pixels", "ime_true_kg"}
+        assert truth["plume"]["peak_delta_x_ppmm"] == 900.0 and truth["plume"]["center"] == [32, 32]
         run_cfg = write_config(tmp_path, input={"cube": str(tmp_path / "scene" / "cube")})
         assert main(["pipeline", "--config", str(run_cfg), "--output", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -888,6 +947,13 @@ class TestCli:
             None, None, 2569892.0, None
         ]
         assert len(out) == 15
+
+    def test_quantify_prints_the_keys_of_a_pipeline_plume_entry(self, tmp_path, capsys):
+        write_scene(tmp_path, seed=5)
+        run_pipeline(load_config(write_config(tmp_path)), tmp_path / "out")
+        entry = json.loads((tmp_path / "out" / "report.json").read_text())["plumes"][0]
+        assert main(["quantify", "--ime-kg", "700", "--area-m2", "90000", "--u10", "3"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == set(entry)
 
     @pytest.mark.parametrize(
         "override, code",

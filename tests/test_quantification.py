@@ -274,7 +274,7 @@ class TestQuantifyRecord:
     def test_report_identities(self):
         record = quantify(820.91, 19.82, 2_569_892.0, WindConfig(u10=3.0))
         assert record.flux_t_per_h == pytest.approx(
-            3.6 * record.u_eff * record.ime_kg / record.length_m, rel=1e-15
+            3.6 * record.u_eff_m_per_s * record.ime_kg / record.length_m, rel=1e-15
         )
         assert record.flux_kg_per_s == pytest.approx(record.flux_t_per_h / 3.6, rel=1e-15)
         assert record.sigma_flux_t_per_h**2 == pytest.approx(
