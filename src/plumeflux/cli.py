@@ -118,14 +118,13 @@ def cmd_segment(args) -> int:
 
 
 def cmd_quantify(args) -> int:
-    wind = None
-    if args.config is not None:
-        cfg = load_config(args.config, seed_override=args.seed)
-        wind = cfg.wind
-    if args.u10 is not None:
-        wind = WindConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(WindConfig)})
-    if wind is None:
+    wind = None if args.config is None else load_config(args.config, seed_override=args.seed).wind
+    # each wind flag given sets its key over the config's wind section
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(WindConfig)}
+    given = {k: v for k, v in flags.items() if v is not None}
+    if wind is None and "u10" not in given:
         raise ConfigError("quantify needs a wind section in --config or --u10 on the command line")
+    wind = WindConfig(**given) if wind is None else dataclasses.replace(wind, **given)
     out = quantify_only(args.ime_kg, args.sigma_ime_kg, args.area_m2, wind)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
@@ -205,11 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-ime-kg", type=float, default=None, dest="sigma_ime_kg")
     p.add_argument("--area-m2", type=float, required=True, dest="area_m2")
     hints = get_type_hints(WindConfig)
-    for f in dataclasses.fields(WindConfig):  # the wind keys; one with no default is unset
-        default = None if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(WindConfig):  # the wind keys, unset unless given
         choices = SIGMA_METHODS if hints[f.name] is str else None  # the one text key
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=hints[f.name], default=default,
-                       choices=choices, dest=f.name)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=hints[f.name], choices=choices, dest=f.name)
     p.set_defaults(func=cmd_quantify)
 
     p = sub.add_parser("pipeline", help="full chain: ingest to report")

@@ -41,7 +41,7 @@ class MfConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", self.variant.lower())
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown matched-filter variant {self.variant!r}")
+            raise ConfigError(f"mf.variant must be one of {', '.join(VARIANTS)}; got {self.variant!r}")
         if self.cluster_count < 1:
             raise ConfigError("mf.cluster_count must be >= 1")
         if not 0.0 <= self.shrinkage < 1.0:
@@ -426,38 +426,32 @@ def _merge(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
 
 
 @kernels.one_blas_thread()
-def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sign=1.0, order=None):
-    """Moments of each segment 0..n_seg-1 over the pixels (columns) of ``Y``; -1 is skipped.
+def _segment_moments(Y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, total=None, sign=1.0):
+    """Moments of each segment s over the pixels (columns) ``rows[bounds[s] : bounds[s + 1]]`` of ``Y``.
 
-    Chunks of about _CHUNK_BYTES follow ``order``, the stable argsort of ``seg``
-    (made here when not given), so a segment is one block of each chunk it
-    spans. A chunk is gathered in the slab's dtype into one buffer, its bands
-    split across the workers; its blocks then go to the workers in runs of
-    about equal pixel count, and each block is widened on its own, in its
-    run's buffer, and centred on its own mean. The calling thread merges the
-    blocks into the totals in order, a group of segments at a time. Given
-    ``total``, the blocks merge into it in place; sign=-1 downdates it.
+    ``bounds[0]`` is 0. Chunks of about _CHUNK_BYTES follow ``rows``, so a
+    segment is one block of each chunk it spans. A chunk is gathered in the
+    slab's dtype into one buffer, its bands split across the workers; its
+    blocks then go to the workers in runs of about equal pixel count, and
+    each block is widened on its own, in its run's buffer, and centred on
+    its own mean. The calling thread merges the blocks into the totals in
+    order, a group of segments at a time. Given ``total``, the blocks merge
+    into it in place; sign=-1 downdates it.
     """
-    p = Y.shape[0]
-    rows, cols = np.tril_indices(p)
-    tril = rows * p + cols  # the lower triangle's positions in a flat (p, p) matrix
+    p, n_seg, n_valid = Y.shape[0], bounds.size - 1, int(bounds[-1])
+    tril = np.ravel_multi_index(np.tril_indices(p), (p, p))  # the lower triangle in a flat (p, p) matrix
     if total is None:
-        total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, rows.size)))
-    if order is None:
-        order = np.argsort(seg, kind="stable")
-    # segment s is order[bounds[s] : bounds[s + 1]]; nodata (-1) sorts first
-    bounds = np.cumsum(np.bincount(seg + 1, minlength=n_seg + 1))
-    n_valid = bounds[-1] - bounds[0]
+        total = (np.zeros(n_seg), np.zeros((n_seg, p)), np.zeros((n_seg, tril.size)))
     # equal chunks, each at most about _CHUNK_BYTES
     n_chunks = max(1, -(-n_valid * p * 8 // _CHUNK_BYTES))
     step = max(1, -(-n_valid // n_chunks))
     gathered = np.empty(p * min(step, n_valid), dtype=Y.dtype)
     band_runs = kernels.runs(np.ones(p))
-    for lo in range(bounds[0], bounds[-1], step):
-        hi = min(lo + step, bounds[-1])
+    for lo in range(0, n_valid, step):
+        hi = min(lo + step, n_valid)
         block = gathered[: p * (hi - lo)].reshape(p, hi - lo)  # C-ordered, so each band run is too
         kernels.in_parallel(
-            lambda b: np.take(Y[b], order[lo:hi], axis=1, out=block[b], mode="clip"), band_runs
+            lambda b: np.take(Y[b], rows[lo:hi], axis=1, out=block[b], mode="clip"), band_runs
         )
         edge = np.clip(bounds, lo, hi) - lo  # segment s's block is edge[s] : edge[s + 1]
         ids = np.flatnonzero(np.diff(edge))
@@ -467,7 +461,7 @@ def _segment_moments(Y: np.ndarray, seg: np.ndarray, n_seg: int, total=None, sig
         for g in range(0, ids.size, _MERGE_GROUP):
             group = slice(g, g + _MERGE_GROUP)
             n = counts[group].astype(np.float64)
-            means, m2 = np.empty((n.size, p)), np.empty((n.size, rows.size))
+            means, m2 = np.empty((n.size, p)), np.empty((n.size, tril.size))
 
             def block_moments(run, wide, square):
                 for j, b, c in zip(range(run.start, run.stop), first[group][run].tolist(),
@@ -586,10 +580,12 @@ def compute_stats(
     Y = _window_slab(cube, band_indices)
     seg_map, members, seg_flags = _build_partition(cube, config, Y)
     seg_flat = seg_map.ravel()
-    # ascending flat pixel indices of each segment (nodata sorts first and is dropped)
-    order = np.argsort(seg_flat, kind="stable")
-    rows = np.split(order, np.searchsorted(seg_flat[order], np.arange(len(members) + 1)))[1:-1]
-    moments = _segment_moments(Y, seg_flat, len(members), order=order)
+    # segment s is rows[bounds[s] : bounds[s + 1]], ascending flat pixel
+    # indices; nodata (-1) sorts first and is dropped
+    counts = np.bincount(seg_flat + 1, minlength=len(members) + 1)
+    rows = np.argsort(seg_flat, kind="stable")[counts[0]:]
+    bounds = np.cumsum(counts) - counts[0]
+    moments = _segment_moments(Y, rows, bounds)
     # a pooled segment merges its members' moments; it never gathers the pool again
     pooled = [(s, reduce(_merge, [tuple(x[i : i + 1].copy() for x in moments) for i in m]))
               for s, m in enumerate(members) if len(m) > 1]
@@ -603,9 +599,10 @@ def compute_stats(
     return BackgroundStats(
         segment_map=seg_map,
         band_indices=band_indices,
-        # a segment's own rows are ascending already; a pool's are its members' merged
-        estimation_rows=[rows[m[0]] if len(m) == 1 else np.sort(np.concatenate([rows[i] for i in m]))
-                         for m in members],
+        # a segment's own rows are ascending already; a pool's members are adjacent, so sorting
+        # the slice across them merges their rows
+        estimation_rows=[rows[bounds[m.start] : bounds[m.stop]] if len(m) == 1
+                         else np.sort(rows[bounds[m.start] : bounds[m.stop]]) for m in members],
         moments=moments,
         fit=moments,
         shrinkage=config.shrinkage, delta_min=config.delta_min,
@@ -661,27 +658,30 @@ def decontaminate(
     """
     Y = _window_slab(cube, stats.band_indices)
     skip_flag = "decontamination skipped (segment emptied)"
+    # the estimation rows in one layout: segment s is rows[bounds[s] : bounds[s + 1]]
+    sizes = np.array([r.size for r in stats.estimation_rows])
+    rows, bounds = np.concatenate(stats.estimation_rows), np.concatenate([[0], np.cumsum(sizes)])
     current = stats
     for _ in range(config.contamination_iterations):
-        delta = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)
-        kept = [(d := delta[r]) <= robust_threshold(d, n_sigma) for r in stats.estimation_rows]
-        del delta  # freed before the round's filters
-        n_kept = np.array([np.count_nonzero(k) for k in kept])
-        skipped = n_kept < 2
+        d = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)[rows]
+        tau = np.fromiter((robust_threshold(d[lo:hi], n_sigma) for lo, hi in zip(bounds, bounds[1:])),
+                          float, sizes.size)
+        # the excluded rows, as the complement of the kept ones, so a NaN score is excluded
+        out = ~(d <= np.repeat(tau, sizes))
+        del d  # freed before the round's filters
+        lost = np.add.reduceat(out, bounds[:-1], dtype=np.int64)  # every segment has rows
+        skipped = sizes - lost < 2
         # downdate one copy of the full moments in place by the excluded rows;
         # tau is at least the median, so they are at most half of a segment's rows
-        refit = np.flatnonzero(~skipped)
-        excluded = [stats.estimation_rows[s][~kept[s]] for s in refit]
-        lost = np.array([r.size for r in excluded], dtype=np.int64)
-        labels = np.repeat(refit, lost)
-        rows = np.concatenate([np.zeros(0, dtype=np.int64), *excluded])
+        out &= np.repeat(~skipped, sizes)
+        lost[skipped] = 0
         moments = tuple(x.copy() for x in stats.moments)
-        _segment_moments(Y[:, rows], labels, len(kept), total=moments, sign=-1.0)
+        _segment_moments(Y, rows[out], np.concatenate([[0], np.cumsum(lost)]), total=moments, sign=-1.0)
         filters = tuple(x.copy() for x in (stats.t, stats.q, stats.denom))
         for x, held in zip(moments + filters, current.fit + (current.t, current.q, current.denom)):
             x[skipped] = held[skipped]
-        if stats.fit is stats.moments:  # the others keep their full moments, and stats' filter
-            refit = refit[lost > 0]
+        # from compute_stats, a segment that lost no row keeps its full moments and stats' filter
+        refit = np.flatnonzero(lost > 0 if stats.fit is stats.moments else ~skipped)
         for x, v in zip(filters, _filters(moments, absorption, config, refit)):
             x[refit] = v
         flags = [f + [skip_flag] if sk and skip_flag not in f else list(f)

@@ -38,10 +38,9 @@ class GasConstants:
         for key, value in vars(self).items():
             if not math.isfinite(value):
                 raise ConfigError(f"constants.{key} must be finite")
-        if min(self.molar_mass, self.temperature, self.pressure, self.gas_constant) < 0 or (
-            self.temperature == 0 or self.pressure == 0 or self.gas_constant == 0
-        ):
-            raise ConfigError("gas constants must be positive (molar_mass >= 0)")
+            if value < 0 or value == 0 and key != "molar_mass":
+                least = "non-negative" if key == "molar_mass" else "positive"
+                raise ConfigError(f"constants.{key} must be {least}")
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,15 @@ class WindConfig:
     sigma_method: str = "analytic"
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u10, self.sigma_u10, self.beta0, self.beta1))):
-            raise ConfigError("u10, sigma_u10, beta0 and beta1 must be finite")
+        for key in ("u10", "sigma_u10", "beta0", "beta1"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"wind.{key} must be finite")
         if not self.u10 > 0:
-            raise ConfigError("u10 must be positive")
+            raise ConfigError("wind.u10 must be positive")
         if self.sigma_u10 < 0:
-            raise ConfigError("sigma_u10 must be non-negative")
+            raise ConfigError("wind.sigma_u10 must be non-negative")
         if self.sigma_method not in SIGMA_METHODS:
-            raise ConfigError(f"sigma_method must be one of {SIGMA_METHODS}")
+            raise ConfigError(f"wind.sigma_method must be one of {', '.join(SIGMA_METHODS)}")
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,12 @@ class SegmentationParams:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"segmentation.{key} must be finite")
         if self.n_sigma <= 0:
-            raise ConfigError("n_sigma must be positive")
-        if self.close_radius_m < 0 or self.open_radius_m < 0 or self.min_area_m2 < 0:
-            raise ConfigError("radii and min_area_m2 must be non-negative")
+            raise ConfigError("segmentation.n_sigma must be positive")
+        for key in ("close_radius_m", "open_radius_m", "min_area_m2"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"segmentation.{key} must be non-negative")
         if self.connectivity not in (4, 8):
-            raise ConfigError("connectivity must be 4 or 8")
+            raise ConfigError("segmentation.connectivity must be 4 or 8")
 
 
 @dataclass(frozen=True)

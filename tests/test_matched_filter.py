@@ -850,6 +850,12 @@ def engine_cube(rng, nodata):
     return make_cube(cube.data, descriptor=desc, nodata_mask=mask)
 
 
+def layout(seg, n_seg):
+    """The (rows, bounds) of a label vector: segment s is rows[bounds[s] : bounds[s + 1]]; -1 is dropped."""
+    counts = np.bincount(seg + 1, minlength=n_seg + 1)
+    return np.argsort(seg, kind="stable")[counts[0]:], np.cumsum(counts) - counts[0]
+
+
 def close(actual, expected, rtol):
     scale = np.abs(expected).max()
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
@@ -926,7 +932,7 @@ class TestMomentsEngine:
         moments = []
         for group in (1, 3, 32, 100):
             monkeypatch.setattr(matched_filter, "_MERGE_GROUP", group)
-            moments.append(_segment_moments(Y, seg, 70))
+            moments.append(_segment_moments(Y, *layout(seg, 70)))
         for other in moments[1:]:
             for a, b in zip(moments[0], other):
                 np.testing.assert_array_equal(a, b)
@@ -940,12 +946,12 @@ class TestMomentsEngine:
             Xc = rows - rows.mean(axis=0)
             return Xc.T @ Xc / rows.shape[0]
 
-        full = _segment_moments(X.T, seg, 1)
+        full = _segment_moments(X.T, *layout(seg, 1))
         np.testing.assert_allclose(unpacked(full[2][0], 6) / full[0][0], two_pass(X), rtol=1e-8)
         # downdate by 5 % of the rows, against a two-pass estimate of the rest
         out = rng.permutation(X.shape[0])[:100]
         keep = np.setdiff1d(np.arange(X.shape[0]), out)
-        part = _segment_moments(X[out].T, seg[:100], 1)
+        part = _segment_moments(X[out].T, *layout(seg[:100], 1))
         n, mean, m2 = _merge(full, part, sign=-1.0)
         assert n[0] == keep.size
         np.testing.assert_allclose(mean[0], X[keep].mean(axis=0), rtol=1e-14)
@@ -1058,12 +1064,12 @@ class TestMomentsOnlyStats:
         Y = 50.0 + rng.standard_normal((6, 3000))
         seg = rng.integers(-1, 40, size=3000)
         out = rng.permutation(3000)[:300]
-        full = _segment_moments(Y, seg, 40)
-        ref = _merge(tuple(x.copy() for x in full), _segment_moments(Y[:, out], seg[out], 40), -1.0)
+        full = _segment_moments(Y, *layout(seg, 40))
+        ref = _merge(tuple(x.copy() for x in full), _segment_moments(Y[:, out], *layout(seg[out], 40)), -1.0)
 
         def downdate():
             total = tuple(x.copy() for x in full)
-            assert _segment_moments(Y[:, out], seg[out], 40, total=total, sign=-1.0) is total
+            assert _segment_moments(Y[:, out], *layout(seg[out], 40), total=total, sign=-1.0) is total
             return total
 
         # the excluded rows fit one chunk: the same arithmetic, bit for bit
@@ -1079,10 +1085,18 @@ class TestMomentsOnlyStats:
         seg[:300] = -1  # three whole chunks of nodata, then valid ones
         seg[800:] = -1  # and a last one
         monkeypatch.setattr(matched_filter, "_CHUNK_BYTES", 100 * 6 * 8)
-        # the valid pixels alone fall into the same 100-pixel chunks
-        for a, b in zip(_segment_moments(Y, seg, 5), _segment_moments(Y[:, 300:800], seg[300:800], 5)):
+        # nodata never enters the layout, so the valid pixels alone fall into
+        # the same 100-pixel chunks
+        rows, bounds = layout(seg, 5)
+        inner_rows, inner_bounds = layout(seg[300:800], 5)
+        np.testing.assert_array_equal(rows, inner_rows + 300)
+        np.testing.assert_array_equal(bounds, inner_bounds)
+        for a, b in zip(_segment_moments(Y, rows, bounds),
+                        _segment_moments(Y[:, 300:800], inner_rows, inner_bounds)):
             np.testing.assert_array_equal(a, b)
-        empty = _segment_moments(Y[:, :300], seg[:300], 5)
+        rows, bounds = layout(seg[:300], 5)
+        assert rows.size == 0 and not bounds.any()
+        empty = _segment_moments(Y[:, :300], rows, bounds)
         assert not any(np.any(x) for x in empty)
 
 
@@ -1102,7 +1116,7 @@ class TestSegmentOrderPass:
         seg_map, members, _ = matched_filter._build_partition(cube, config, Y)
         seg = seg_map.ravel()
         stats = compute_stats(cube, absorption, config)
-        for moments in (_segment_moments(Y, seg, len(members)), stats.moments):
+        for moments in (_segment_moments(Y, *layout(seg, len(members))), stats.moments):
             for s in range(len(members)):
                 if len(members[s]) > 1:  # a pooled column merges its members
                     continue
@@ -1259,6 +1273,36 @@ class TestRefitChangedSegments:
             assert x[held].tobytes() == y[held].tobytes()
         # in round 2, segments 4-6 keep round 1's filters, not those of stats
         assert rounds == 1 or out.q[held].tobytes() != stats.q[held].tobytes()
+        assert_fully_refit(out, absorption, config)
+
+    @pytest.mark.parametrize("n_sigma", [2.0, -1.2])
+    def test_downdate_equals_a_per_segment_merge(self, n_sigma):
+        # round 2 of a cwcmf run with a pooled column 6: each segment's fit is
+        # its full moments minus the moments of its excluded estimation rows,
+        # merged out one segment at a time; every excluded row fits one chunk
+        cube, absorption = self.scene(92)
+        config = MfConfig(variant="cwcmf", contamination_iterations=2)
+        stats = compute_stats(cube, absorption, config)
+        assert stats.estimation_rows[6].size > np.count_nonzero(stats.segment_map == 6)
+        last = decontaminate(cube, absorption, dataclasses.replace(config, contamination_iterations=1),
+                             stats, n_sigma=n_sigma)
+        out = decontaminate(cube, absorption, config, stats, n_sigma=n_sigma)
+        Y = _window_slab(cube, absorption.band_indices)
+        delta = apply_mf(cube, absorption, config, last).delta_x.ravel()
+        skipped = []
+        for s, rows in enumerate(stats.estimation_rows):
+            d = delta[rows]
+            excluded = rows[~(d <= robust_threshold(d, n_sigma))]
+            if rows.size - excluded.size < 2:
+                skipped.append(s)
+                expected = tuple(x[s] for x in last.fit)
+            else:
+                full = tuple(x[s : s + 1].copy() for x in stats.moments)
+                own = _segment_moments(Y, excluded, np.array([0, excluded.size]))
+                expected = tuple(x[0] for x in _merge(full, own, sign=-1.0))
+            for x, e in zip(out.fit, expected):
+                assert x[s].tobytes() == e.tobytes(), s
+        assert (len(skipped) > 0) == (n_sigma < 0) and 6 not in skipped
         assert_fully_refit(out, absorption, config)
 
 

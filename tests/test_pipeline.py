@@ -273,6 +273,24 @@ class TestConfig:
             ("mf: {cluster_count: 0}", "mf.cluster_count must be >= 1"),
             ("mf: {shrinkage: 1.0}", "mf.shrinkage must be in [0, 1)"),
             ("mf: {contamination_iterations: -1}", "mf.contamination_iterations must be >= 0"),
+            ("mf: {variant: foo}", "mf.variant must be one of cmf, ctmf, cwcmf; got 'foo'"),
+            ("segmentation: {n_sigma: 0.0}", "segmentation.n_sigma must be positive"),
+            ("segmentation: {close_radius_m: -1.0}", "segmentation.close_radius_m must be non-negative"),
+            ("segmentation: {open_radius_m: -1.0}", "segmentation.open_radius_m must be non-negative"),
+            ("segmentation: {min_area_m2: -1.0}", "segmentation.min_area_m2 must be non-negative"),
+            ("segmentation: {connectivity: 6}", "segmentation.connectivity must be 4 or 8"),
+            ("wind: {u10: 0.0}", "wind.u10 must be positive"),
+            ("wind: {u10: .nan}", "wind.u10 must be finite"),
+            ("wind: {u10: 3.0, sigma_u10: .inf}", "wind.sigma_u10 must be finite"),
+            ("wind: {u10: 3.0, beta0: .nan}", "wind.beta0 must be finite"),
+            ("wind: {u10: 3.0, beta1: -.inf}", "wind.beta1 must be finite"),
+            ("wind: {u10: 3.0, sigma_u10: -1.0}", "wind.sigma_u10 must be non-negative"),
+            ("wind: {u10: 3.0, sigma_method: foo}",
+             "wind.sigma_method must be one of analytic, forward_difference"),
+            ("constants: {molar_mass: -1.0}", "constants.molar_mass must be non-negative"),
+            ("constants: {temperature: 0.0}", "constants.temperature must be positive"),
+            ("constants: {pressure: -1.0}", "constants.pressure must be positive"),
+            ("constants: {gas_constant: 0.0}", "constants.gas_constant must be positive"),
         ],
     )
     def test_out_of_range_value_is_a_config_error(self, tmp_path, text, message):
@@ -975,6 +993,20 @@ class TestCli:
         assert main(["quantify", *(f"{k}={v}" for k, v in args.items())]) == code
         out, err = capsys.readouterr()
         assert out == "" and "finite" in err and "Traceback" not in err
+
+    def test_quantify_flags_set_their_keys_over_the_config_wind(self, tmp_path, capsys):
+        write_raster(np.zeros((4, 4)), tmp_path / "enh", 30.0)
+
+        def printed(wind, *flags):
+            cfg = write_config(tmp_path, input={"enhancement": str(tmp_path / "enh")}, wind=wind)
+            assert main(["quantify", "--ime-kg", "700", "--area-m2", "90000", "--config", str(cfg), *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        wind = {"u10": 3.0, "beta0": 0.2, "sigma_u10": 0.5}
+        base = printed(wind)
+        # the config's own u10 as a flag keeps every other wind key of the config
+        assert printed(wind, "--u10", "3.0") == base
+        assert printed(wind, "--beta0", "0.4") == printed({**wind, "beta0": 0.4}) != base
 
     def test_quantify_rejects_a_non_finite_wind_config(self, tmp_path, capsys):
         write_raster(np.zeros((4, 4)), tmp_path / "enh", 30.0)
