@@ -118,7 +118,9 @@ def cmd_segment(args) -> int:
 
 
 def cmd_quantify(args) -> int:
-    wind = None if args.config is None else load_config(args.config, seed_override=args.seed).wind
+    wind = None
+    if args.config is not None:  # only its wind section is read, so its input files need not exist
+        wind = load_config(args.config, seed_override=args.seed, validate_inputs=False).wind
     # each wind flag given sets its key over the config's wind section
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(WindConfig)}
     given = {k: v for k, v in flags.items() if v is not None}

@@ -109,9 +109,10 @@ def _coerce(value: Any, hint: Any, key: str, base: Path) -> Any:
         out = hint(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: expected {hint.__name__}, got {value!r}") from exc
-    # int() truncates floats and takes booleans; an int key takes neither silently
-    if hint is int and (isinstance(value, bool) or (isinstance(value, float) and out != value)):
-        raise ConfigError(f"{key}: expected int, got {value!r}")
+    # int() truncates floats, and int() and float() take booleans; a number key takes neither silently
+    if (isinstance(value, bool) and hint in (int, float)
+            or hint is int and isinstance(value, float) and out != value):
+        raise ConfigError(f"{key}: expected {hint.__name__}, got {value!r}")
     return out
 
 

@@ -644,48 +644,48 @@ def decontaminate(
 ) -> BackgroundStats:
     """Re-estimate statistics excluding pixels above the segmentation threshold.
 
-    Runs ``config.contamination_iterations`` rounds. Each scores the scene
-    with the previous round's filters (``stats``' own in the first) and
+    Runs at most ``config.contamination_iterations`` rounds. Each scores the
+    scene with the previous round's filters (``stats``' own in the first) and
     thresholds those scores over each segment's estimation rows, starting
     again from their full moments; a segment whose exclusion would leave
     fewer than 2 pixels keeps its previous statistics and is flagged in the
-    provenance. ``stats`` is left unchanged, and returned at 0 rounds.
-
-    A round refits only the segments that lost a row in it: one that lost
-    none has its full moments, so it takes the filter of ``stats`` when that
-    is their fit (``stats.fit is stats.moments``, as from ``compute_stats``);
-    otherwise every segment that is not skipped is refit.
+    provenance. A segment is refit only when its fit moments (n, mean, M2)
+    change. A round's fits follow from the last round's, so once they repeat
+    (a round that refits nothing, or a cycle) only what is left of the last
+    period is run. ``stats`` is left unchanged, and returned at 0 rounds.
     """
     Y = _window_slab(cube, stats.band_indices)
     skip_flag = "decontamination skipped (segment emptied)"
     # the estimation rows in one layout: segment s is rows[bounds[s] : bounds[s + 1]]
     sizes = np.array([r.size for r in stats.estimation_rows])
     rows, bounds = np.concatenate(stats.estimation_rows), np.concatenate([[0], np.cumsum(sizes)])
-    current = stats
-    for _ in range(config.contamination_iterations):
+    current, saved, at, r, rounds = stats, stats.fit, 0, 0, config.contamination_iterations
+    while r < rounds:
+        r += 1
         d = kernels.mf_scores(Y, stats.segment_map, current.mu, current.q, current.denom)[rows]
-        tau = np.fromiter((robust_threshold(d[lo:hi], n_sigma) for lo, hi in zip(bounds, bounds[1:])),
-                          float, sizes.size)
+        tau = np.fromiter((robust_threshold(d[lo:hi], n_sigma) for lo, hi in zip(bounds, bounds[1:])), float)
         # the excluded rows, as the complement of the kept ones, so a NaN score is excluded
         out = ~(d <= np.repeat(tau, sizes))
         del d  # freed before the round's filters
         lost = np.add.reduceat(out, bounds[:-1], dtype=np.int64)  # every segment has rows
         skipped = sizes - lost < 2
-        # downdate one copy of the full moments in place by the excluded rows;
-        # tau is at least the median, so they are at most half of a segment's rows
+        # downdate a copy of the full moments by the excluded rows, at most half of a segment's
         out &= np.repeat(~skipped, sizes)
         lost[skipped] = 0
         moments = tuple(x.copy() for x in stats.moments)
         _segment_moments(Y, rows[out], np.concatenate([[0], np.cumsum(lost)]), total=moments, sign=-1.0)
-        filters = tuple(x.copy() for x in (stats.t, stats.q, stats.denom))
-        for x, held in zip(moments + filters, current.fit + (current.t, current.q, current.denom)):
+        for x, held in zip(moments, current.fit):
             x[skipped] = held[skipped]
-        # from compute_stats, a segment that lost no row keeps its full moments and stats' filter
-        refit = np.flatnonzero(lost > 0 if stats.fit is stats.moments else ~skipped)
+        moved = [(x != held).reshape(len(x), -1).any(axis=1) for x, held in zip(moments, current.fit)]
+        refit = np.flatnonzero(reduce(np.logical_or, moved))
+        # fits equal to the last round's, or to checkpoint `at`'s (Brent 1980), recur every `period` rounds
+        period = 1 if refit.size == 0 else r - at if all(map(np.array_equal, moments, saved)) else 0
+        rounds = r + (rounds - r) % period if period else rounds  # whole periods are skipped
+        saved, at = (moments, r) if r & (r - 1) == 0 else (saved, at)  # checkpoints at rounds 1, 2, 4, ...
+        filters = tuple(x.copy() for x in (current.t, current.q, current.denom))
         for x, v in zip(filters, _filters(moments, absorption, config, refit)):
             x[refit] = v
-        flags = [f + [skip_flag] if sk and skip_flag not in f else list(f)
-                 for sk, f in zip(skipped, current.flags)]
+        flags = [f + [skip_flag] * int(sk and skip_flag not in f) for sk, f in zip(skipped, current.flags)]
         current = replace(current, fit=moments, t=filters[0], q=filters[1], denom=filters[2], flags=flags)
     return current
 

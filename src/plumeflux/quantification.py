@@ -176,7 +176,10 @@ def flux_uncertainty(
     if sigma_ime_kg is None:
         return None, sigma_wind, None
     sigma_ime_term = KG_S_TO_T_H * u_eff * sigma_ime_kg / length_m
-    total = math.sqrt(sigma_wind**2 + sigma_ime_term**2)
+    try:
+        total = math.sqrt(sigma_wind**2 + sigma_ime_term**2)
+    except OverflowError:  # a square past the float range
+        total = math.inf
     return total, sigma_wind, sigma_ime_term
 
 
@@ -188,9 +191,17 @@ def quantify(
     plume: Optional[PlumeMask] = None,
 ) -> PlumeRecord:
     """Assemble a full record from aggregated quantities (no rasters needed)
-    and the plume mask they come from, if any."""
+    and the plume mask they come from, if any.
+
+    A wind whose U_eff is not positive is a config error, since its flux
+    would not be; a record with a quantity that is not finite is a domain
+    error, so neither reaches a report.
+    """
     length = plume_length(area_m2)
     u_eff, sigma_u, wind_flags = effective_wind(wind)
+    if not u_eff > 0:
+        raise ConfigError(f"wind.u10, wind.beta0 and wind.beta1 give U_eff = beta0 + beta1 * ln(u10) = "
+                          f"{u_eff:.4g} m/s; the flux needs a positive U_eff")
     q = flux(ime_kg, length, u_eff)
     total, sigma_wind, sigma_ime_term = flux_uncertainty(
         ime_kg, sigma_ime_kg, length, u_eff, sigma_u
@@ -202,7 +213,7 @@ def quantify(
         assumptions.append("sigma(IME) unavailable: flux uncertainty reports the wind term only")
     else:
         assumptions.append("sigma(IME) assumes per-pixel independence (root-sum-square)")
-    return PlumeRecord(
+    record = PlumeRecord(
         ime_kg=ime_kg,
         area_m2=area_m2,
         sigma_ime_kg=sigma_ime_kg,
@@ -219,6 +230,11 @@ def quantify(
         touches_edge=None if plume is None else plume.touches_edge,
         assumptions=tuple(assumptions),
     )
+    bad = [k for k, v in vars(record).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"{', '.join(bad)} not finite for an IME of {ime_kg:g} kg over {area_m2:g} m2: "
+                          "the constants section or the inputs are out of range")
+    return record
 
 
 def quantify_plume(

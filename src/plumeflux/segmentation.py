@@ -83,8 +83,8 @@ def _median(work: np.ndarray) -> float:
 
 
 def _robust_stats(values: np.ndarray) -> tuple[float, float]:
-    """Median of ``values`` and the robust sigma about it, from one working copy."""
-    values = np.asarray(values, dtype=np.float64)
+    """Median of ``values``, of any shape, and the robust sigma about it, from one working copy."""
+    values = np.asarray(values, dtype=np.float64).ravel()
     work = values.copy()
     med = _median(work)
     # a median ignores order, so the copy becomes |v - med| in place

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,22 @@ def random_spd(rng, p, scale=1.0):
     """Random symmetric positive definite matrix."""
     A = rng.standard_normal((p, p))
     return scale * (A @ A.T + p * np.eye(p))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs for more than ``seconds`` of wall-clock time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from plumeflux.signature import (
     target_spectrum,
 )
 
-from conftest import make_cube, make_descriptor, random_spd
+from conftest import deadline, make_cube, make_descriptor, random_spd
 
 WINDOW = (2100.0, 2450.0)
 
@@ -1208,6 +1208,17 @@ def assert_fully_refit(out, absorption, config):
         assert getattr(out, name).tobytes() == full.tobytes(), name
 
 
+def moved_segments(out, last):
+    """The segments whose fit moments differ between two statistics."""
+    return np.flatnonzero([any(x[s].tobytes() != y[s].tobytes() for x, y in zip(out.fit, last.fit))
+                           for s in range(out.n_segments)])
+
+
+def state_bytes(stats):
+    """What a decontamination round hands on: the fit moments, the filters and the flags."""
+    return [x.tobytes() for x in stats.fit + (stats.t, stats.q, stats.denom)], stats.flags
+
+
 class TestRefitChangedSegments:
     # engine_cube scenes where each n_sigma leaves a mix of segments that lose
     # rows and segments that keep them all (or, below zero, are skipped)
@@ -1216,20 +1227,25 @@ class TestRefitChangedSegments:
         rng = np.random.default_rng(seed)
         return engine_cube(rng, nodata=True), make_absorption(8, rng=rng)
 
-    @pytest.mark.parametrize("rounds", [1, 2])
-    def test_only_the_segments_that_lost_a_row_are_refit(self, monkeypatch, rounds):
-        cube, absorption = self.scene(91)
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_a_round_refits_exactly_the_segments_whose_fit_moved(self, monkeypatch, rounds):
+        # scene 92 at n_sigma 2 refits 8, 3 and 1 of its 9 columns in rounds 1-3
+        cube, absorption = self.scene(92)
         config = MfConfig(variant="cwcmf", contamination_iterations=rounds)
         stats = compute_stats(cube, absorption, config)
+        last = decontaminate(cube, absorption, dataclasses.replace(config, contamination_iterations=rounds - 1),
+                             stats, n_sigma=2.0)
         calls = recorded_refits(monkeypatch)
         out = decontaminate(cube, absorption, config, stats, n_sigma=2.0)
-        lost = np.flatnonzero(out.counts < stats.counts)
-        assert 0 < lost.size < stats.n_segments and len(calls) == rounds
-        assert calls[-1] == lost.tolist()
+        moved = moved_segments(out, last)
+        assert 0 < moved.size < stats.n_segments and len(calls) == rounds
+        assert calls[-1] == moved.tolist()
+        if rounds == 1:  # from compute_stats, a fit moves where its segment lost a row
+            assert moved.tolist() == np.flatnonzero(out.counts < stats.counts).tolist()
         assert_fully_refit(out, absorption, config)
-        kept = np.setdiff1d(np.arange(stats.n_segments), lost)
+        kept = np.setdiff1d(np.arange(stats.n_segments), moved)
         for name in ("t", "q", "denom"):
-            assert getattr(out, name)[kept].tobytes() == getattr(stats, name)[kept].tobytes()
+            assert getattr(out, name)[kept].tobytes() == getattr(last, name)[kept].tobytes()
 
     def test_a_segment_that_loses_no_row_in_round_two_gets_the_filter_of_stats(self):
         cube, absorption = self.scene(94)
@@ -1245,19 +1261,23 @@ class TestRefitChangedSegments:
             assert getattr(out, name)[4].tobytes() != getattr(first, name)[4].tobytes()
         assert_fully_refit(out, absorption, two)
 
-    def test_decontaminated_stats_are_refit_in_full(self, monkeypatch):
-        # their filters are not those of their full moments, so no segment keeps one
-        cube, absorption = self.scene(91)
-        config = MfConfig(variant="cwcmf", contamination_iterations=1)
-        first = decontaminate(cube, absorption, config, compute_stats(cube, absorption, config), n_sigma=2.0)
+    def test_decontaminated_stats_are_refit_only_where_their_fit_moves(self, monkeypatch):
+        cube, absorption = self.scene(92)
+        one = MfConfig(variant="cwcmf", contamination_iterations=1)
+        stats = compute_stats(cube, absorption, one)
+        first = decontaminate(cube, absorption, one, stats, n_sigma=2.0)
         assert first.fit is not first.moments
         calls = recorded_refits(monkeypatch)
-        out = decontaminate(cube, absorption, config, first, n_sigma=2.0)
-        assert calls == [list(range(first.n_segments))]
-        assert_fully_refit(out, absorption, config)
+        out = decontaminate(cube, absorption, one, first, n_sigma=2.0)
+        moved = moved_segments(out, first)
+        assert calls == [moved.tolist()] and 0 < moved.size < first.n_segments
+        assert_fully_refit(out, absorption, one)
+        # the same bytes as the second of two rounds from compute_stats
+        two = decontaminate(cube, absorption, dataclasses.replace(one, contamination_iterations=2), stats, n_sigma=2.0)
+        assert state_bytes(out) == state_bytes(two)
 
-    @pytest.mark.parametrize("rounds", [1, 2])
-    def test_a_skipped_segment_keeps_the_last_filter_and_is_not_refit(self, monkeypatch, rounds):
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_a_skipped_segment_keeps_the_last_fit_and_filter_and_is_never_refit(self, monkeypatch, rounds):
         cube, absorption = self.scene(92)
         config = MfConfig(variant="cwcmf", contamination_iterations=rounds)
         stats = compute_stats(cube, absorption, config)
@@ -1265,15 +1285,50 @@ class TestRefitChangedSegments:
                              stats, n_sigma=-1.5)
         calls = recorded_refits(monkeypatch)
         out = decontaminate(cube, absorption, config, stats, n_sigma=-1.5)
-        flagged = [s for s, f in enumerate(out.flags) if "decontamination skipped (segment emptied)" in f]
-        # below zero every segment loses rows, so the last round refit all but its skipped ones
-        held = np.setdiff1d(np.arange(stats.n_segments), calls[-1])
-        assert held.size and set(held) <= set(flagged) and (rounds == 2 or held.tolist() == [2, 8])
+        # the segments this round skips: last's scores above the threshold leave fewer than 2 rows
+        delta = apply_mf(cube, absorption, config, last).delta_x.ravel()
+        skipped = [s for s, rows in enumerate(stats.estimation_rows)
+                   if np.count_nonzero(delta[rows] <= robust_threshold(delta[rows], -1.5)) < 2]
+        assert skipped and len(calls) == rounds and not set(skipped) & set(calls[-1])
+        assert all("decontamination skipped (segment emptied)" in out.flags[s] for s in skipped)
         for x, y in zip(out.fit + (out.t, out.q, out.denom), last.fit + (last.t, last.q, last.denom)):
-            assert x[held].tobytes() == y[held].tobytes()
-        # in round 2, segments 4-6 keep round 1's filters, not those of stats
-        assert rounds == 1 or out.q[held].tobytes() != stats.q[held].tobytes()
+            assert x[skipped].tobytes() == y[skipped].tobytes()
         assert_fully_refit(out, absorption, config)
+
+    # (scene, n_sigma, the round that repeats an earlier one's fits, its period): a
+    # round that refits nothing, a cycle of two rounds found at round 4 (the fits of
+    # the checkpoint at round 2), and one found at round 10 (checkpoint 8)
+    REPEATS = [(92, 2.0, 4, 1), (94, 3.0, 4, 2), (91, -1.5, 10, 2)]
+
+    @pytest.mark.parametrize("seed,n_sigma,repeat,period", REPEATS)
+    def test_rounds_past_a_repeat_give_the_bytes_of_running_every_round(self, monkeypatch, seed, n_sigma, repeat,
+                                                                        period):
+        # one round at a time runs every round; a run of n rounds stops at the
+        # repeat and runs only what is left of its last period
+        cube, absorption = self.scene(seed)
+        one = MfConfig(variant="cwcmf", contamination_iterations=1)
+        every = [compute_stats(cube, absorption, one)]
+        for _ in range(repeat + 4):
+            every.append(decontaminate(cube, absorption, one, every[-1], n_sigma=n_sigma))
+        for n in range(1, repeat + 5):
+            calls = recorded_refits(monkeypatch)
+            out = decontaminate(cube, absorption, dataclasses.replace(one, contamination_iterations=n), every[0],
+                                n_sigma=n_sigma)
+            assert state_bytes(out) == state_bytes(every[n]), n
+            assert len(calls) == (n if n <= repeat else repeat + (n - repeat) % period), n
+        assert state_bytes(every[repeat]) == state_bytes(every[repeat - period])
+
+    @pytest.mark.parametrize("seed,n_sigma,repeat,period", REPEATS)
+    def test_a_cap_of_10_12_rounds_returns_within_seconds(self, seed, n_sigma, repeat, period):
+        cube, absorption = self.scene(seed)
+        config = MfConfig(variant="cwcmf", contamination_iterations=10**12)
+        stats = compute_stats(cube, absorption, config)
+        with deadline(20):
+            out = decontaminate(cube, absorption, config, stats, n_sigma=n_sigma)
+        # 10**12 - repeat is a whole number of periods: the bytes of the repeat's round
+        at_repeat = decontaminate(cube, absorption, dataclasses.replace(config, contamination_iterations=repeat),
+                                  stats, n_sigma=n_sigma)
+        assert state_bytes(out) == state_bytes(at_repeat)
 
     @pytest.mark.parametrize("n_sigma", [2.0, -1.2])
     def test_downdate_equals_a_per_segment_merge(self, n_sigma):

@@ -28,6 +28,8 @@ from plumeflux.pipeline import (
 from plumeflux.scene_io import EnhancementField, read_raster, write_cube, write_raster
 from plumeflux.segmentation import connected_components
 
+from conftest import deadline
+
 
 def stage_of(mask):
     """A stage result holding ``mask``'s plumes and their label raster."""
@@ -161,6 +163,9 @@ class TestConfig:
             ("seed: abc", "seed"),
             ("segmentation: {connectivity: 8.9}", "segmentation.connectivity"),
             ("segmentation: {connectivity: true}", "segmentation.connectivity"),
+            ("wind: {u10: true}", "wind.u10"),
+            ("segmentation: {n_sigma: false}", "segmentation.n_sigma"),
+            ("mf: [{delta_min: true}]", "mf.delta_min"),
             ("mf: [{cluster_count: .inf}]", "mf.cluster_count"),
             ("seed: 1.5", "seed"),
         ],
@@ -432,6 +437,26 @@ class TestPipelineLevel1:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["plume_count"] == 0
         assert report["plumes"] == []
+
+    def test_a_cap_of_10_12_decontamination_rounds_ends_within_seconds(self, tmp_path):
+        # the rounds stop once their fits repeat, with the outputs of a run that goes on
+        spec = pf.SyntheticPlumeSpec(center=(24, 24), peak_delta_x=900.0, sigma_along_m=60.0, sigma_across_m=60.0)
+        params = pf.SimParams(lines=48, samples=48, n_bands=24, noise_a=4e-5, noise_c=1e-4, plume=spec, seed=3)
+        write_cube(pf.simulate_scene(params)[0], tmp_path / "cube")
+        outputs = []
+        for rounds in (10**12, 20):
+            cfg = write_config(tmp_path, mf={"variant": "cwcmf", "contamination_iterations": rounds})
+            with deadline(30):
+                assert main(["pipeline", "--config", str(cfg), "--output", str(tmp_path / f"out_{rounds}")]) == 0
+            out = tmp_path / f"out_{rounds}"
+            report = strip_timings(json.loads((out / "report.json").read_text()))
+            assert f"decon={rounds}" in report["provenance"]
+            report["provenance"] = report["provenance"].replace(f"decon={rounds}", "decon=N")
+            report["mf_label"] = report["mf_label"].replace(f"decon={rounds}", "decon=N")
+            report["config"]["mf"][0]["contamination_iterations"] = None
+            outputs.append([report] + [(out / name).read_bytes() for name in sorted(os.listdir(out))
+                                       if name != "report.json"])
+        assert outputs[0] == outputs[1]
 
 
 class TestWindowOnlyRead:
@@ -1016,6 +1041,32 @@ class TestCli:
                                wind={"u10": 3.0, "sigma_u10": sigma_u10})
             assert main([*argv, str(cfg)]) == code
         assert "finite" in capsys.readouterr().err
+
+    def test_quantify_reads_the_wind_of_a_config_whose_input_is_gone(self, tmp_path, capsys):
+        # quantify reads no input file, so a run config made elsewhere serves
+        cfg = write_config(tmp_path, input={"cube": "missing/cube"}, wind={"u10": 3.0})
+        assert main(["quantify", "--ime-kg", "700", "--area-m2", "90000", "--config", str(cfg)]) == 0
+        from_config = json.loads(capsys.readouterr().out)
+        assert main(["quantify", "--ime-kg", "700", "--area-m2", "90000", "--u10", "3.0"]) == 0
+        assert json.loads(capsys.readouterr().out) == from_config
+
+    @pytest.mark.parametrize("wind", [("--u10", "0.5"), ("--beta1", "-1"), ("--beta0", "0", "--beta1", "0")])
+    def test_quantify_refuses_a_non_positive_effective_wind(self, capsys, wind):
+        # U_eff = 0.6 + 1.1 ln 0.5 = -0.16, 0.6 - ln 3 = -0.50 and 0 m/s: none gives a flux
+        assert main(["quantify", "--ime-kg", "700", "--area-m2", "90000", "--u10", "3", *wind]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "wind.u10, wind.beta0 and wind.beta1" in err and "U_eff" in err
+
+    @pytest.mark.parametrize("key", ["temperature", "gas_constant"])
+    def test_an_overflowing_mass_factor_exits_3_naming_constants(self, tmp_path, capsys, key):
+        # 1e-300 K (or J/(mol K)) makes a ppm*m weigh about 1e298 kg/m2: the flux
+        # uncertainty's squares pass the float range, and nothing reaches a report
+        write_scene(tmp_path, seed=5)
+        cfg = write_config(tmp_path, constants={key: 1e-300})
+        assert main(["pipeline", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "not finite" in err and "constants" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_retrieve_and_segment_subcommands(self, tmp_path):
         write_scene(tmp_path, seed=5)

@@ -282,6 +282,20 @@ class TestQuantifyRecord:
         )
         assert any("independence" in a for a in record.assumptions)
 
+    @pytest.mark.parametrize("wind", [WindConfig(u10=0.5), WindConfig(u10=0.2), WindConfig(u10=3.0, beta1=-1.0),
+                                      WindConfig(u10=1.0, beta0=0.0)])
+    def test_non_positive_effective_wind_is_a_config_error(self, wind):
+        # effective_wind still returns the value; quantify refuses the flux it would give
+        assert not effective_wind(wind)[0] > 0
+        with pytest.raises(ConfigError, match=r"wind.u10, wind.beta0 and wind.beta1 give U_eff"):
+            quantify(700.0, 2.0, 90_000.0, wind)
+
+    @pytest.mark.parametrize("ime,sigma_ime", [(1e306, 1.0), (700.0, 1e306), (math.inf, None)])
+    def test_a_quantity_past_the_float_range_is_a_domain_error(self, ime, sigma_ime):
+        # the squares of the flux uncertainty overflow, or the IME itself is infinite
+        with pytest.raises(DomainError, match="not finite .*constants"):
+            quantify(ime, sigma_ime, 90_000.0, WindConfig(u10=3.0))
+
     def test_missing_sigma_ime_flagged(self):
         record = quantify(100.0, None, 10_000.0, WindConfig(u10=2.0))
         assert record.sigma_flux_t_per_h is None

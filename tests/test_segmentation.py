@@ -164,6 +164,14 @@ class TestRobustThreshold:
             expected = float(med) + 3.0 * (1.4826 * float(np.median(np.abs(values - med))))
             assert robust_threshold(values, 3.0) == expected
 
+    def test_any_shape_gives_the_value_of_its_flattening(self, rng):
+        values = rng.standard_normal((3, 4, 5))
+        for shape in ((60,), (3, 20), (3, 4, 5)):
+            assert robust_threshold(values.reshape(shape), 2.5) == robust_threshold(values.ravel(), 2.5)
+            assert robust_sigma(values.reshape(shape)) == robust_sigma(values.ravel())
+        # a strided view too, as a column of a field
+        assert robust_threshold(values[:, :, 1], 2.5) == robust_threshold(values[:, :, 1].ravel(), 2.5)
+
     def test_mad_zero_std_fallback_value(self):
         values = np.array([5.0] * 6 + [1.0, 9.0, 5.0])
         expected = 5.0 + 2.0 * float(np.std(values, ddof=1))
