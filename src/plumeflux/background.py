@@ -9,18 +9,26 @@ total per-pixel uncertainty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, check_ranges
 from .matched_filter import normalized_features, unit_mean_rows
 from .scene_io import EnhancementField, RadianceCube
 from .segmentation import _disk_op, radius_to_pixels, robust_sigma
 from .signature import BandAbsorption
 
-DEFAULT_MIN_SAMPLE = 100
-DEFAULT_BUFFER_M = 90.0
+
+@dataclass(frozen=True)
+class BackgroundParams:
+    n_select: Optional[int] = None  # None: max(500, 5 * plume pixels)
+    buffer_m: float = 90.0
+    min_sample: int = 100
+
+    def __post_init__(self):
+        check_ranges("background", self, n_select=">= 1", buffer_m="non-negative", min_sample="non-negative")
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,8 @@ def match_background(
     absorption: BandAbsorption,
     plume_mask: np.ndarray,
     n_select: int | None = None,
-    buffer_m: float = DEFAULT_BUFFER_M,
-    min_sample: int = DEFAULT_MIN_SAMPLE,
+    buffer_m: float = BackgroundParams.buffer_m,
+    min_sample: int = BackgroundParams.min_sample,
 ) -> BackgroundSelection:
     """Pick the plume-free pixels most similar to the plume-footprint continuum.
 

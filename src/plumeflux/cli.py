@@ -2,7 +2,8 @@
 
 Subcommands: simulate, retrieve, segment, quantify, pipeline, multi,
 ingest-l2, config. Exit codes: 0 success (including zero plumes found),
-2 config errors, 3 data/domain errors, 4 internal numerical errors.
+2 config errors, 3 data/domain errors and runs out of memory, 4 internal
+numerical errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .config import default_config_yaml, load_config
-from .errors import ConfigError, PlumefluxError
+from .errors import ConfigError, DataError, PlumefluxError
 from .pipeline import (
     quantify_only,
     resolve_output_dir,
@@ -242,6 +243,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PlumefluxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # such as a scene too large to build
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

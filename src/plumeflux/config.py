@@ -9,7 +9,6 @@ paths resolve against the config file's directory.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,28 +16,13 @@ from typing import Any, Optional, Union
 
 import yaml
 
-from .background import DEFAULT_BUFFER_M, DEFAULT_MIN_SAMPLE
+from .background import BackgroundParams
 from .errors import ConfigError
 from .matched_filter import MfConfig
 from .quantification import GasConstants, WindConfig
 from .scene_io import dataset_paths
 from .segmentation import SegmentationParams
 from .simulator import SimParams, SyntheticPlumeSpec
-
-
-@dataclass(frozen=True)
-class BackgroundParams:
-    n_select: Optional[int] = None  # None: max(500, 5 * plume pixels)
-    buffer_m: float = DEFAULT_BUFFER_M
-    min_sample: int = DEFAULT_MIN_SAMPLE
-
-    def __post_init__(self):
-        if self.n_select is not None and self.n_select < 1:
-            raise ConfigError("background.n_select must be >= 1 (or unset)")
-        if not 0.0 <= self.buffer_m < math.inf:
-            raise ConfigError("background.buffer_m must be finite and non-negative")
-        if self.min_sample < 0:
-            raise ConfigError("background.min_sample must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import kernels
-from .errors import ConfigError, DataError, DomainError, NumericalError
+from .errors import ConfigError, DataError, DomainError, NumericalError, check_ranges
 from .scene_io import EnhancementField, RadianceCube
 from .segmentation import SegmentationParams, robust_threshold
 from .signature import BandAbsorption, target_spectrum
@@ -42,18 +42,10 @@ class MfConfig:
         object.__setattr__(self, "variant", self.variant.lower())
         if self.variant not in VARIANTS:
             raise ConfigError(f"mf.variant must be one of {', '.join(VARIANTS)}; got {self.variant!r}")
-        if self.cluster_count < 1:
-            raise ConfigError("mf.cluster_count must be >= 1")
-        if not 0.0 <= self.shrinkage < 1.0:
-            raise ConfigError("mf.shrinkage must be in [0, 1)")
-        if self.contamination_iterations < 0:
-            raise ConfigError("mf.contamination_iterations must be >= 0")
-        if not all(map(math.isfinite, self.window)):
-            raise ConfigError("mf.window must be finite")
+        check_ranges("mf", self, cluster_count=">= 1", shrinkage="in [0, 1)", contamination_iterations=">= 0",
+                     window="finite", delta_min="non-negative")
         if not self.window[0] < self.window[1]:
             raise ConfigError("mf.window must be (low, high) with low < high")
-        if self.delta_min is not None and not 0.0 <= self.delta_min < math.inf:
-            raise ConfigError("mf.delta_min must be unset, or finite and >= 0")
 
     def label(self) -> str:
         parts = [self.variant]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_ranges
 from .scene_io import EnhancementField
 from .segmentation import PlumeMask
 
@@ -35,12 +35,8 @@ class GasConstants:
     gas_constant: float = 8.314462618  # J/(mol K)
 
     def __post_init__(self):
-        for key, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ConfigError(f"constants.{key} must be finite")
-            if value < 0 or value == 0 and key != "molar_mass":
-                least = "non-negative" if key == "molar_mass" else "positive"
-                raise ConfigError(f"constants.{key} must be {least}")
+        check_ranges("constants", self, molar_mass="non-negative", temperature="positive", pressure="positive",
+                     gas_constant="positive")
 
 
 @dataclass(frozen=True)
@@ -54,13 +50,7 @@ class WindConfig:
     sigma_method: str = "analytic"
 
     def __post_init__(self):
-        for key in ("u10", "sigma_u10", "beta0", "beta1"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"wind.{key} must be finite")
-        if not self.u10 > 0:
-            raise ConfigError("wind.u10 must be positive")
-        if self.sigma_u10 < 0:
-            raise ConfigError("wind.sigma_u10 must be non-negative")
+        check_ranges("wind", self, u10="positive", sigma_u10="non-negative", beta0="finite", beta1="finite")
         if self.sigma_method not in SIGMA_METHODS:
             raise ConfigError(f"wind.sigma_method must be one of {', '.join(SIGMA_METHODS)}")
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, check_ranges
 from .scene_io import EnhancementField
 
 
@@ -29,14 +29,8 @@ class SegmentationParams:
     connectivity: int = 8
 
     def __post_init__(self):
-        for key in ("n_sigma", "close_radius_m", "open_radius_m", "min_area_m2"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"segmentation.{key} must be finite")
-        if self.n_sigma <= 0:
-            raise ConfigError("segmentation.n_sigma must be positive")
-        for key in ("close_radius_m", "open_radius_m", "min_area_m2"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"segmentation.{key} must be non-negative")
+        check_ranges("segmentation", self, n_sigma="positive", close_radius_m="non-negative",
+                     open_radius_m="non-negative", min_area_m2="non-negative")
         if self.connectivity not in (4, 8):
             raise ConfigError("segmentation.connectivity must be 4 or 8")
 

@@ -9,6 +9,7 @@ outputs in physical concentration-path-length units (ppm*m).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -89,11 +90,18 @@ def read_absorption_table(path: Union[str, Path]) -> AbsorptionTable:
     return AbsorptionTable(wavelengths=arr[:, 0], kappa=arr[:, 1])
 
 
+@cache
 def load_bundled_table() -> AbsorptionTable:
-    """Synthetic smooth absorption table shipped with the package."""
+    """Synthetic smooth absorption table shipped with the package.
+
+    It is parsed once per process, and every caller gets the same table, so
+    its arrays are read-only.
+    """
     ref = resources.files("plumeflux").joinpath("data/ch4_synthetic_absorption.txt")
     with resources.as_file(ref) as path:
-        return read_absorption_table(path)
+        table = read_absorption_table(path)
+    table.wavelengths.flags.writeable = table.kappa.flags.writeable = False
+    return table
 
 
 def window_band_indices(

@@ -9,13 +9,12 @@ same radiometric noise model the retrieval propagates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, check_ranges
 from .quantification import GasConstants, integrate_ime
 from .scene_io import EnhancementField, RadianceCube, SensorDescriptor
 from .signature import BandAbsorption, transmittance
@@ -33,16 +32,8 @@ class SyntheticPlumeSpec:
     truth_mask_fraction: float = 0.01
 
     def __post_init__(self):
-        for key in ("center", "peak_delta_x", "sigma_along_m", "sigma_across_m", "orientation_rad"):
-            if not all(math.isfinite(v) for v in np.ravel(getattr(self, key))):
-                raise ConfigError(f"simulate.plume.{key} must be finite")
-        if self.peak_delta_x < 0:
-            raise ConfigError("simulate.plume.peak_delta_x must be non-negative")
-        for key in ("sigma_along_m", "sigma_across_m"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"simulate.plume.{key} must be positive")
-        if not 0.0 < self.truth_mask_fraction < 1.0:
-            raise ConfigError("simulate.plume.truth_mask_fraction must be in (0, 1)")
+        check_ranges("simulate.plume", self, center="finite", peak_delta_x="non-negative", sigma_along_m="positive",
+                     sigma_across_m="positive", orientation_rad="finite", truth_mask_fraction="in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -220,21 +211,17 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("band_start_nm", "band_stop_nm", "fwhm_nm", "gsd_m", "noise_a", "noise_c",
-                    "column_gain_amplitude", "endmember_levels", "endmember_tilts"):
-            if not all(math.isfinite(v) for v in np.ravel(getattr(self, key)) if v is not None):
-                raise ConfigError(f"simulate.{key} must be finite")
-        for key, least in (("lines", 1), ("samples", 1), ("n_bands", 2)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"simulate.{key} must be >= {least}")
+        check_ranges("simulate", self, lines=">= 1", samples=">= 1", band_start_nm="finite", band_stop_nm="finite",
+                     n_bands=">= 2", fwhm_nm="positive", gsd_m="positive", noise_a="non-negative",
+                     noise_c="non-negative", endmember_levels="finite", endmember_tilts="finite",
+                     column_gain_amplitude="finite")
+        # the cube and the endmember weights are float64 arrays, and numpy makes none
+        # of more bytes than intp counts
+        planes = max(self.n_bands, len(self.endmember_levels))
+        if 8 * self.lines * self.samples * planes > np.iinfo(np.intp).max:
+            raise ConfigError("simulate: lines x samples x max(n_bands, endmembers) is too large for one array")
         if not self.band_start_nm < self.band_stop_nm:
             raise ConfigError("simulate.band_start_nm must be below simulate.band_stop_nm")
-        for key in ("fwhm_nm", "gsd_m"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"simulate.{key} must be positive")
-        for key in ("noise_a", "noise_c"):
-            if (getattr(self, key) or 0.0) < 0:
-                raise ConfigError(f"simulate.{key} must be non-negative")
         if self.plume is not None and not (
             0 <= self.plume.center[0] < self.lines and 0 <= self.plume.center[1] < self.samples
         ):

@@ -85,3 +85,23 @@ def test_every_mutation_exits_0_2_or_3_with_a_finite_report(scene, capsys):
             assert all(p["flux_t_per_h"] >= 0 and p["flux_kg_per_s"] >= 0 for p in report["plumes"]), mutation
     # the draw holds runs that go through and runs that are refused
     assert codes.count(0) >= 5 and codes.count(2) >= 50
+
+
+@pytest.mark.parametrize(
+    "variant,section,key,code",
+    [
+        ("cwcmf", "mf", "contamination_iterations", 0),
+        ("cwcmf", "background", "n_select", 0),
+        ("cwcmf", "background", "min_sample", 0),
+        ("ctmf", "mf", "cluster_count", 3),  # more clusters than pixels
+    ],
+)
+def test_a_400_digit_integer_key_is_finite(scene, capsys, variant, section, key, code):
+    # an int past the float range never meets math.isfinite, which would overflow on it
+    doc = {"input": {"cube": str(scene / "cube")}, "mf": {"variant": variant}, "wind": {"u10": 3.0}}
+    doc.setdefault(section, {})[key] = 10**400 - 1
+    path = scene / f"big_{key}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with deadline(10):
+        assert main(["pipeline", "--config", str(path), "--output", str(scene / f"big_{key}")]) == code
+    assert "Traceback" not in capsys.readouterr().err

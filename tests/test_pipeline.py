@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import yaml
 import plumeflux as pf
 from plumeflux import pipeline
 from plumeflux.cli import main
-from plumeflux.config import BackgroundParams, default_config_yaml, load_config
+from plumeflux.config import BackgroundParams, RunConfig, default_config_yaml, load_config
 from plumeflux.errors import ConfigError
 from plumeflux.pipeline import (
     StageResult,
@@ -77,6 +78,27 @@ def strip_timings(report):
     for sub in out.get("runs", []):
         sub.pop("timings_s", None)
     return out
+
+
+def schema_float_keys(cls=RunConfig, section=None):
+    """(section, key, type hint) of each float, ``Optional[float]`` or float-tuple key, read from the schema."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        inner = hints[f.name]
+        while args := [a for a in typing.get_args(inner) if a not in (type(None), Ellipsis)]:
+            inner = args[0]  # Optional[X] and tuple[X, ...] hold X
+        name = f.name if section is None else f"{section}.{f.name}"
+        if dataclasses.is_dataclass(inner):
+            yield from schema_float_keys(inner, name)
+        elif inner is float and section is not None:
+            yield section, f.name, hints[f.name]
+
+
+# input.gsd is exempt: it overrides the raster header's GSD, so a bad value is a
+# data error (exit 3) raised where the raster is read, as TestPipelineLevel2 pins
+FLOAT_KEYS = [k for k in schema_float_keys() if k[:2] != ("input", "gsd")]
+# keys with no default, which a section must set to be built at all
+REQUIRED_KEYS = {"wind": {"u10": 3.0}, "simulate.plume": {"peak_delta_x": 900.0}}
 
 
 class TestConfig:
@@ -201,19 +223,24 @@ class TestConfig:
             load_config(path)
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("key", ["molar_mass", "temperature", "pressure", "gas_constant"])
-    @pytest.mark.parametrize("value", [".nan", ".inf"])
-    def test_non_finite_gas_constant_is_a_config_error(self, tmp_path, key, value):
-        self.rejects(tmp_path, f"constants: {{{key}: {value}}}", f"constants.{key} must be finite")
-
-    @pytest.mark.parametrize("key", ["n_sigma", "close_radius_m", "open_radius_m", "min_area_m2"])
-    @pytest.mark.parametrize("value", [".nan", ".inf"])
-    def test_non_finite_segmentation_value_is_a_config_error(self, tmp_path, key, value):
-        self.rejects(tmp_path, f"segmentation: {{{key}: {value}}}", f"segmentation.{key} must be finite")
+    @pytest.mark.parametrize("section,key,hint", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k, _ in FLOAT_KEYS])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_every_float_key_must_be_finite(self, tmp_path, section, key, hint, value):
+        # a fixed-length tuple gets the value in every place, any other tuple one item
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            value = [value] * (1 if args[-1] is Ellipsis else len(args))
+        doc = {}
+        node = doc
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node.update(REQUIRED_KEYS.get(section, {}), **{key: value})
+        self.rejects(tmp_path, yaml.safe_dump(doc), f"{section}.{key} must be finite")
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "-1"])
     def test_delta_min_is_unset_or_finite_and_non_negative(self, tmp_path, value):
-        self.rejects(tmp_path, f"mf: {{delta_min: {value}}}", "mf.delta_min must be unset, or finite and >= 0")
+        message = "mf.delta_min must be non-negative" if value == "-1" else "mf.delta_min must be finite"
+        self.rejects(tmp_path, f"mf: {{delta_min: {value}}}", message)
         path = tmp_path / "run.yaml"
         for text, expected in (("mf: {delta_min: 0}", 0.0), ("mf: {delta_min: null}", None)):
             path.write_text(text + "\n")
@@ -227,12 +254,6 @@ class TestConfig:
         assert main(["pipeline", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {text.split(':')[0]}." in err and "finite" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("key", ["band_start_nm", "band_stop_nm", "fwhm_nm", "gsd_m", "noise_a",
-                                     "noise_c", "column_gain_amplitude"])
-    @pytest.mark.parametrize("value", [".nan", ".inf"])
-    def test_non_finite_simulate_value_is_a_config_error(self, tmp_path, key, value):
-        self.rejects(tmp_path, f"simulate: {{{key}: {value}}}", f"simulate.{key} must be finite")
 
     @pytest.mark.parametrize("key", ["center", "peak_delta_x", "sigma_along_m", "sigma_across_m",
                                      "orientation_rad"])
@@ -253,7 +274,7 @@ class TestConfig:
             ("simulate: {plume: {peak_delta_x: 900.0, sigma_across_m: -5.0}}",
              "simulate.plume.sigma_across_m must be positive"),
             ("simulate: {plume: {peak_delta_x: 900.0, truth_mask_fraction: .nan}}",
-             "simulate.plume.truth_mask_fraction must be in (0, 1)"),
+             "simulate.plume.truth_mask_fraction must be finite"),
             ("simulate: {plume: {peak_delta_x: 900.0, truth_mask_fraction: 1.0}}",
              "simulate.plume.truth_mask_fraction must be in (0, 1)"),
             ("simulate: {plume: {peak_delta_x: 900.0, center: [500, 48]}}",
@@ -319,6 +340,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error: simulate.band_start_nm must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scene", [
+        f"lines: {'9' * 400}",  # these two ended in numpy's "Maximum allowed dimension exceeded"
+        f"n_bands: {'9' * 400}",
+        "lines: 1000000000, samples: 500000000, n_bands: 2, endmember_levels: [1.0, 2.0, 3.0]",  # "array is too big"
+    ])
+    def test_a_scene_no_array_can_hold_is_a_config_error(self, tmp_path, capsys, scene):
+        path = tmp_path / "big.yaml"
+        path.write_text(f"simulate: {{{scene}}}\n")
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: simulate: lines x samples x max(n_bands, endmembers) ")
+
+    def test_a_scene_too_large_for_memory_exits_3(self, tmp_path, capsys):
+        # 36 x 1e8 x 1e8 float64 values are 2.9e18 bytes, whose allocation fails at once
+        path = tmp_path / "big.yaml"
+        path.write_text("simulate: {lines: 100000000, samples: 100000000}\n")
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_background_range_ends_load(self, tmp_path):
         path = tmp_path / "run.yaml"

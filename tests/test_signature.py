@@ -75,6 +75,11 @@ class TestTableIO:
         assert table.wavelengths[0] <= 2050.0 and table.wavelengths[-1] >= 2500.0
         assert np.all(table.kappa >= 0)
 
+    def test_bundled_table_is_parsed_once_and_read_only(self):
+        table = load_bundled_table()
+        assert load_bundled_table() is table
+        assert not (table.wavelengths.flags.writeable or table.kappa.flags.writeable)
+
 
 class TestBandAbsorption:
     def test_constant_kappa_passes_through(self):
