@@ -51,17 +51,11 @@ def _apply_mf_override(cfg, variant: Optional[str]):
     return dataclasses.replace(cfg, mf=mf)
 
 
-def _out_dir(cfg, args) -> Path:
-    out = resolve_output_dir(cfg, args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed, validate_inputs=False)
+    cfg = _load(args)
     if cfg.simulate is None:
         raise ConfigError("config has no 'simulate' section")
-    out = _out_dir(cfg, args)
+    out = resolve_output_dir(cfg, args.output)
     cube, truth = simulate_scene(cfg.simulate)
     write_cube(cube, out / "cube")
     doc = {
@@ -88,7 +82,6 @@ def cmd_retrieve(args) -> int:
         raise ConfigError("retrieve requires input.cube (level-1 radiance)")
     out, cube, table = run_inputs(cfg, args.output, cfg.mf[:1])
     field = retrieve_layers(cfg, cfg.mf[0], cube, table)[0]
-    out.mkdir(parents=True, exist_ok=True)
     write_layers(out, field)
     print(f"wrote enhancement (provenance: {field.provenance}) to {out}")
     return 0
@@ -96,7 +89,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_segment(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
+    out = resolve_output_dir(cfg, args.output)
     enh = args.enhancement if args.enhancement is not None else cfg.input.enhancement
     if enh is None:
         raise ConfigError("segment requires input.enhancement or --enhancement")
@@ -120,8 +113,8 @@ def cmd_segment(args) -> int:
 
 def cmd_quantify(args) -> int:
     wind = None
-    if args.config is not None:  # only its wind section is read, so its input files need not exist
-        wind = load_config(args.config, seed_override=args.seed, validate_inputs=False).wind
+    if args.config is not None:  # only its wind section is read
+        wind = _load(args).wind
     # each wind flag given sets its key over the config's wind section
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(WindConfig)}
     given = {k: v for k, v in flags.items() if v is not None}
@@ -155,9 +148,7 @@ def cmd_multi(args) -> int:
 
 def cmd_ingest_l2(args) -> int:
     field = ingest_level2(args.enhancement, args.sigma, args.gsd)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    write_layers(out, field)
+    write_layers(args.output, field)
     valid = int((~field.nodata_mask).sum())
     write_report(
         {
@@ -166,9 +157,9 @@ def cmd_ingest_l2(args) -> int:
             "valid_pixels": valid,
             "sigma_total_present": field.sigma_total is not None,
         },
-        out / "ingest.json",
+        args.output / "ingest.json",
     )
-    print(f"ingested level-2 product ({valid} valid pixels) into {out}")
+    print(f"ingested level-2 product ({valid} valid pixels) into {args.output}")
     return 0
 
 

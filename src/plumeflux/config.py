@@ -20,7 +20,7 @@ from .background import BackgroundParams
 from .errors import ConfigError
 from .matched_filter import MfConfig
 from .quantification import GasConstants, WindConfig
-from .scene_io import dataset_paths
+from .scene_io import dataset_paths, read_file
 from .segmentation import SegmentationParams
 from .simulator import SimParams, SyntheticPlumeSpec
 
@@ -131,22 +131,15 @@ def _simulate(mapping: dict, seed: int, base: Path) -> SimParams:
     return dataclasses.replace(sim, plume=_section(SyntheticPlumeSpec, plume, "simulate.plume", base))
 
 
-def load_config(
-    path: str | Path,
-    seed_override: Optional[int] = None,
-    validate_inputs: bool = True,
-) -> RunConfig:
+def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    ``validate_inputs=False`` skips input-file existence checks; the
-    simulate subcommand uses it since it creates the scene the same config
-    may later consume.
+    The input files it names are not read here, so need not exist yet:
+    ``validate_files`` checks them where a run reads its inputs.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = yaml.safe_load(read_file(path, "config file", missing=ConfigError, error=ConfigError))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     doc = _mapping(doc, f"config {path}")
@@ -171,7 +164,7 @@ def load_config(
 
     wind = doc.get("wind")
     simulate = doc.get("simulate")
-    cfg = RunConfig(
+    return RunConfig(
         input=input_cfg,
         absorption_table=table,
         output_dir=_coerce(doc.get("output_dir"), Optional[Path], "output_dir", base),
@@ -183,26 +176,18 @@ def load_config(
         constants=_section(GasConstants, doc.get("constants"), "constants", base),
         simulate=None if simulate is None else _simulate(simulate, seed, base),
     )
-    if validate_inputs:
-        validate_files(cfg)
-    return cfg
 
 
 def validate_files(cfg: RunConfig) -> None:
-    """All referenced files must exist at validation time."""
-
-    def check(key: str, p: Optional[Path], header_pair: bool) -> None:
-        if p is None:
-            return
-        probe = dataset_paths(p)[0] if header_pair else p
+    """Every input file the config names must exist: a missing one is a
+    ``ConfigError`` naming its key."""
+    inputs = {f"input.{key}": getattr(cfg.input, key) for key in ("cube", "enhancement", "sigma")}
+    probes = {key: dataset_paths(p)[0] for key, p in inputs.items() if p is not None}
+    if cfg.absorption_table != "builtin":
+        probes["absorption_table"] = Path(cfg.absorption_table)
+    for key, probe in probes.items():
         if not probe.exists():
             raise ConfigError(f"config key '{key}' references a missing file: {probe}")
-
-    check("input.cube", cfg.input.cube, True)
-    check("input.enhancement", cfg.input.enhancement, True)
-    check("input.sigma", cfg.input.sigma, True)
-    if cfg.absorption_table != "builtin":
-        check("absorption_table", Path(cfg.absorption_table), False)
 
 
 def _plain(obj) -> dict:

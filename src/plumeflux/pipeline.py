@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .background import clutter_sigma, match_background, total_sigma
-from .config import RunConfig, config_echo
+from .config import RunConfig, config_echo, validate_files
 from .errors import ConfigError, DataError, DomainError
 from .matched_filter import MfConfig, retrieve
 from .quantification import quantify, quantify_plume
@@ -30,6 +30,7 @@ from .scene_io import (
     RadianceCube,
     ingest_level2,
     read_cube,
+    write_file,
     write_raster,
 )
 from .segmentation import (
@@ -84,13 +85,13 @@ def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]
         labels[p.window][p.mask] = p.label_id
     write_raster(labels, out_dir / "plume_mask", field.gsd, field.origin, field.nodata_mask)
     text = geojson_text(plumes_to_geojson(plumes))
-    (out_dir / "plumes.geojson").write_text(text, encoding="utf-8")
+    write_file(out_dir / "plumes.geojson", text)
     return labels
 
 
 def write_report(report: dict, path: Path) -> None:
     """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)``."""
-    path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    write_file(path, json.dumps(report, indent=2, sort_keys=True))
 
 
 def retrieve_layers(
@@ -172,7 +173,6 @@ def run_stage(
     timings["quantification_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_layers(out_dir, field)
     labels = write_plumes(out_dir, field, plumes)
     timings["outputs_s"] = time.perf_counter() - t0
@@ -205,8 +205,10 @@ def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
 def run_inputs(
     cfg: RunConfig, output_dir: Optional[Path], mfs: tuple[MfConfig, ...]
 ) -> tuple[Path, Scene, Optional[AbsorptionTable]]:
-    """Output directory, scene and absorption table, each read once per run: the
-    level-1 cube's bands spanning every window in ``mfs``, or the level-2 product."""
+    """Output directory, scene and absorption table, each read once per run (the
+    config's input files checked first): the level-1 cube's bands spanning every
+    window in ``mfs``, or the level-2 product."""
+    validate_files(cfg)
     out_dir = resolve_output_dir(cfg, output_dir)
     if cfg.input.mode() == "level1":
         window = (min(m.window[0] for m in mfs), max(m.window[1] for m in mfs))

@@ -10,6 +10,7 @@ wind-driven uncertainty terms combine in quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,9 +168,11 @@ def flux_uncertainty(
         return None, sigma_wind, None
     sigma_ime_term = KG_S_TO_T_H * u_eff * sigma_ime_kg / length_m
     try:
-        total = math.sqrt(sigma_wind**2 + sigma_ime_term**2)
+        squares = sigma_wind**2 + sigma_ime_term**2
     except OverflowError:  # a square past the float range
-        total = math.inf
+        squares = math.inf
+    # below the least normal float the squares lost digits to underflow, or all of them
+    total = math.sqrt(squares) if squares >= sys.float_info.min else math.hypot(sigma_wind, sigma_ime_term)
     return total, sigma_wind, sigma_ime_term
 
 

@@ -10,6 +10,10 @@ radiance float32 and, given a wavelength window, reads only that contiguous
 run of bands; consumers widen each pixel chunk to float64 (exactly) before
 any arithmetic. Rasters are read as float64.
 
+Every file the package reads or writes goes through ``read_file`` or
+``write_file``: text is UTF-8, a file that cannot be read or written is a
+package error naming it, and a writer makes its directory.
+
 The containers hold their arrays read-only. An array of the right dtype
 that is already read-only and owns its memory is taken over as is, so its
 owner must not make it writeable again; anything else, a view included, is
@@ -32,6 +36,30 @@ from . import kernels
 from .errors import ConfigError, DataError, DomainError
 
 NODATA = -9999.0
+
+
+def read_file(path: Union[str, Path], what: str, missing=DataError, error=DataError, binary: bool = False):
+    """The UTF-8 text of ``path``, or with ``binary`` the file opened for unbuffered reads.
+
+    A missing file is a ``missing`` error, "<what> not found: <path>"; any
+    other ``OSError``, or a byte that is not UTF-8, is an ``error`` naming it.
+    """
+    try:
+        return open(path, "rb", buffering=0) if binary else Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise missing(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def write_file(path: Union[str, Path], data: Union[str, bytes]) -> None:
+    """Write UTF-8 text or bytes to ``path``, making its directory first; an ``OSError`` is a ``DataError``."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _frozen(array, dtype, shape: Optional[tuple] = None, name: str = "") -> np.ndarray:
@@ -283,22 +311,19 @@ def dataset_paths(path: Union[str, Path]) -> tuple[Path, Path]:
     return Path(f"{base}.hdr"), Path(f"{base}.bin")
 
 
-def _read_payload(path: Path, out: np.ndarray, offset: int) -> None:
-    """Fill (bands, pixels) ``out`` from ``path`` at ``offset`` with ``os.preadv``, a run of bands per worker."""
-    fd = os.open(path, os.O_RDONLY)
+def _read_payload(payload, out: np.ndarray, offset: int) -> None:
+    """Fill (bands, pixels) ``out`` from the open file ``payload`` at ``offset`` with ``os.preadv``, a run of bands per worker."""
+    fd = payload.fileno()
 
     def fill(run):
         view, at = memoryview(out[run]).cast("B"), offset + run.start * out[0].nbytes
         while view.nbytes:  # a read may come up short
             got = os.preadv(fd, [view], at)
             if got == 0:
-                raise DataError(f"payload {path} ended {view.nbytes} bytes early")
+                raise DataError(f"payload {payload.name} ended {view.nbytes} bytes early")
             view, at = view[got:], at + got
 
-    try:
-        kernels.in_parallel(fill, kernels.runs(np.ones(out.shape[0])))
-    finally:
-        os.close(fd)
+    kernels.in_parallel(fill, kernels.runs(np.ones(out.shape[0])))
 
 
 def _read_bsq(
@@ -316,10 +341,8 @@ def _read_bsq(
     Both arrays are read-only and own their memory: a container keeps them.
     """
     hdr_path, bin_path = dataset_paths(path)
-    if not hdr_path.exists():
-        raise ConfigError(f"header file not found: {hdr_path}")
     entries = {}
-    for raw in hdr_path.read_text(encoding="utf-8").splitlines():
+    for raw in read_file(hdr_path, "header file", missing=ConfigError).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -355,14 +378,13 @@ def _read_bsq(
             raise DataError(f"no bands inside window {tuple(window)} nm in {hdr_path}")
         first, count = int(inside[0]), int(inside[-1] - inside[0]) + 1
 
-    if not bin_path.exists():
-        raise DataError(f"payload file not found: {bin_path}")
-    size, expected = bin_path.stat().st_size, 4 * math.prod(shape)
-    if size != expected:
-        raise DataError(f"payload {bin_path} has {size} bytes, expected {expected}")
-    plane = shape[1] * shape[2]
-    data = np.empty((count, *shape[1:]), dtype="<f4")
-    _read_payload(bin_path, data.reshape(count, plane), 4 * first * plane)
+    with read_file(bin_path, "payload file", binary=True) as payload:
+        size, expected = os.fstat(payload.fileno()).st_size, 4 * math.prod(shape)
+        if size != expected:
+            raise DataError(f"payload {bin_path} has {size} bytes, expected {expected}")
+        plane = shape[1] * shape[2]
+        data = np.empty((count, *shape[1:]), dtype="<f4")
+        _read_payload(payload, data.reshape(count, plane), 4 * first * plane)
     # the pixels that hold the sentinel in band 0, narrowed band by band
     at = np.flatnonzero(data[0] == NODATA)
     for band in data[1:]:
@@ -396,11 +418,8 @@ def _write_bsq(
         *(f"{key} = {value}" for key, value in _FORMAT.items()),
         *header,
     ]
-    try:
-        hdr_path.write_text("\n".join(text) + "\n", encoding="utf-8")
-        bin_path.write_bytes(out.tobytes())
-    except OSError as exc:
-        raise DataError(f"cannot write {hdr_path} / {bin_path}: {exc}") from exc
+    write_file(hdr_path, "\n".join(text) + "\n")
+    write_file(bin_path, out.tobytes())
 
 
 def _entry(key: str, value) -> str:

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError
-from .scene_io import SensorDescriptor
+from .scene_io import SensorDescriptor, read_file
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -58,9 +58,9 @@ class BandAbsorption:
         object.__setattr__(self, "band_indices", np.asarray(self.band_indices, dtype=np.int64))
 
 
-def _table_lines(path: Path):
+def _table_lines(text: str):
     """(number, raw line, fields) of each line that holds more than a '#' comment."""
-    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for number, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if fields:
             yield number, raw, fields
@@ -68,11 +68,9 @@ def _table_lines(path: Path):
 
 def read_absorption_table(path: Union[str, Path]) -> AbsorptionTable:
     """Read a two-column (wavelength_nm, kappa) text table; '#' comments."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"absorption table not found: {path}")
+    text = read_file(path, "absorption table")
     rows = []
-    for number, raw, parts in _table_lines(path):
+    for number, raw, parts in _table_lines(text):
         where = f"{path} line {number}"
         if len(parts) != 2:
             raise DataError(f"{where}: absorption table line is not two columns: {raw!r}")
@@ -85,7 +83,7 @@ def read_absorption_table(path: Union[str, Path]) -> AbsorptionTable:
     arr = np.array(rows)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():  # one check per table; the offending line is looked up only now
-        number, raw, _ = next(islice(_table_lines(path), int(np.argmin(finite)), None))
+        number, raw, _ = next(islice(_table_lines(text), int(np.argmin(finite)), None))
         raise DataError(f"{path} line {number}: values must be finite numbers, got {raw!r}")
     return AbsorptionTable(wavelengths=arr[:, 0], kappa=arr[:, 1])
 

@@ -103,7 +103,6 @@ REQUIRED_KEYS = {"wind": {"u10": 3.0}, "simulate.plume": {"peak_delta_x": 900.0}
 
 class TestConfig:
     def test_dotted_input_name_keeps_its_suffix(self, tmp_path):
-        (tmp_path / "scene.v1.hdr").write_text("")  # validation only checks the header exists
         cfg = load_config(write_config(tmp_path, input={"enhancement": str(tmp_path / "scene.v1")}))
         assert cfg.input.enhancement == tmp_path / "scene.v1"
 
@@ -359,6 +358,7 @@ class TestConfig:
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # the writers make it, and none ran
 
     def test_background_range_ends_load(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -389,9 +389,19 @@ class TestConfig:
             load_config(path)
 
     def test_missing_file_names_the_key(self, tmp_path):
-        path = write_config(tmp_path)  # cube file never written
+        cfg = load_config(write_config(tmp_path))  # cube file never written; the config loads
         with pytest.raises(ConfigError, match="input.cube"):
-            load_config(path)
+            pipeline.run_inputs(cfg, tmp_path / "out", cfg.mf)
+
+    @pytest.mark.parametrize("key", ["input.enhancement", "input.sigma", "absorption_table"])
+    def test_each_missing_input_names_its_key(self, tmp_path, capsys, key):
+        write_raster(np.zeros((4, 4)), tmp_path / "enh", 30.0)
+        doc = {"input": {"enhancement": str(tmp_path / "enh"), "sigma": str(tmp_path / "enh")}}
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = "missing"
+        cfg_path = write_config(tmp_path, **doc)
+        assert main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+        assert f"config key '{key}' references a missing file" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         write_scene(tmp_path, seed=5)
@@ -985,6 +995,38 @@ class TestCli:
         rc = main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
         assert rc == 2
         assert "input.cube" in capsys.readouterr().err
+
+    def test_an_existing_file_as_output_exits_3(self, tmp_path, capsys):
+        write_scene(tmp_path, seed=5)
+        (tmp_path / "taken").write_text("kept\n")
+        rc = main(["pipeline", "--config", str(write_config(tmp_path)), "--output", str(tmp_path / "taken")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        assert main(["pipeline", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
+
+    def test_an_absorption_table_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        write_scene(tmp_path, seed=5)
+        table = tmp_path / "table.txt"
+        table.write_bytes(b"# caf\xe9\n2000.0 1e-5\n2600.0 1e-5\n")
+        cfg_path = write_config(tmp_path, absorption_table=str(table))
+        assert main(["pipeline", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read absorption table {table}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_segment_reads_no_input_of_its_config(self, tmp_path):
+        write_raster(np.zeros((20, 20)), tmp_path / "enh", 30.0)
+        cfg_path = write_config(tmp_path, input={"cube": "missing/cube"})
+        argv = ["segment", "--config", str(cfg_path), "--enhancement", str(tmp_path / "enh")]
+        assert main([*argv, "--output", str(tmp_path / "seg")]) == 0
+        assert json.loads((tmp_path / "seg" / "segmentation.json").read_text())["plume_count"] == 0
 
     @pytest.mark.parametrize("bad", ["2300.0 abc", "2300.0 nan"])
     def test_bad_absorption_table_exits_3(self, tmp_path, capsys, bad):

@@ -269,6 +269,14 @@ class TestFluxUncertainty:
             assert total**2 == pytest.approx(wind_term**2 + ime_term**2, rel=1e-12)
             assert total >= max(wind_term, ime_term)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-307, 1e-310])
+    def test_terms_whose_squares_underflow(self, scale):
+        # below about 1e-154 a term's square underflows: the total once read 0.0
+        # beside a wind term of 5.8e-307 (constants.pressure: 1e-300)
+        total, wind_term, ime_term = flux_uncertainty(100.0 * scale, 3.0 * scale, 50.0, 1.5, 0.3)
+        assert wind_term > 0 and ime_term > 0
+        assert total == math.hypot(wind_term, ime_term) >= max(wind_term, ime_term)
+
 
 class TestQuantifyRecord:
     def test_report_identities(self):

@@ -14,8 +14,10 @@ from plumeflux.scene_io import (
     effective_gsd,
     ingest_level2,
     read_cube,
+    read_file,
     read_raster,
     write_cube,
+    write_file,
     write_raster,
 )
 from plumeflux.segmentation import SegmentationParams, segment_field
@@ -687,6 +689,52 @@ class TestEffectiveGsd:
     def test_zero_pixels(self):
         with pytest.raises(DomainError):
             effective_gsd(100.0, 0)
+
+
+class TestFileRule:
+    def test_read_file_maps_each_failure_to_an_error_naming_the_path(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^thing not found: .*gone\.txt$"):
+            read_file(tmp_path / "gone.txt", "thing", missing=ConfigError)
+        with pytest.raises(DataError, match=r"^cannot read thing .*sub: Is a directory$"):
+            (tmp_path / "sub").mkdir()
+            read_file(tmp_path / "sub", "thing", missing=ConfigError)
+        (tmp_path / "latin1.txt").write_bytes(b"caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"^cannot read thing .*latin1\.txt: 'utf-8' codec"):
+            read_file(tmp_path / "latin1.txt", "thing", error=ConfigError)
+        (tmp_path / "ok.txt").write_bytes("caf\u00e9\n".encode())
+        assert read_file(tmp_path / "ok.txt", "thing") == "caf\u00e9\n"
+        with read_file(tmp_path / "ok.txt", "thing", binary=True) as f:
+            assert f.read() == "caf\u00e9\n".encode()
+
+    def test_write_file_makes_its_directory(self, tmp_path):
+        write_file(tmp_path / "a" / "b" / "t.txt", "caf\u00e9")
+        write_file(tmp_path / "a" / "b" / "t.bin", b"\x00\xff")
+        assert (tmp_path / "a" / "b" / "t.txt").read_bytes() == "caf\u00e9".encode()
+        assert (tmp_path / "a" / "b" / "t.bin").read_bytes() == b"\x00\xff"
+
+    @pytest.mark.parametrize("under", ["file", "file/sub"])
+    def test_a_write_under_a_file_is_data_error(self, tmp_path, under):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(DataError, match=r"^cannot write .*t\.txt: "):
+            write_file(tmp_path / under / "t.txt", "x")
+        with pytest.raises(DataError, match=r"^cannot write .*r\.hdr: "):
+            write_raster(np.zeros((2, 2)), tmp_path / under / "r", 30.0)
+
+    def test_missing_header_exits_2_and_missing_payload_exits_3(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^header file not found: .*c\.hdr$"):
+            read_cube(tmp_path / "c")
+        write_raster(np.zeros((2, 2)), tmp_path / "r", 30.0)
+        (tmp_path / "r.bin").unlink()
+        with pytest.raises(DataError, match=r"^payload file not found: .*r\.bin$"):
+            read_raster(tmp_path / "r")
+
+    @pytest.mark.parametrize("part", ["hdr", "bin"])
+    def test_a_directory_in_place_of_a_file_is_data_error(self, tmp_path, part):
+        write_raster(np.zeros((2, 2)), tmp_path / "r", 30.0)
+        (tmp_path / f"r.{part}").unlink()
+        (tmp_path / f"r.{part}").mkdir()
+        with pytest.raises(DataError, match=rf"^cannot read \w+ file .*r\.{part}: Is a directory$"):
+            read_raster(tmp_path / "r")
 
 
 class TestErrorExitCodes:
