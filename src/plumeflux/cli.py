@@ -29,7 +29,7 @@ from .pipeline import (
     write_report,
 )
 from .quantification import SIGMA_METHODS, WindConfig
-from .scene_io import ingest_level2, write_cube, write_raster
+from .scene_io import check_output_dir, ingest_level2, write_cube, write_raster
 from .segmentation import segment_field
 from .simulator import simulate_scene
 
@@ -147,8 +147,9 @@ def cmd_multi(args) -> int:
 
 
 def cmd_ingest_l2(args) -> int:
+    out = check_output_dir(args.output)
     field = ingest_level2(args.enhancement, args.sigma, args.gsd)
-    write_layers(args.output, field)
+    write_layers(out, field)
     valid = int((~field.nodata_mask).sum())
     write_report(
         {
@@ -157,9 +158,9 @@ def cmd_ingest_l2(args) -> int:
             "valid_pixels": valid,
             "sigma_total_present": field.sigma_total is not None,
         },
-        args.output / "ingest.json",
+        out / "ingest.json",
     )
-    print(f"ingested level-2 product ({valid} valid pixels) into {args.output}")
+    print(f"ingested level-2 product ({valid} valid pixels) into {out}")
     return 0
 
 

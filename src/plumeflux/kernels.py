@@ -9,12 +9,12 @@ float64 (pixels, bands) arrays.
 
 The whole-scene passes split their work into ``runs``, one per CPU, and
 hand them to ``in_parallel``. The fixed-step passes (these sweeps, the
-k-means label, distance and bound steps, the ctmf feature build, the
-filters and the background match) go through ``in_chunks``; the passes
-that split by weight (the moments pass, the k-means sums, the cube's payload
-read and finite check) call ``in_parallel`` with their own runs. Each
-element is computed by the same operations as in one run, so the outputs do
-not depend on the CPU count.
+k-means label and distance steps, the ctmf feature build, the filters and
+the background match) go through ``in_chunks``; the passes that split by
+weight (the moments pass, the cube's payload read and finite check) call
+``in_parallel`` with their own runs. Each element is computed by the same
+operations as in one run, so the outputs do not depend on the CPU count.
+The k-means sums run on the calling thread: a step sums too few rows to split.
 """
 
 from __future__ import annotations
@@ -230,8 +230,9 @@ def assign_labels(X, centers, rows=None):
     ``(c+1)*step`` of X give the same values in every call with the same
     centers: the full pass splits into runs of whole chunks. A subset of rows
     may round differently in the last bits, so it goes through in chunks of
-    a quarter of ``label_step`` rows, which give up to four workers a share
-    of a subset one ``label_step`` long.
+    a quarter of ``label_step`` rows. That bounds each run's (chunk, p)
+    gather buffer, which sets ``ctmf``'s peak memory, and gives up to four
+    workers a share of a subset one ``label_step`` long.
     """
     n = X.shape[0] if rows is None else rows.size
     labels = np.empty(n, dtype=np.int64)
@@ -266,40 +267,26 @@ def assign_labels(X, centers, rows=None):
 def cluster_sums(X, labels, k, rows=None):
     """Per-label feature sums and member counts of the rows of X, or of the rows X[rows].
 
-    A sparse one-hot product: each sum adds its rows in row order, as a
-    weighted ``bincount`` per column does, so the sums are bit-identical to
-    it. With ``rows``, ``labels[i]`` labels row ``rows[i]``, which may repeat,
-    and the product reads those rows in place: the values are those of
-    ``cluster_sums(X[rows], labels, k)``. The clusters split into ``runs``
-    by size, and each run adds its rows into its own rows of the result. One
-    cluster's sum is one chain of additions and never splits, so a dominant
-    cluster bounds the speed-up.
+    A sparse one-hot product on the calling thread: each sum adds its rows
+    in row order, as a weighted ``bincount`` per column does, so the sums are
+    bit-identical to it. With ``rows``, ``labels[i]`` labels row ``rows[i]``,
+    which may repeat, and the product reads those rows in place: the values
+    are those of ``cluster_sums(X[rows], labels, k)``.
     """
-    # csr_array @ X's kernel, which adds into a given array; imported here,
-    # so runs without k-means never load scipy.sparse
-    from scipy.sparse import _sparsetools
+    from scipy.sparse import csr_array  # here: runs without k-means never load scipy.sparse
 
     X = np.ascontiguousarray(X, dtype=np.float64)
-    n, p = X.shape
-    flat = X.ravel()
+    n = X.shape[0]
     counts = np.bincount(labels, minlength=k).astype(np.int64)
     # the CSR row of each cluster: its rows in order (a stable radix sort for k <= 65536)
     order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
-    if rows is not None:  # the C kernel reads X at these indices unchecked
+    if rows is not None:  # the product reads X at these indices unchecked
         rows = np.asarray(rows, dtype=np.intp)
         if rows.shape != labels.shape or (rows.size and not 0 <= rows.min() <= rows.max() < n):
             raise IndexError("cluster_sums: rows must be one index into X per label")
         order = rows[order]
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    ones = np.ones(order.size)
-    sums = np.zeros((k, p))
-
-    def add(r):
-        _sparsetools.csr_matvecs(r.stop - r.start, n, p, indptr[r.start : r.stop + 1], order, ones,
-                                 flat, sums[r].ravel())
-
-    in_parallel(add, runs(counts))
-    return sums, counts
+    return csr_array((np.ones(order.size), order, indptr), shape=(k, n)) @ X, counts
 
 
 _DIST_ROWS = 2048  # rows per chunk of min_sqdist_update; bounds each run's difference array

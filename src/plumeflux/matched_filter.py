@@ -259,7 +259,6 @@ class _BoundedLabels:
         eps = np.finfo(np.float64).eps
         self.rel = max(_MARGIN, 64 * (X.shape[1] + 3) * eps)
         self.grow = 1.0 + 4 * (X.shape[1] + 4) * eps
-        self.flag = np.empty(X.shape[0], dtype=bool)  # the rows the bounds cannot settle
 
     @staticmethod
     def _bounds(d1: np.ndarray, d2: np.ndarray, pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,20 +291,12 @@ class _BoundedLabels:
         np.fill_diagonal(gaps, np.inf)
         half = gaps.min(axis=1) / (2.0 * grow)
 
-        def bound(lo, hi, t):
-            # widen the bounds by the moves and flag the rows they cannot settle
-            own, flag = labels[lo:hi], self.flag[lo:hi]
-            up, low = self.upper[lo:hi], self.lower[lo:hi]
-            up += np.take(move, own, out=t, mode="clip")
-            up *= grow
-            t[:] = move[first]
-            np.copyto(t, move[second], where=np.equal(own, first, out=flag))
-            low -= t
-            low /= grow
-            np.greater(up, np.maximum(low, np.take(half, own, out=t, mode="clip"), out=t), out=flag)
-
-        kernels.in_chunks(bound, labels.size, kernels._PIXEL_CHUNK, lambda size: [np.empty(size)])
-        rows = np.flatnonzero(self.flag)
+        # widen the bounds by the moves; recompute the rows they cannot settle
+        self.upper += move[labels]
+        self.upper *= grow
+        self.lower -= np.where(labels == first, move[second], move[first])
+        self.lower /= grow
+        rows = np.flatnonzero(self.upper > np.maximum(self.lower, half[labels]))
         if rows.size == 0:
             return self._settle(labels, rows, labels[rows])
         new, d1, d2 = kernels.assign_labels(self.X, centers, rows)

@@ -28,6 +28,7 @@ from .quantification import quantify, quantify_plume
 from .scene_io import (
     EnhancementField,
     RadianceCube,
+    check_output_dir,
     ingest_level2,
     read_cube,
     write_file,
@@ -195,11 +196,11 @@ def run_stage(
 
 
 def resolve_output_dir(cfg: RunConfig, override: Optional[Path]) -> Path:
-    """The output directory: the command-line override, else the config key."""
+    """The output directory: the command-line override, else the config key (``check_output_dir``)."""
     out = override if override is not None else cfg.output_dir
     if out is None:
         raise ConfigError("output_dir is required (config key or --output)")
-    return Path(out)
+    return check_output_dir(out)
 
 
 def run_inputs(

@@ -62,6 +62,20 @@ def write_file(path: Union[str, Path], data: Union[str, bytes]) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def check_output_dir(path: Union[str, Path]) -> Path:
+    """``path``, checked as an output directory before a run reads anything; makes nothing.
+
+    An existing path that is not a directory, or whose nearest existing
+    ancestor is not one, is a ``DataError`` naming that path, so the run
+    stops before its work, not at its first write.
+    """
+    path = Path(path)
+    there = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+    if there is not None and not os.path.isdir(there):
+        raise DataError(f"output path is not a directory: {there}")
+    return path
+
+
 def _frozen(array, dtype, shape: Optional[tuple] = None, name: str = "") -> np.ndarray:
     """``array`` as a read-only ``dtype`` array that a container may keep.
 

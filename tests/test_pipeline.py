@@ -437,6 +437,16 @@ class TestPipelineLevel1:
         assert report["background"]["source"] == "matched"
         assert report["background"]["selected_count"] >= 100
 
+    def test_no_background_candidate_falls_back_to_all_valid_pixels(self, tmp_path):
+        # a buffer wider than the scene leaves no pixel to match
+        write_scene(tmp_path, seed=5)
+        rc = main(["pipeline", "--config", str(write_config(tmp_path, background={"buffer_m": 1.0e6})),
+                   "--output", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rc == 0 and report["background"]["source"] == "all_valid"
+        assert report["background"]["selected_count"] == 0
+        assert "background matching failed (no candidates); using all valid pixels" in report["assumption_flags"]
+
     def test_plume_entry_keys_are_the_record_fields(self, tmp_path):
         write_scene(tmp_path, seed=5)
         run_pipeline(load_config(write_config(tmp_path)), tmp_path / "out")
@@ -1001,7 +1011,30 @@ class TestCli:
         (tmp_path / "taken").write_text("kept\n")
         rc = main(["pipeline", "--config", str(write_config(tmp_path)), "--output", str(tmp_path / "taken")])
         err = capsys.readouterr().err
-        assert rc == 3 and err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert rc == 3 and err == f"error: output path is not a directory: {tmp_path / 'taken'}\n"
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["pipeline", "multi", "ingest-l2"])
+    def test_an_output_under_a_file_exits_3_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
+                                                                     command):
+        write_scene(tmp_path, seed=5)
+        write_raster(np.ones((8, 8)), tmp_path / "enh", 30.0)
+        (tmp_path / "taken").write_text("kept\n")
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(pipeline, "read_cube", unread)
+        monkeypatch.setattr(pipeline, "ingest_level2", unread)
+        monkeypatch.setattr("plumeflux.cli.ingest_level2", unread)
+        mf = [{"variant": "cmf"}, {"variant": "cwcmf"}]
+        argv = {
+            "pipeline": ["pipeline", "--config", str(write_config(tmp_path))],
+            "multi": ["multi", "--config", str(write_config(tmp_path, mf=mf))],
+            "ingest-l2": ["ingest-l2", "--enhancement", str(tmp_path / "enh")],
+        }[command]
+        assert main(argv + ["--output", str(tmp_path / "taken" / "sub")]) == 3
+        assert capsys.readouterr().err == f"error: output path is not a directory: {tmp_path / 'taken'}\n"
         assert (tmp_path / "taken").read_text() == "kept\n"
 
     def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
@@ -1206,6 +1239,16 @@ class TestCli:
         )
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["mf_label"].startswith("cwcmf")
+
+    def test_multi_subcommand(self, tmp_path, capsys):
+        write_scene(tmp_path, seed=5)
+        cfg_path = write_config(tmp_path, mf=[{"variant": "cmf"}, {"variant": "cwcmf"}])
+        assert main(["multi", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert capsys.readouterr().out == (f"multi-config run complete: 2 configs, "
+                                           f"{len(report['spreads'])} matched plume group(s)\n")
+        assert len(report["runs"]) == 2
+        assert all((tmp_path / "out" / f"config_0{i}" / "report.json").is_file() for i in (0, 1))
 
     def test_ingest_l2_subcommand(self, tmp_path, rng):
         write_raster(rng.random((8, 8)) * 100, tmp_path / "enh", 30.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import yaml
 
+from plumeflux.config import load_config
 from plumeflux.errors import DataError, DomainError
 from plumeflux.quantification import GasConstants, integrate_ime, ppmm_to_kg_per_m2
 from plumeflux.scene_io import EnhancementField
@@ -55,6 +57,16 @@ class TestSynthBackground:
         cube = synth_background(12, 12, desc, ends, mixing_smoothness=1, seed=3)
         assert np.all(cube.data >= 1.0 - 1e-12)
         assert np.all(cube.data <= 3.0 + 1e-12)
+
+    def test_zero_smoothness_weights_are_the_normalized_draw(self, tmp_path):
+        # the surface of every benchmark level-1 scene: no blur, so each weight is its own draw
+        doc = {"seed": 4, "input": {}, "simulate": {"lines": 5, "samples": 7, "n_bands": 3,
+                                                    "endmember_levels": [1.0, 0.0], "mixing_smoothness_px": 0}}
+        (tmp_path / "sim.yaml").write_text(yaml.safe_dump(doc))
+        cube = simulate_scene(load_config(tmp_path / "sim.yaml").simulate)[0]
+        raw = np.random.default_rng(4).random((2, 5, 7))
+        weights = raw / raw.sum(axis=0)
+        assert all(np.array_equal(band, weights[0]) for band in cube.data)  # the level-0 endmember adds 0
 
     def test_band_mismatch_rejected(self):
         desc = make_descriptor(n_bands=3)
