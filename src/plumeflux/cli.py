@@ -96,17 +96,8 @@ def cmd_segment(args) -> int:
     field = ingest_level2(enh, None, cfg.input.gsd)
     plumes, tau = segment_field(field, cfg.segmentation)
     write_plumes(out, field, plumes)
-    write_report(
-        {
-            "threshold_ppmm": tau,
-            "plume_count": len(plumes),
-            "plumes": [
-                {"label_id": p.label_id, "pixel_count": p.pixel_count, "area_m2": p.area_m2}
-                for p in plumes
-            ],
-        },
-        out / "segmentation.json",
-    )
+    entries = [{"label_id": p.label_id, "pixel_count": p.pixel_count, "area_m2": p.area_m2} for p in plumes]
+    write_report({"threshold_ppmm": tau, "plume_count": len(plumes), "plumes": entries}, out / "segmentation.json")
     print(f"threshold {tau:.3f} ppm*m, {len(plumes)} plume(s); outputs in {out}")
     return 0
 

@@ -11,9 +11,10 @@ The whole-scene passes split their work into ``runs``, one per CPU, and
 hand them to ``in_parallel``. The fixed-step passes (these sweeps, the
 k-means label and distance steps, the ctmf feature build, the filters and
 the background match) go through ``in_chunks``; the passes that split by
-weight (the moments pass, the cube's payload read and finite check) call
-``in_parallel`` with their own runs. Each element is computed by the same
-operations as in one run, so the outputs do not depend on the CPU count.
+weight (the moments pass, the cube's payload read and finite check, and the
+output writes of ``pipeline.write_plumes``) call ``in_parallel`` with their
+own runs. Each element is computed by the same operations as in one run, so
+the outputs do not depend on the CPU count.
 The k-means sums run on the calling thread: a step sums too few rows to split.
 """
 

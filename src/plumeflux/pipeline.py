@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union
 
@@ -26,18 +27,18 @@ from .errors import ConfigError, DataError, DomainError
 from .matched_filter import MfConfig, retrieve
 from .quantification import quantify, quantify_plume
 from .scene_io import (
+    NODATA,
     EnhancementField,
     RadianceCube,
     check_output_dir,
     ingest_level2,
+    raster_files,
     read_cube,
     write_file,
-    write_raster,
 )
 from .segmentation import (
     PlumeMask,
     geojson_text,
-    plumes_to_geojson,
     robust_sigma,
     robust_threshold,
     segment_field,
@@ -67,26 +68,42 @@ class StageResult:
 
     report: dict
     plumes: list[PlumeMask]
-    labels: np.ndarray  # the plume label raster: each plume's label_id on its pixels, else 0
+    labels: np.ndarray  # the plume label raster as written (``write_plumes``)
+
+
+def _layer_files(out_dir: Path, field: EnhancementField) -> list:
+    """The files (``raster_files``) of the enhancement and whichever sigma layers the field carries."""
+    named = {"enhancement": field.delta_x, "sigma_noise": field.sigma_noise, "sigma_total": field.sigma_total}
+    return [file for name, layer in named.items() if layer is not None
+            for file in raster_files(layer, out_dir / name, field.gsd, field.origin, field.nodata_mask)]
 
 
 def write_layers(out_dir: Path, field: EnhancementField) -> None:
     """Write the enhancement raster and whichever sigma layers the field carries."""
-    write_raster(field.delta_x, out_dir / "enhancement", field.gsd, field.origin, field.nodata_mask)
-    for name in ("sigma_noise", "sigma_total"):
-        layer = getattr(field, name)
-        if layer is not None:
-            write_raster(layer, out_dir / name, field.gsd, field.origin, field.nodata_mask)
+    for path, data in _layer_files(out_dir, field):
+        write_file(path, data)
 
 
-def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask]) -> np.ndarray:
-    """Write the plume label raster and the plume polygons as GeoJSON; returns the raster."""
-    labels = np.zeros(field.shape)
+_GEOJSON_VERTEX_BYTES = 400  # plumes.geojson per ring vertex takes as long as this many payload bytes
+
+
+def write_plumes(out_dir: Path, field: EnhancementField, plumes: list[PlumeMask], layers: bool = False) -> np.ndarray:
+    """Write the plume label raster and ``plumes.geojson``, after the field's layers with ``layers``;
+    returns the label raster as written, in float32: each plume's label_id on its pixels, the
+    sentinel on nodata pixels, else 0. Every payload is made here, as pool threads allocate
+    nothing large; the writes go in ``kernels.runs`` by weight, the last run, which formats the
+    GeoJSON, on this thread (with one CPU all of them, in this order).
+    """
+    labels = np.where(field.nodata_mask, np.float32(NODATA), np.float32(0.0))
     for p in plumes:
         labels[p.window][p.mask] = p.label_id
-    write_raster(labels, out_dir / "plume_mask", field.gsd, field.origin, field.nodata_mask)
-    text = geojson_text(plumes_to_geojson(plumes))
-    write_file(out_dir / "plumes.geojson", text)
+    files = (_layer_files(out_dir, field) if layers else []) + raster_files(
+        labels, out_dir / "plume_mask", field.gsd, field.origin)
+    writes = [partial(write_file, path, data) for path, data in files]
+    writes.append(lambda: write_file(out_dir / "plumes.geojson", geojson_text(plumes)))
+    vertices = sum(len(ring) for p in plumes for ring in (p.polygon, *p.holes))
+    weights = [getattr(data, "nbytes", 0) for _, data in files] + [vertices * _GEOJSON_VERTEX_BYTES]
+    kernels.in_parallel(lambda run: [write() for write in writes[run]], kernels.runs(weights)[::-1])
     return labels
 
 
@@ -174,8 +191,7 @@ def run_stage(
     timings["quantification_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    write_layers(out_dir, field)
-    labels = write_plumes(out_dir, field, plumes)
+    labels = write_plumes(out_dir, field, plumes, layers=True)
     timings["outputs_s"] = time.perf_counter() - t0
 
     report = {
@@ -249,7 +265,7 @@ def match_plumes_across_runs(runs: list[StageResult]) -> tuple[list[dict], list[
     if not runs:
         return [], []
     groups = [{"anchor_label": p.label_id, "members": [(0, p.label_id)]} for p in runs[0].plumes]
-    at = np.flatnonzero(runs[0].labels)  # the anchor plumes' pixels
+    at = np.flatnonzero(runs[0].labels > 0)  # the anchor plumes' pixels
     anchor = runs[0].labels.ravel()[at].astype(np.intp)
     n_a = np.array([0] + [p.pixel_count for p in runs[0].plumes])
     unmatched = []

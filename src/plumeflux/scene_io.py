@@ -52,8 +52,8 @@ def read_file(path: Union[str, Path], what: str, missing=DataError, error=DataEr
         raise error(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def write_file(path: Union[str, Path], data: Union[str, bytes]) -> None:
-    """Write UTF-8 text or bytes to ``path``, making its directory first; an ``OSError`` is a ``DataError``."""
+def write_file(path: Union[str, Path], data: Union[str, bytes, np.ndarray]) -> None:
+    """Write UTF-8 text or bytes-like data to ``path``, making its directory first; an ``OSError`` is a ``DataError``."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -412,19 +412,16 @@ def _read_bsq(
     return entries, data, nodata, slice(first, first + count)
 
 
-def _write_bsq(
-    path: Union[str, Path], data: np.ndarray, nodata_mask: Optional[np.ndarray], header: list[str]
-) -> None:
-    """Write (bands, lines, samples) ``data`` as a float32 BSQ dataset.
-
-    Every band holds the sentinel under ``nodata_mask``. ``header`` holds the
-    lines that follow the shared size and format block.
-    """
+def _bsq_files(path: Union[str, Path], data: np.ndarray, nodata_mask, header: list[str]) -> list:
+    """The header text and the payload of (bands, lines, samples) ``data`` as a float32 BSQ dataset,
+    each with its path. Every band holds the sentinel under ``nodata_mask``; without one, C-ordered
+    little-endian float32 ``data`` is the payload itself. ``header`` holds the lines that follow
+    the shared size and format block."""
     hdr_path, bin_path = dataset_paths(path)
     bands, lines, samples = data.shape
-    out = data.astype("<f4")
+    payload = data.astype("<f4", order="C", copy=nodata_mask is not None)
     if nodata_mask is not None:
-        out[:, np.asarray(nodata_mask, dtype=bool)] = NODATA
+        payload[:, np.asarray(nodata_mask, dtype=bool)] = NODATA
     text = [
         f"samples = {samples}",
         f"lines = {lines}",
@@ -432,8 +429,7 @@ def _write_bsq(
         *(f"{key} = {value}" for key, value in _FORMAT.items()),
         *header,
     ]
-    write_file(hdr_path, "\n".join(text) + "\n")
-    write_file(bin_path, out.tobytes())
+    return [(hdr_path, "\n".join(text) + "\n"), (bin_path, payload)]
 
 
 def _entry(key: str, value) -> str:
@@ -488,7 +484,16 @@ def write_cube(cube: RadianceCube, path: Union[str, Path]) -> None:
     for name in ("noise_a", "noise_c"):
         if getattr(d, name) is not None:
             header.append(_entry(name, getattr(d, name)))
-    _write_bsq(path, cube.data, cube.nodata_mask, header)
+    for file, data in _bsq_files(path, cube.data, cube.nodata_mask, header):
+        write_file(file, data)
+
+
+def raster_files(values, path: Union[str, Path], gsd: float, origin=(0.0, 0.0), nodata_mask=None) -> list:
+    """The header text and the float32 payload that ``write_raster`` writes, each with its path."""
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise DataError("raster values must be 2-D")
+    return _bsq_files(path, values[None], nodata_mask, [*_place_entries(gsd, origin), _entry("nodata", NODATA)])
 
 
 def write_raster(
@@ -499,11 +504,8 @@ def write_raster(
     nodata_mask: Optional[np.ndarray] = None,
 ) -> None:
     """Write a single-band raster in the canonical format (sentinel -9999)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise DataError("raster values must be 2-D")
-    header = [*_place_entries(gsd, origin), _entry("nodata", NODATA)]
-    _write_bsq(path, values[None], nodata_mask, header)
+    for file, data in raster_files(values, path, gsd, origin, nodata_mask):
+        write_file(file, data)
 
 
 def read_raster(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:

@@ -324,48 +324,52 @@ def segment_field(
 
 def plumes_to_geojson(plumes: Sequence[PlumeMask]) -> dict:
     """GeoJSON-style FeatureCollection with coordinates in scene meters."""
-    features = []
-    for p in plumes:
-        rings = [p.polygon.tolist()] + [h.tolist() for h in p.holes]
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {
-                    "label_id": p.label_id,
-                    "area_m2": p.area_m2,
-                    "pixel_count": p.pixel_count,
-                    "touches_edge": p.touches_edge,
-                },
-                "geometry": {"type": "Polygon", "coordinates": rings},
-            }
-        )
+    features = [
+        {
+            "type": "Feature",
+            "properties": {"label_id": p.label_id, "area_m2": p.area_m2, "pixel_count": p.pixel_count,
+                           "touches_edge": p.touches_edge},
+            "geometry": {"type": "Polygon", "coordinates": [ring.tolist() for ring in (p.polygon, *p.holes)]},
+        }
+        for p in plumes
+    ]
     return {"type": "FeatureCollection", "features": features}
 
 
-def geojson_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` of a ``plumes_to_geojson`` document.
+# the text of ``json.dumps(plumes_to_geojson(plumes), indent=2, sort_keys=True)`` around the
+# ring values: a vertex's brackets are 12 spaces in, its values 14
+_IN12, _IN14 = "\n" + 12 * " ", "\n" + 14 * " "
+_AFTER_X, _AFTER_VERTEX = "," + _IN14, _IN12 + "]," + _IN12 + "[" + _IN14
+_AFTER_RING = _IN12 + "]\n          ],\n          [" + _IN12 + "[" + _IN14
+_FEATURE_START = '{\n      "geometry": {\n        "coordinates": [\n          [' + _IN12 + "[" + _IN14
+_FEATURE_END = _IN12 + (']\n          ]\n        ],\n        "type": "Polygon"\n      },\n      "properties": {\n'
+                        '        "area_m2": %r,\n        "label_id": %d,\n        "pixel_count": %d,\n'
+                        '        "touches_edge": %s\n      },\n      "type": "Feature"\n    }')
 
-    ``json`` encodes every coordinate in Python. Here each ring is swapped
-    for a placeholder, the rest is dumped once, and each placeholder becomes
-    the ring's (easting, northing) rows, filled from one ``%r`` template at
-    the placeholder's indent: ``json`` writes a finite float as its repr. A
-    non-finite coordinate has no such repr, so the whole document then goes
-    to ``json.dumps``.
+
+def geojson_text(plumes: Sequence[PlumeMask]) -> str:
+    """``json.dumps(plumes_to_geojson(plumes), indent=2, sort_keys=True)``, made from the rings.
+
+    ``json`` encodes every coordinate in Python once ``indent`` is set. Here each distinct
+    coordinate is formatted once as ``json`` writes a finite float, its repr (keyed on its
+    bits: -0.0 is not 0.0), and the values and the text between them are joined once.
+    Non-finite numbers, rings that are not float64 and no plumes go to ``json.dumps``.
     """
-    geometry = [f["geometry"] for f in doc["features"]]
-    rings = [ring for g in geometry for ring in g["coordinates"]]
-    values = tuple(v for ring in rings for row in ring for v in row)
-    # a finite sum has no NaN or infinity among its terms
-    if not math.isfinite(sum(values)):
-        return json.dumps(doc, indent=2, sort_keys=True)
-    features = [{**f, "geometry": {**g, "coordinates": ["\0"] * len(g["coordinates"])}}
-                for f, g in zip(doc["features"], geometry)]
-    text = json.dumps({**doc, "features": features}, indent=2, sort_keys=True)
-    parts = text.replace("%", "%%").split('"\\u0000"')  # "\0" is written escaped
-    template = parts[:1]
-    for ring, before, after in zip(rings, parts, parts[1:]):
-        nl = before[before.rfind("\n") :]
-        inner = nl + "  "
-        row = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-        template += ["[" + inner + ("," + inner).join([row] * len(ring)) + nl + "]", after]
-    return "".join(template) % values
+    rings = [ring for p in plumes for ring in (p.polygon, *p.holes)]
+    coords = np.concatenate(rings or [np.empty((0, 2))])
+    areas = np.array([p.area_m2 for p in plumes], dtype=np.float64)
+    if not plumes or coords.dtype != np.float64 or not np.isfinite(np.append(coords, areas)).all():
+        return json.dumps(plumes_to_geojson(plumes), indent=2, sort_keys=True)
+    bits, at = np.unique(coords.view(np.int64), return_inverse=True)
+    # each value, then the text up to the next one: within a vertex, to the next vertex, to
+    # the next ring, and after a feature's last ring the rest of it and the next one's start
+    parts = np.empty(2 * coords.size, dtype=object)
+    parts[0::2] = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[at.ravel()]
+    parts[1::4], parts[3::4] = _AFTER_X, _AFTER_VERTEX
+    ends = 4 * np.cumsum([len(ring) for ring in rings]) - 1
+    parts[ends] = _AFTER_RING
+    features = [_FEATURE_END % (area, p.label_id, p.pixel_count, "true" if p.touches_edge else "false")
+                for p, area in zip(plumes, areas.tolist())]
+    parts[ends[np.cumsum([1 + len(p.holes) for p in plumes]) - 1]] = [f + ",\n    " + _FEATURE_START for f in features]
+    parts[-1] = features[-1]
+    return "".join(['{\n  "features": [\n    ', _FEATURE_START, *parts.tolist(), '\n  ],\n  "type": "FeatureCollection"\n}'])

@@ -1,6 +1,6 @@
 """Every JSON file is the text of ``json.dumps(obj, indent=2, sort_keys=True)``."""
 
-import copy
+import dataclasses
 import json
 import math
 
@@ -43,10 +43,13 @@ class TestGeojsonText:
         seen = {"holes": 0, "pinch": 0, "non-finite": 0}
         for m in random_masks(np.random.default_rng(8), 90):
             with np.errstate(over="ignore"):  # the last place overflows on purpose
-                doc = plumes_to_geojson(connected_components(m, gsd, origin))
-            kept = copy.deepcopy(doc)
-            assert geojson_text(doc) == stdlib(doc)
-            assert doc == kept  # the document is left as it was
+                plumes = connected_components(m, gsd, origin)
+            kept = [(p.polygon.copy(), [h.copy() for h in p.holes]) for p in plumes]
+            doc = plumes_to_geojson(plumes)
+            assert geojson_text(plumes) == stdlib(doc)
+            for p, (polygon, holes) in zip(plumes, kept):  # the rings are left as they were
+                assert p.polygon.tobytes() == polygon.tobytes()
+                assert [h.tobytes() for h in p.holes] == [h.tobytes() for h in holes]
             seen["non-finite"] += not all(map(math.isfinite, coordinates(doc)))
             for p in connected_components(m, 1.0):
                 seen["holes"] += bool(p.holes)
@@ -56,19 +59,24 @@ class TestGeojsonText:
 
     def test_negative_zero_and_the_non_finite_forms(self):
         m = np.ones((2, 3), dtype=bool)
-        text = geojson_text(plumes_to_geojson(connected_components(m, 30.0, (-0.0, -0.0))))
-        assert "-0.0" in text
-        text = geojson_text(plumes_to_geojson(connected_components(m, 30.0, (math.inf, math.nan))))
+        plumes = connected_components(m, 30.0, (-0.0, -0.0))
+        text = geojson_text(plumes)
+        # eastings 0.0 and northings -0.0: one value to np.unique, two texts to json
+        assert "\n              0.0,\n" in text and "\n              -0.0\n" in text
+        assert text == stdlib(plumes_to_geojson(plumes))
+        text = geojson_text(connected_components(m, 30.0, (math.inf, math.nan)))
         assert "Infinity" in text and "NaN" in text
 
-    def test_percent_signs_outside_the_rings_are_kept(self):
-        doc = plumes_to_geojson(connected_components(np.eye(3, dtype=bool), 30.0, (0.0, 0.0)))
-        doc["features"][0]["properties"]["note"] = "100% of %r and %s"
-        assert geojson_text(doc) == stdlib(doc)
+    def test_numpy_float_area_is_written_as_json_writes_it(self):
+        # json writes a float subclass by float.__repr__: 900.0, where repr gives np.float64(900.0)
+        plume = connected_components(np.ones((1, 1), dtype=bool), 30.0, (0.0, 0.0))[0]
+        plume = dataclasses.replace(plume, area_m2=np.float64(plume.area_m2))
+        text = geojson_text([plume])
+        assert text == stdlib(plumes_to_geojson([plume]))
+        assert '"area_m2": 900.0,' in text and "np.float64" not in text
 
     def test_empty_plume_list(self):
-        doc = plumes_to_geojson([])
-        assert geojson_text(doc) == stdlib(doc) == (
+        assert geojson_text([]) == stdlib(plumes_to_geojson([])) == (
             '{\n  "features": [],\n  "type": "FeatureCollection"\n}'
         )
 

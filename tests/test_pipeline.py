@@ -26,7 +26,7 @@ from plumeflux.pipeline import (
     run_pipeline,
     write_plumes,
 )
-from plumeflux.scene_io import EnhancementField, read_raster, write_cube, write_raster
+from plumeflux.scene_io import NODATA, EnhancementField, read_raster, write_cube, write_raster
 from plumeflux.segmentation import connected_components
 
 from conftest import deadline
@@ -701,9 +701,10 @@ class TestPipelineLevel2:
         plumes, _ = pf.segment_field(field, pf.SegmentationParams(min_area_m2=0.0))
         labels = write_plumes(tmp_path, field, plumes)
         back, back_nodata, _, _ = read_raster(tmp_path / "plume_mask")
-        assert labels.dtype == np.float64 and len(plumes) == 2
-        assert np.array_equal(labels, back)
-        assert np.array_equal(back_nodata, nodata)
+        assert labels.dtype == np.float32 and len(plumes) == 2
+        assert (tmp_path / "plume_mask.bin").read_bytes() == labels.astype("<f4").tobytes()
+        assert np.array_equal(np.where(nodata, 0.0, labels), back)
+        assert np.array_equal(back_nodata, nodata) and np.all(labels[nodata] == NODATA)
         assert [np.count_nonzero(labels == p.label_id) for p in plumes] == [
             p.pixel_count for p in plumes
         ]

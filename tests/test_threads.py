@@ -1,13 +1,14 @@
 """The whole-scene passes on the worker threads: the same bytes on any number of them.
 
 The moments pass, the two kernel sweeps, the background match, the ctmf
-feature build and the k-means steps split their chunks across
+feature build, the k-means steps and the output writes split their work across
 ``kernels.workers()`` threads. These tests set that count and compare every
 output bit for bit; a tiny GIL switch interval makes the threads interleave,
 so a buffer shared between two runs shows up as changed bytes.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -20,12 +21,13 @@ import pytest
 import yaml
 
 import plumeflux as pf
-from plumeflux import kernels, matched_filter
+from plumeflux import kernels, matched_filter, pipeline
 from plumeflux.background import match_background
+from plumeflux.cli import main
 from plumeflux.config import load_config
 from plumeflux.matched_filter import MfConfig, kmeans, normalized_features, retrieve
-from plumeflux.pipeline import run_pipeline
-from plumeflux.scene_io import write_cube
+from plumeflux.pipeline import run_pipeline, write_plumes
+from plumeflux.scene_io import ingest_level2, write_cube, write_raster
 from plumeflux.signature import band_absorption, load_bundled_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -306,6 +308,104 @@ class TestRuns:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                              timeout=60)
         assert run.returncode == 0, run.stderr
+
+
+class TestPooledWrites:
+    """``write_plumes`` writes the rasters on the pool while the calling thread formats and
+    writes plumes.geojson."""
+
+    @pytest.fixture
+    def level2(self, tmp_path):
+        """A 300 x 300 level-2 product with two plumes and its config. Its GeoJSON weighs less
+        than a raster, so the label raster is written on the pool in both commands below."""
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((300, 300)) * 20
+        values[30:60, 40:90] += 800.0
+        values[120:170, 100:180] += 600.0
+        nodata = rng.random(values.shape) < 0.01
+        write_raster(values, tmp_path / "enh", 30.0, (355000.0, 4100000.5), nodata)
+        write_raster(np.full(values.shape, 25.0), tmp_path / "sig", 30.0, (355000.0, 4100000.5))
+        doc = {"input": {"enhancement": str(tmp_path / "enh"), "sigma": str(tmp_path / "sig")},
+               "wind": {"u10": 3.0}}
+        (tmp_path / "l2.yaml").write_text(yaml.safe_dump(doc))
+        return tmp_path / "l2.yaml"
+
+    @staticmethod
+    def record_writes(monkeypatch, wait=0.0):
+        """Each write's file name and thread as it starts, and the names of the writes still
+        running; a payload's write waits ``wait`` seconds first."""
+        started, running = [], set()
+        write_file = pipeline.write_file
+
+        def recorded(path, data):
+            started.append((path.name, threading.get_ident()))
+            running.add(path.name)
+            if path.suffix == ".bin":
+                threading.Event().wait(wait)
+            try:
+                write_file(path, data)
+            finally:
+                running.discard(path.name)
+
+        monkeypatch.setattr(pipeline, "write_file", recorded)
+        return started, running
+
+    def test_outputs_equal_the_serial_order(self, level2, tmp_path, monkeypatch, interleaved):
+        started, _ = self.record_writes(monkeypatch)
+        here = threading.get_ident()
+        for command in ("pipeline", "segment"):
+            written = {}
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(kernels, "workers", lambda: workers)
+                started.clear()
+                out = tmp_path / f"{command}_{workers}"
+                assert main([command, "--config", str(level2), "--output", str(out)]) == 0
+                written[workers] = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "report.json"}
+                if command == "pipeline":
+                    report = json.loads((out / "report.json").read_text())
+                    written[workers]["report.json"] = {**report, "timings_s": None}
+                threads = dict(started)
+                assert threads.pop("plumes.geojson") == here
+                assert {t == here for t in threads.values()} == ({True} if workers == 1 else {True, False})
+                if workers == 1:  # the serial order: the layers, the label raster, the GeoJSON
+                    names = ["plume_mask.hdr", "plume_mask.bin", "plumes.geojson", "segmentation.json"]
+                    if command == "pipeline":
+                        names = ["enhancement.hdr", "enhancement.bin", "sigma_total.hdr", "sigma_total.bin",
+                                 *names[:3], "report.json"]
+                    assert [name for name, _ in started] == names
+            assert all(w == written[1] for w in written.values())
+            assert json.loads(written[1]["plumes.geojson"])["features"]
+
+    @pytest.mark.parametrize("command, workers", [("segment", 2), ("pipeline", 3)])
+    @pytest.mark.parametrize("name", ["plume_mask.bin", "plumes.geojson"])
+    def test_a_file_that_cannot_be_written_is_one_error(
+        self, level2, tmp_path, monkeypatch, capsys, command, workers, name
+    ):
+        monkeypatch.setattr(kernels, "workers", lambda: workers)
+        started, _ = self.record_writes(monkeypatch)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory in the file's place
+        assert main([command, "--config", str(level2), "--output", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Is a directory"]
+        # the label raster is written on the pool, the GeoJSON on the calling thread
+        assert (dict(started)[name] == threading.get_ident()) == (name == "plumes.geojson")
+
+    @pytest.mark.parametrize("squat", [False, True])
+    def test_no_write_runs_on_after_the_writer(self, level2, tmp_path, monkeypatch, squat):
+        monkeypatch.setattr(kernels, "workers", lambda: 2)
+        field = ingest_level2(tmp_path / "enh", tmp_path / "sig")
+        plumes, _ = pf.segment_field(field, pf.SegmentationParams())
+        started, running = self.record_writes(monkeypatch, wait=0.2)
+        out = tmp_path / "out"
+        if squat:
+            (out / "plumes.geojson").mkdir(parents=True)
+            with pytest.raises(pf.DataError, match="plumes.geojson"):
+                write_plumes(out, field, plumes, layers=True)
+        else:
+            write_plumes(out, field, plumes, layers=True)
+        assert not running
+        pooled = [name for name, thread in started if thread != threading.get_ident()]
+        assert pooled and all((out / name).stat().st_size for name in pooled)
 
 
 def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
